@@ -1,7 +1,8 @@
 """Content-addressed on-disk cache for deterministic CLI results.
 
 Keys are sha256 hashes of the canonical JSON of (command, Cartan matrix,
-parameters, code version); payloads are the exact result objects.  Writes go
+parameters, code version, digest of the package sources); payloads are the
+exact result objects.  Writes go
 through a temporary file and an atomic rename, so concurrent invocations can
 only ever observe complete entries.  An unwritable or corrupted cache is
 never a hard failure: the computation simply proceeds without it.
@@ -15,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 
 from . import __version__
 
@@ -30,9 +32,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 of the package's .py sources, so edited code never reads
+    entries written by other code under the same version."""
+    h = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(name.encode("utf-8") + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(command: str, cartan_entries, parameters) -> str:
     payload = {
         "version": __version__,
+        "source": source_digest(),
         "command": command,
         "cartan": [list(row) for row in cartan_entries],
         "parameters": parameters,

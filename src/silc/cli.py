@@ -46,6 +46,8 @@ from .weylgroup import weyl_group
 
 COMPUTATION_ERRORS = (StabilizationError, WindowExhaustedError,
                       InconsistencyError)
+# library errors about the input itself: reported as usage errors (exit 2)
+USAGE_ERRORS = (CharacterError, QuasimapError, RootDataError)
 
 
 def _datum(kind, rank):
@@ -108,7 +110,7 @@ def _run(command, datum, params, compute, output, no_cache, csv_rows=None):
                 sort_keys=True,
             ))
             sys.exit(3)
-        except (CharacterError, QuasimapError) as exc:
+        except USAGE_ERRORS as exc:
             raise click.UsageError(str(exc))
         if not no_cache:
             cachemod.store(key, payload)
@@ -162,7 +164,8 @@ def order_le(kind, rank, output, no_cache, w, v):
 @order.command("covers")
 @common_options
 @click.option("--v", required=True)
-@click.option("--height-bound", type=int, default=2, show_default=True)
+@click.option("--height-bound", type=click.IntRange(min=1), default=2,
+              show_default=True)
 def order_covers(kind, rank, output, no_cache, v, height_bound):
     datum = _datum(kind, rank)
     wg = weyl_group(datum)

@@ -140,33 +140,6 @@ def monomial_data(monomial, rank):
     return d, wt
 
 
-def apply_operator(op, vec, rank, d_ok):
-    """Apply a loop-algebra element E_{ab} z^k to a homogeneous vector.
-
-    Acts by the tensor-product rule (sum over slots), shifting the acted
-    slot's z-exponent by k.
-    """
-    _, a, b, k = op
-    out = {}
-    for monomial, coeff in vec.items():
-        for slot_idx, (subset, z) in enumerate(monomial):
-            hit = matrix_unit(a, b, subset)
-            if hit is None:
-                continue
-            sign, new_subset = hit
-            new_mono = (monomial[:slot_idx] + ((new_subset, z + k),)
-                        + monomial[slot_idx + 1:])
-            out[new_mono] = out.get(new_mono, 0) + sign * coeff
-    out = {m: c for m, c in out.items() if c != 0}
-    if not out:
-        return None
-    lead = next(iter(out))
-    d, wt = monomial_data(lead, rank)
-    if not d_ok(d):
-        return None
-    return (d, wt), out
-
-
 def span_closure(rank, seeds, ops, d_ok):
     """Close the span of the seeds under the operators; returns a BlockSpan."""
     span = BlockSpan()
@@ -272,24 +245,6 @@ def extremal_monomial(wg, u: FiniteWeylElement, beta, lam):
     return tuple(slots)
 
 
-def global_weyl_blocks(datum: RootDatum, ufin: FiniteWeylElement, lam, d_max):
-    """Graded dimensions {(d, wt): dim} of the submodule generated upward
-    from the extremal vector of ufin, truncated to z-degrees 0 <= d < d_max.
-
-    This is the normalized character: the extremal vector sits at degree 0.
-    """
-    require_type_a(datum)
-    rank = datum.rank
-    if sum(lam) == 0:
-        return {(0, (0,) * rank): 1} if d_max > 0 else {}
-    wg = weyl_group(datum)
-    zero_beta = (0,) * rank
-    seed_mono = extremal_monomial(wg, ufin, zero_beta, lam)
-    ops = raising_ops(rank, max(0, d_max - 1))
-    span = span_closure(rank, [{seed_mono: 1}], ops, lambda d: 0 <= d < d_max)
-    return span.dims()
-
-
 def schubert_blocks(datum: RootDatum, ufin: FiniteWeylElement, beta, lam, d_max):
     """Graded dimensions {(d, wt): dim} of the submodule generated upward from
     the extremal vector of ufin * t_beta, in absolute z-degrees < d_max.
@@ -312,11 +267,6 @@ def schubert_blocks(datum: RootDatum, ufin: FiniteWeylElement, beta, lam, d_max)
     return span.dims()
 
 
-def _decompose(wg, w):
-    """(finite part, translation) of an affine element."""
-    return w.finite, w.translation
-
-
 def richardson_blocks(datum: RootDatum, v, w, lam):
     """Graded dimensions {(d, wt): dim} of the intersection of the upward
     module of w*w0 and the downward module of v*w0, in absolute z-degrees.
@@ -332,8 +282,8 @@ def richardson_blocks(datum: RootDatum, v, w, lam):
     w0aff = wg.affine_from_finite(wg.w0)
     xw = wg.compose(w, w0aff)
     xv = wg.compose(v, w0aff)
-    uw, bw = _decompose(wg, xw)
-    uv, bv = _decompose(wg, xv)
+    uw, bw = xw.finite, xw.translation
+    uv, bv = xv.finite, xv.translation
     d_low = -sum(b * l for b, l in zip(bw, lam))
     d_high = -sum(b * l for b, l in zip(bv, lam))
     if d_low > d_high:

@@ -54,41 +54,12 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
-    n = len(b)
     cols = list(zip(*b))
     return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
 
 
 def mat_identity(r):
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
-def mat_inv_int(m):
-    """Inverse of an integer matrix with determinant +-1 (exact)."""
-    r = len(m)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)]
-            for i, row in enumerate(m)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if work[i][col] != 0), None)
-        if piv is None:
-            raise RootDataError("matrix not invertible")
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(r):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r, 2 * r):
-            x = work[i][j]
-            if x.denominator != 1:
-                raise RootDataError("matrix inverse is not integral")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +266,6 @@ class RootDatum:
     def pairing(self, beta, lam) -> int:
         """<beta, lambda> for a coweight (coroot coords) and weight (fw coords)."""
         return vec_dot(beta, lam)
-
-    def pairing_coweight_root(self, beta, root_coords) -> int:
-        return vec_dot(beta, self.root_to_weight(root_coords))
-
-    def pairing_coroot_weight(self, coroot, lam) -> int:
-        return vec_dot(coroot, lam)
 
     # -- roots --------------------------------------------------------------
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootdata import (  # noqa: F401
+from .rootdata import (
+    Root,
     RootDataError,
     RootDatum,
     mat_identity,
-    mat_inv_int,
     mat_mul,
     mat_vec,
     vec_add,
@@ -23,54 +23,61 @@ from .rootdata import (  # noqa: F401
 )
 
 
-_INV_CACHE: dict = {}
-
-
-def _cached_inv(mat):
-    got = _INV_CACHE.get(mat)
-    if got is None:
-        got = mat_inv_int(mat)
-        _INV_CACHE[mat] = got
-    return got
-
-
-@dataclass(frozen=True)
 class FiniteWeylElement:
-    """Element of the finite Weyl group.
+    """Element of the finite Weyl group, interned by its WeylGroup.
+
+    A group keeps one object per root matrix, so equality and hashing are by
+    identity.  Elements are made in inverse pairs, since (xy)^{-1} =
+    y^{-1} x^{-1} and reflections are involutions: no matrix is inverted.
 
     root_mat: action on the simple-root basis (columns = images of alpha_j).
-    coroot_mat: action on the simple-coroot basis.
-    The root matrix is the canonical identity of the element.
+    coweight_mat: action on the simple-coroot basis.
+    inversions: 0/1 for each of the group's positive roots, 1 where the
+    element sends it to a negative root; the length is their sum.
     """
-    root_mat: tuple
-    coroot_mat: tuple
+
+    __slots__ = ("_group", "root_mat", "coweight_mat", "inversions",
+                 "_inverse", "_products")
+
+    def __init__(self, group: "WeylGroup", root_mat, coweight_mat):
+        self._group = group
+        self.root_mat = root_mat
+        self.coweight_mat = coweight_mat
+        # u(alpha) is negative iff its height is; column sums of root_mat
+        # are the heights of the u(alpha_j)
+        heights = tuple(map(sum, zip(*root_mat)))
+        self.inversions = tuple(int(vec_dot(heights, rc) < 0)
+                                for rc in group._pos_roots)
+        self._inverse = self
+        self._products = {}
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        return FiniteWeylElement(
-            mat_mul(self.root_mat, other.root_mat),
-            mat_mul(self.coroot_mat, other.coroot_mat),
-        )
+        got = self._products.get(other)
+        if got is None:
+            xi, yi = self._inverse, other._inverse
+            got = self._products[other] = self._group._intern(
+                mat_mul(self.root_mat, other.root_mat),
+                mat_mul(self.coweight_mat, other.coweight_mat),
+                (mat_mul(yi.root_mat, xi.root_mat),
+                 mat_mul(yi.coweight_mat, xi.coweight_mat)),
+            )
+        return got
 
     def inverse(self) -> "FiniteWeylElement":
-        return FiniteWeylElement(_cached_inv(self.root_mat), _cached_inv(self.coroot_mat))
+        return self._inverse
 
     def act_root(self, coords):
         return mat_vec(self.root_mat, coords)
 
     def act_coweight(self, beta):
-        return mat_vec(self.coroot_mat, beta)
+        return mat_vec(self.coweight_mat, beta)
 
     def act_weight(self, lam):
         # <alpha_i^vee, u lam> = <u^{-1} alpha_i^vee, lam>
-        inv = _cached_inv(self.coroot_mat)
-        cols = list(zip(*inv))
-        return tuple(vec_dot(col, lam) for col in cols)
+        return tuple(vec_dot(col, lam) for col in zip(*self._inverse.coweight_mat))
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteWeylElement) and self.root_mat == other.root_mat
-
-    def __hash__(self):
-        return hash(self.root_mat)
+    def __repr__(self):
+        return f"FiniteWeylElement(root_mat={self.root_mat})"
 
 
 @dataclass(frozen=True)
@@ -79,57 +86,44 @@ class AffineWeylElement:
     translation: tuple  # coweight in coroot coordinates
 
     def key(self):
-        """Canonical sort/identity key."""
+        """Canonical sort key, independent of interning."""
         return (self.finite.root_mat, self.translation)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineWeylElement)
-            and self.finite == other.finite
-            and self.translation == other.translation
-        )
-
-    def __hash__(self):
-        return hash((self.finite.root_mat, self.translation))
 
 
 class WeylGroup:
-    """Weyl-group operations bound to one root datum. Immutable, cached."""
+    """Weyl-group operations bound to one root datum.
+
+    The group interns finite elements lazily, mapping each root matrix it
+    meets to its one FiniteWeylElement: small groups fill up completely,
+    and E8 (|W| ~ 7*10^8) is never listed.
+    """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         r = datum.rank
+        # positive roots in root and fundamental-weight coordinates
+        self._pos_roots = tuple(rt.coords for rt in datum.positive_roots())
+        self._pos_weights = tuple(datum.root_to_weight(rc) for rc in self._pos_roots)
+        self._elements = {}
         ident = mat_identity(r)
-        self.id_finite = FiniteWeylElement(ident, ident)
+        self.id_finite = self._intern(ident, ident)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
-        # positive roots as (fw-coords, root-coords, coroot) for the length formula
-        self._pos = tuple(
-            (datum.root_to_weight(rt.coords), rt.coords, rt.coroot)
-            for rt in datum.positive_roots()
-        )
-        self._len_cache = {}
-        self._simple_finite = tuple(self._simple_reflection_finite(i) for i in range(1, r + 1))
+        self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
         self._s0 = self._build_s0()
         self._w0 = self._build_w0()
 
     # -- constructors --------------------------------------------------------
 
-    def _simple_reflection_finite(self, i):
-        d = self.datum
-        r = d.rank
-        a = d.cartan.entries
-        root_cols = []
-        coroot_cols = []
-        for j in range(r):
-            rc = [int(j == k) for k in range(r)]
-            rc[i - 1] -= a[i - 1][j]  # s_i(alpha_j) = alpha_j - a_{ij} alpha_i
-            root_cols.append(tuple(rc))
-            cc = [int(j == k) for k in range(r)]
-            cc[i - 1] -= a[j][i - 1]  # s_i(alpha_j^vee) = alpha_j^vee - a_{ji} alpha_i^vee
-            coroot_cols.append(tuple(cc))
-        root_mat = tuple(zip(*root_cols))
-        coroot_mat = tuple(zip(*coroot_cols))
-        return FiniteWeylElement(root_mat, coroot_mat)
+    def _intern(self, root_mat, coweight_mat, inverse_mats=None) -> FiniteWeylElement:
+        """The element with this root matrix.  A new one is paired with its
+        inverse, given as (root_mat, coweight_mat), or None for an involution."""
+        got = self._elements.get(root_mat)
+        if got is None:
+            got = self._elements[root_mat] = FiniteWeylElement(self, root_mat, coweight_mat)
+            if inverse_mats is not None and inverse_mats[0] != root_mat:
+                inv = self._elements[inverse_mats[0]] = FiniteWeylElement(self, *inverse_mats)
+                got._inverse, inv._inverse = inv, got
+        return got
 
     def finite_from_word(self, word) -> FiniteWeylElement:
         out = self.id_finite
@@ -151,7 +145,7 @@ class WeylGroup:
         r = d.rank
         wt = d.root_to_weight(root.coords)
         root_cols = []
-        coroot_cols = []
+        coweight_cols = []
         for j in range(r):
             rc = [int(j == k) for k in range(r)]
             p = root.coroot  # <gamma^vee, alpha_j>
@@ -160,8 +154,8 @@ class WeylGroup:
             root_cols.append(rc)
             cc = [int(j == k) for k in range(r)]
             cc = tuple(cc[k] - wt[j] * root.coroot[k] for k in range(r))
-            coroot_cols.append(cc)
-        return FiniteWeylElement(tuple(zip(*root_cols)), tuple(zip(*coroot_cols)))
+            coweight_cols.append(cc)
+        return self._intern(tuple(zip(*root_cols)), tuple(zip(*coweight_cols)))
 
     def _build_s0(self):
         # s_0 = s_theta * t_{-theta^vee}
@@ -170,20 +164,13 @@ class WeylGroup:
         return AffineWeylElement(s_theta, vec_neg(theta.coroot))
 
     def _build_w0(self):
-        """Longest finite element, by greedy ascent."""
+        """Longest finite element: multiply by left ascents until none is left."""
         w = self.id_finite
-        length = 0
-        target = len(self.datum.positive_roots())
-        while length < target:
-            for i in range(1, self.datum.rank + 1):
-                cand = self._simple_finite[i - 1] * w
-                if self.length_finite(cand) > length:
-                    w = cand
-                    length += 1
-                    break
-            else:  # pragma: no cover
-                raise RootDataError("failed to reach the longest element")
-        return w
+        while True:
+            descents = self._left_descents(w)
+            if all(descents):
+                return w
+            w = self._simple_finite[descents.index(False)] * w
 
     @property
     def w0(self) -> FiniteWeylElement:
@@ -217,28 +204,30 @@ class WeylGroup:
     # -- lengths -------------------------------------------------------------
 
     def length_finite(self, u: FiniteWeylElement) -> int:
-        n = 0
-        for _, rc, _ in self._pos:
-            img = u.act_root(rc)
-            if all(c <= 0 for c in img):
-                n += 1
-        return n
+        return sum(u.inversions)
 
     def length_affine(self, w: AffineWeylElement) -> int:
-        key = w.key()
-        got = self._len_cache.get(key)
-        if got is not None:
-            return got
-        n = 0
-        u = w.finite
+        # l(u t_beta) = sum over alpha > 0 of |<beta, alpha> + [u alpha < 0]|
         beta = w.translation
-        for fw, rc, _ in self._pos:
-            chi = 1 if all(c <= 0 for c in u.act_root(rc)) else 0
-            n += abs(vec_dot(beta, fw) + chi)
-        self._len_cache[key] = n
-        return n
+        return sum(abs(vec_dot(beta, fw) + chi)
+                   for fw, chi in zip(self._pos_weights, w.finite.inversions))
 
     # -- reduced words and Bruhat order ---------------------------------------
+
+    def _left_descents(self, u: FiniteWeylElement):
+        """For i = 1..r, whether l(s_i u) < l(u), i.e. u^{-1} alpha_i < 0:
+        column i of the root matrix of u^{-1} is <= 0."""
+        return [all(c <= 0 for c in col) for col in zip(*u.inverse().root_mat)]
+
+    def reduced_word_finite(self, u: FiniteWeylElement):
+        """Lexicographically smallest reduced word: peel the smallest left
+        descent first."""
+        word = []
+        while u is not self.id_finite:
+            i = self._left_descents(u).index(True)
+            word.append(i + 1)
+            u = self._simple_finite[i] * u
+        return word
 
     def left_mul_simple(self, i, w: AffineWeylElement) -> AffineWeylElement:
         return self.compose(self.simple_affine(i), w)
@@ -252,21 +241,6 @@ class WeylGroup:
             if self.length_affine(self.left_mul_simple(i, w)) < lw:
                 return i
         return None
-
-    def reduced_word(self, w: AffineWeylElement):
-        """Greedy reduced word (smallest descent index first)."""
-        word = []
-        while True:
-            i = self.first_left_descent(w)
-            if i is None:
-                if w != self.identity:  # pragma: no cover
-                    raise RootDataError("descent search failed")
-                return word
-            word.append(i)
-            w = self.left_mul_simple(i, w)
-
-    def reduced_word_finite(self, u: FiniteWeylElement):
-        return self.reduced_word(self.affine_from_finite(u))
 
     def from_word(self, word) -> AffineWeylElement:
         out = self.identity
@@ -305,8 +279,7 @@ class WeylGroup:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self, w: AffineWeylElement) -> dict:
-        word = [i for i in self.reduced_word_finite(w.finite)]
-        return {"u_word": word, "beta": list(w.translation)}
+        return {"u_word": self.reduced_word_finite(w.finite), "beta": list(w.translation)}
 
     def from_json(self, obj) -> AffineWeylElement:
         return self.element(obj["u_word"], obj["beta"])
@@ -317,7 +290,7 @@ class WeylGroup:
         if "@" in text:
             upart, bpart = text.split("@", 1)
         else:
-            upart, bpart = text, ",".join("0" * 0) or ""
+            upart, bpart = text, ""
         upart = upart.strip()
         if upart in ("e", ""):
             word = []

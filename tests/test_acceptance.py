@@ -16,6 +16,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from affine_words import reduced_word
 from jobspecs import JOBSPECS
 from qm_random import random_dp
 
@@ -149,7 +150,7 @@ def _subword_oracle(datum, wg):
     def le(x, y):
         yk = y.key()
         if yk not in words:
-            words[yk] = wg.reduced_word(wg.compose(y, t))
+            words[yk] = reduced_word(wg, wg.compose(y, t))
             memos[yk] = {}
         word, memo = words[yk], memos[yk]
         L = len(word)

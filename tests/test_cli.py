@@ -125,6 +125,32 @@ def test_cache_key_includes_parameters(runner, tmp_path):
     assert len(os.listdir(tmp_path / "cache")) == 2
 
 
+def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
+    from silc import cache
+
+    args = ["order", "le", "--rank", "1", "--w", "1@0", "--v", "e@0"]
+    invoke(runner, args)
+    monkeypatch.setattr(cache, "source_digest", lambda: "0" * 64)
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    assert len(os.listdir(tmp_path / "cache")) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["char", "gweyl", "--type", "B", "--rank", "2", "--w", "e@0,0",
+     "--lam", "1,0", "--window", "0:2"],
+    ["h0", "--type", "B", "--rank", "2", "--v", "e@1,1", "--w", "e@0,0",
+     "--lam", "1,1"],
+    ["pieri", "--type", "B", "--rank", "2", "--w", "e@0,0", "--lam", "1,1",
+     "--window", "0:1", "--depth", "2"],
+    ["order", "covers", "--rank", "1", "--v", "e@0", "--height-bound", "0"],
+], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0"])
+def test_library_input_errors_are_usage_errors(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_qmap_validate_reports_invalid_without_failing(runner):
     data = json.dumps({
         "rank": 2,

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affine_words import reduced_word
 from silc.rootdata import root_datum, vec_neg
 from silc.weylgroup import weyl_group
 
@@ -43,7 +44,7 @@ def brute_min_length(wg, w, cap=8):
 
 def subword_le(wg, x, y):
     """Bruhat comparison by exhaustive subword enumeration."""
-    word = wg.reduced_word(y)
+    word = reduced_word(wg, y)
     lx = wg.length_affine(x)
     for positions in itertools.combinations(range(len(word)), lx):
         cand = wg.from_word([word[p] for p in positions])
@@ -145,9 +146,9 @@ def test_simple_multiplication_changes_length_by_one(wg):
 
 def test_reduced_word_examples_a1(wg_a1):
     wg = wg_a1
-    assert wg.reduced_word(wg.identity) == []
-    assert wg.reduced_word(wg.translation((1,))) == [0, 1]
-    assert wg.reduced_word(wg.element([1], (1,))) == [1, 0, 1]
+    assert reduced_word(wg, wg.identity) == []
+    assert reduced_word(wg, wg.translation((1,))) == [0, 1]
+    assert reduced_word(wg, wg.element([1], (1,))) == [1, 0, 1]
 
 
 def test_reduced_word_roundtrip(wg):
@@ -160,7 +161,7 @@ def test_reduced_word_roundtrip(wg):
         wg.element([1], tuple([-2] + [0] * (r - 1))),
     ]
     for w in samples:
-        word = wg.reduced_word(w)
+        word = reduced_word(wg, w)
         assert len(word) == wg.length_affine(w)
         assert wg.from_word(word) == w
 
@@ -172,6 +173,47 @@ def test_w0_longest(wg):
     for rt in wg.datum.positive_roots():
         img = wg.w0.act_root(rt.coords)
         assert all(c <= 0 for c in img)
+
+
+# ---------------------------------------------------------------------------
+# interned finite elements; rho has trivial stabilizer, so its image under
+# RootDatum.weyl_act identifies an element without using weylgroup
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,rank,order", [("A", 2, 6), ("B", 2, 8), ("G", 2, 12)])
+def test_reduced_word_finite_is_lexicographically_smallest(kind, rank, order):
+    datum = root_datum(kind, rank)
+    wg = weyl_group(datum)
+    # all words by length, then lexicographically: the first word reaching
+    # an image is the smallest reduced word of that element
+    words = [()] + [w for k in range(1, len(datum.positive_roots()) + 1)
+                    for w in itertools.product(range(1, rank + 1), repeat=k)]
+    smallest = {}
+    for word in words:
+        smallest.setdefault(datum.weyl_act(word, datum.rho), list(word))
+    assert len(smallest) == order
+    for word in words:
+        u = wg.finite_from_word(word)
+        image = datum.weyl_act(word, datum.rho)
+        assert u.act_weight(datum.rho) == image
+        assert wg.reduced_word_finite(u) == smallest[image], word
+
+
+def test_e8_w0_reduced_word():
+    datum = root_datum("E", 8)
+    wg = weyl_group(datum)
+    word = wg.reduced_word_finite(wg.w0)
+    assert len(word) == 120
+    assert datum.weyl_act(word, datum.rho) == vec_neg(datum.rho)
+
+
+def test_finite_elements_are_interned(wg_a2):
+    assert wg_a2.finite_from_word([1, 2, 1]) is wg_a2.finite_from_word([2, 1, 2])
+    wg = weyl_group(root_datum("B", 2))
+    elements = _all_finite(wg)
+    assert len(elements) == 8
+    for u in elements:
+        assert u.inverse() * u is wg.id_finite
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +305,9 @@ def test_min_coset_rep(wg):
 
 
 def AffineWeylElementFromKey(wg, key):
-    from silc.weylgroup import AffineWeylElement, FiniteWeylElement
+    from silc.weylgroup import AffineWeylElement
 
     root_mat, beta = key
-    # recover coroot matrix by rebuilding from a word is overkill; search gens
     for u in _all_finite(wg):
         if u.root_mat == root_mat:
             return AffineWeylElement(u, beta)
