@@ -41,11 +41,10 @@ from .quasimap import (
     validate_dp,
 )
 from .rootdata import RootDataError, root_datum
-from .semiinf import StabilizationError, si_order
+from .semiinf import si_order
 from .weylgroup import weyl_group
 
-COMPUTATION_ERRORS = (StabilizationError, WindowExhaustedError,
-                      InconsistencyError)
+COMPUTATION_ERRORS = (WindowExhaustedError, InconsistencyError)
 # library errors about the input itself: reported as usage errors (exit 2)
 USAGE_ERRORS = (CharacterError, QuasimapError, RootDataError)
 
@@ -206,7 +205,7 @@ def order_interval(kind, rank, output, no_cache, v, w, radius):
             "radius": radius,
             "elements": [
                 {"element": wg.format(x), "si_length": so.si_length(x)}
-                for x in so.si_interval(ve, we, radius)
+                for x in so.si_interval(ve, we)
             ],
         }
 
@@ -471,13 +470,13 @@ def dim_parabolic_cmd(kind, rank, output, no_cache, j_opt, beta, w):
         J = tuple(int(t) for t in j_opt.split(",") if t.strip() != "")
         beta_t = tuple(int(t) for t in beta.split(","))
         word = [] if w.strip() in ("e", "") else [int(t) for t in w.split(",")]
-    except ValueError as exc:
+        wfin = wg.finite_from_word(word)
+    except (ValueError, RootDataError) as exc:
         raise click.UsageError(str(exc))
     if len(beta_t) != datum.rank:
         raise click.UsageError(
             f"--beta needs {datum.rank} coordinates, got {len(beta_t)}"
         )
-    wfin = wg.finite_from_word(word)
 
     def compute():
         try:

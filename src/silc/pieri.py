@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import loopmodel
 from .charring import GradedCharacter, FULL_WINDOW, CharacterError
-from .rootdata import RootDatum, vec_add, vec_neg
+from .rootdata import RootDatum, vec_add, vec_neg, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
 
@@ -145,61 +145,37 @@ def _shell(u, w):
 
 
 def _candidates_below(so, w, depth):
-    return {u.key(): u for u in so.box(w, depth) if so.si_le(u, w)}
+    """The elements below w at translation distance at most depth, sorted by
+    si-length, then key."""
+    cap = tuple(b + depth for b in w.translation)
+    return [u for level in so.down_set(w, cap)
+            for u in sorted(level, key=AffineWeylElement.key)]
 
 
-def _strict_coefficients(datum, w, lam, depth, candidates):
-    """a^u by inclusion-exclusion over semi-infinite intervals.
+def _strict_coefficient(datum, x, top, mu, memo):
+    """a^x_top(mu) for strictly dominant mu, by inclusion-exclusion over
+    semi-infinite intervals.
 
-    Valid for strictly dominant lam, where the section character of the
-    Richardson variety below u is the exact Demazure-module intersection and
-    equals the sum of a^x over u <= x <= w.
+    For strictly dominant mu the section character of the Richardson variety
+    of [x, top] is the exact Demazure-module intersection and equals the sum
+    of a^y_top(mu) over x <= y <= top.  Anchored coefficients are equivariant
+    under right translation, so top is moved to its finite part and the memo
+    entries serve every top of one coset.
     """
-    so = si_order(datum)
-    memo = {}
-
-    def coefficient(u):
-        got = memo.get(u.key())
-        if got is not None:
-            return got
-        val = smt_character(datum, u, w, lam, FULL_WINDOW)
-        for x in so.si_interval(u, w, depth + 1):
-            if x != u:
-                val = val - coefficient(x)
-        memo[u.key()] = val
-        return val
-
-    return {u.key(): coefficient(u) for u in candidates.values()}
-
-
-_PAIR_CACHE = {}
-
-
-def _strict_pair_coefficient(datum, u, v, mu, depth):
-    """Exact a^v_u(mu) for strictly dominant mu, by interval inclusion-
-    exclusion, canonicalized by right translation so the cache stays small."""
-    shift = u.translation
-    u0 = AffineWeylElement(u.finite, (0,) * datum.rank)
-    v0 = AffineWeylElement(
-        v.finite, tuple(a - b for a, b in zip(v.translation, shift)))
-    so = si_order(datum)
-
-    def coefficient(x):
-        key = (id(datum), u0.finite, x.key(), mu)
-        got = _PAIR_CACHE.get(key)
-        if got is not None:
-            return got
-        val = smt_character(datum, x, u0, mu, FULL_WINDOW)
-        for y in so.si_interval(x, u0, depth + 1):
+    x = AffineWeylElement(x.finite, vec_sub(x.translation, top.translation))
+    top = AffineWeylElement(top.finite, (0,) * datum.rank)
+    key = (x, top, mu)
+    got = memo.get(key)
+    if got is None:
+        got = smt_character(datum, x, top, mu, FULL_WINDOW)
+        for y in si_order(datum).si_interval(x, top):
             if y != x:
-                val = val - coefficient(y)
-        _PAIR_CACHE[key] = val
-        return val
-
-    return coefficient(v0)
+                got = got - _strict_coefficient(datum, y, top, mu, memo)
+        memo[key] = got
+    return got
 
 
-def _degenerate_coefficients(datum, w, lam, q_hi, depth, candidates):
+def _degenerate_coefficients(datum, w, lam, candidates):
     """a^u for non-regular lam, by peeling one strictly dominant step.
 
     The Demazure-module intersection describes Richardson section spaces only
@@ -220,7 +196,7 @@ def _degenerate_coefficients(datum, w, lam, q_hi, depth, candidates):
     so = si_order(datum)
     rho = datum.rho
     lam_rho = vec_add(lam, rho)
-    big = _strict_coefficients(datum, w, lam_rho, depth, candidates)
+    memo = {}
 
     def c_rho(u):
         _, _, d_u = _xw_data(datum, u, rho)
@@ -228,16 +204,15 @@ def _degenerate_coefficients(datum, w, lam, q_hi, depth, candidates):
         return d_u - d_base
 
     out = {}
-    ordered = sorted(candidates.values(), key=lambda u: (so.si_length(u), u.key()))
-    for v in ordered:
-        val = big[v.key()]
-        for u in so.si_interval(v, w, depth + 1):
+    for v in candidates:
+        val = _strict_coefficient(datum, v, w, lam_rho, memo)
+        for u in so.si_interval(v, w):
             if u == v:
                 continue
-            a_u = out.get(u.key())
+            a_u = out.get(u)
             if a_u is None or a_u.is_zero():
                 continue
-            pair = _strict_pair_coefficient(datum, u, v, rho, depth)
+            pair = _strict_coefficient(datum, v, u, rho, memo)
             if pair.is_zero():
                 continue
             val = val - (a_u * pair).shift_q(c_rho(u))
@@ -249,7 +224,7 @@ def _degenerate_coefficients(datum, w, lam, q_hi, depth, candidates):
                 "negative qbar-degree while peeling the rho-step; "
                 "the explored depth is inconsistent"
             )
-        out[v.key()] = val
+        out[v] = val
     return out
 
 
@@ -311,22 +286,22 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
         raise WindowExhaustedError("depth must be at least 2 to certify the window")
     candidates = _candidates_below(so, w, depth)
     if datum.is_strictly_dominant(lam):
-        full = _strict_coefficients(datum, w, lam, depth, candidates)
+        memo = {}
+        full = {u: _strict_coefficient(datum, u, w, lam, memo) for u in candidates}
     else:
-        full = _degenerate_coefficients(datum, w, lam, q_hi, depth, candidates)
+        full = _degenerate_coefficients(datum, w, lam, candidates)
 
-    base = full[w.key()]
+    base = full[w]
     expected = GradedCharacter.monomial(0, _base_weight(datum, w, lam))
     if dict(base.terms) != dict(expected.terms):
         raise InconsistencyError(
             f"base coefficient {dict(base.terms)} is not the extremal monomial"
         )
 
-    ordered = sorted(candidates.values(), key=lambda u: (so.si_length(u), u.key()))
     coeffs = []
     full_coeffs = []
-    for u in ordered:
-        a_full = full[u.key()]
+    for u in candidates:
+        a_full = full[u]
         a = a_full.truncate(window)
         if a.is_zero():
             continue

@@ -12,15 +12,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
-from sympy import QQ, Poly
+from typing import TYPE_CHECKING
 
 from .rootdata import RootDatum, root_datum, vec_dot, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
-_Z = sympy.Symbol("z")
+if TYPE_CHECKING:
+    from sympy import Poly
+
+
+def _sympy():
+    """sympy and the variable z, imported on first use: only the quasi-map
+    polynomial operations need sympy, and importing it takes most of the
+    CLI's start-up time."""
+    import sympy
+
+    return sympy, sympy.Symbol("z")
 
 
 class QuasimapError(ValueError):
@@ -72,12 +80,13 @@ def _trim(coeffs):
 
 def _poly(coeffs) -> Poly:
     """Low-degree-first rational coefficient list -> sympy Poly over QQ."""
+    sympy, z = _sympy()
     expr = sum(
-        (sympy.Rational(c.numerator, c.denominator) * _Z ** k
+        (sympy.Rational(c.numerator, c.denominator) * z ** k
          for k, c in enumerate(coeffs)),
         sympy.Integer(0),
     )
-    return Poly(expr, _Z, domain=QQ)
+    return sympy.Poly(expr, z, domain=sympy.QQ)
 
 
 def _poly_degree(coeffs) -> int:
@@ -146,9 +155,10 @@ class DefectDivisor:
 
     def total(self, rank) -> tuple:
         """|D| as a coweight; finite factors weighted by their degree."""
+        sympy, z = _sympy()
         out = list(self.at_infinity)
         for factor, mult in self.finite_points:
-            deg = Poly(sympy.sympify(factor), _Z, domain=QQ).degree()
+            deg = sympy.Poly(sympy.sympify(factor), z, domain=sympy.QQ).degree()
             for i in range(rank):
                 out[i] += deg * mult[i]
         return tuple(out)
@@ -236,7 +246,8 @@ def validate_dp(data: DPData) -> DegreeVector:
 
 
 def _component_gcd(vec) -> Poly:
-    g = Poly(0, _Z, domain=QQ)
+    sympy, z = _sympy()
+    g = sympy.Poly(0, z, domain=sympy.QQ)
     for coeffs in vec:
         g = g.gcd(_poly(coeffs))
     return g.monic()
@@ -401,7 +412,8 @@ def dim_parabolic(datum: RootDatum, J, beta, w: FiniteWeylElement) -> int:
         sj = wg.finite_from_word([j])
         if wg.length_finite(w * sj) < wg.length_finite(w):
             raise QuasimapError(
-                f"{w} is not the minimal representative of its coset "
+                f"w = {','.join(map(str, wg.reduced_word_finite(w))) or 'e'} "
+                f"is not the minimal representative of its coset "
                 f"(right descent at {j})"
             )
     _, two_rho_j, _ = datum.parabolic_data(J)

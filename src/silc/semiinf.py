@@ -1,8 +1,18 @@
 """Semi-infinite Bruhat order, semi-infinite length, covers and intervals.
 
-The order w <=_si v is decided by comparing w*t_beta and v*t_beta in ordinary
-affine Bruhat order for deeply antidominant beta; the translation depth is
-doubled until two consecutive answers agree.
+w <=_si v means that w lies deeper than v.  The order is the transitive
+closure of the semi-infinite Bruhat graph, whose edges below u*t_beta are
+read off the quantum Bruhat graph of the finite part u (Brenti-Fomin-
+Postnikov; Ishii-Naito-Sagaki, arXiv:1402.3884, section 2).  For each
+positive root alpha let y = u*s_alpha:
+
+- if l(y) = l(u) + 1, then y*t_beta is a cover (a Bruhat edge);
+- if l(y) = l(u) + 1 - 2<rho, alpha^vee>, then y*t_{beta + alpha^vee} is a
+  cover (a quantum edge).
+
+Either way the si-length grows by one.  Translations only gain positive
+coroots on the way down, so the elements between two given ones lie in a
+finite region, and order, intervals and down-sets are walks through it.
 """
 
 from __future__ import annotations
@@ -10,15 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .rootdata import RootDatum, vec_add, vec_dot, vec_neg, vec_scale
+from .rootdata import RootDatum, vec_add, vec_dot, vec_neg
 from .weylgroup import AffineWeylElement, WeylGroup, weyl_group
-
-
-class StabilizationError(RuntimeError):
-    """The deep-translation comparison failed to stabilize below the cap."""
-
-
-_N_SCHEDULE = (2, 4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -28,16 +31,16 @@ class AffineRoot:
     coroot: tuple       # finite coroot of the finite part
     delta_coeff: int
 
-    def is_positive(self):
-        if self.delta_coeff != 0:
-            return self.delta_coeff > 0
-        return all(c >= 0 for c in self.root_coords) and any(self.root_coords)
+
+def _translation_le(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
 
 class SemiInfiniteOrder:
     def __init__(self, wg: WeylGroup):
         self.wg = wg
         self.datum: RootDatum = wg.datum
+        self._finite_covers = {}
         self._si_cache = {}
 
     # -- length --------------------------------------------------------------
@@ -48,86 +51,84 @@ class SemiInfiniteOrder:
             w.translation, self.datum.rho
         )
 
-    # -- order ---------------------------------------------------------------
+    # -- covers --------------------------------------------------------------
 
-    def _deep_beta(self, n):
-        two_rho_cw = self.datum.two_rho_coweight
-        return vec_scale(-n, two_rho_cw)
+    def _covers_of_finite(self, u):
+        """(affine root, y, translation shift) for each edge below u*t_beta.
+
+        The edges do not depend on beta, so they are computed once per u.
+        """
+        got = self._finite_covers.get(u)
+        if got is None:
+            wg = self.wg
+            lu = wg.length_finite(u)
+            zero = (0,) * self.datum.rank
+            got = []
+            for alpha in self.datum.positive_roots():
+                y = u * wg.reflection_by_root(alpha)
+                ly = wg.length_finite(y)
+                root = u.act_root(alpha.coords)
+                coroot = u.act_coweight(alpha.coroot)
+                if ly == lu + 1:
+                    if sum(root) < 0:
+                        root, coroot = vec_neg(root), vec_neg(coroot)
+                    got.append((AffineRoot(root, coroot, 0), y, zero))
+                elif ly == lu + 1 - 2 * sum(alpha.coroot):
+                    got.append((AffineRoot(root, coroot, 1), y, alpha.coroot))
+            self._finite_covers[u] = got
+        return got
+
+    def _covers(self, v: AffineWeylElement):
+        for alpha, y, shift in self._covers_of_finite(v.finite):
+            yield alpha, AffineWeylElement(y, vec_add(v.translation, shift))
+
+    def si_covers_below(self, v: AffineWeylElement, height_bound: int = 2):
+        """All (alpha, s_alpha v) one step below v in the semi-infinite order,
+        sorted by element.
+
+        Every covering root has delta coefficient 0 or 1, so the list is
+        complete for any height_bound >= 1; the bound is only validated.
+        """
+        if height_bound < 1:
+            raise ValueError("height_bound must be >= 1")
+        return sorted(self._covers(v), key=lambda pair: pair[1].key())
+
+    def down_set(self, top: AffineWeylElement, cap, steps=None):
+        """The elements below top whose translations are <= cap coordinatewise,
+        as levels: level k holds those k si-length steps below top, for k up
+        to steps, or as far as the set reaches when steps is None.  Empty
+        levels are left out.
+
+        Every chain from top down to such an element stays within the cap, so
+        nothing is missed, and the walk ends because that region is finite.
+        """
+        levels = [{top}]
+        while steps is None or len(levels) <= steps:
+            level = {x for v in levels[-1] for _, x in self._covers(v)
+                     if _translation_le(x.translation, cap)}
+            if not level:
+                break
+            levels.append(level)
+        return levels
+
+    # -- order ---------------------------------------------------------------
 
     def si_le(self, w: AffineWeylElement, v: AffineWeylElement) -> bool:
         """True iff w <=_si v (w deeper than or equal to v)."""
         if w == v:
             return True
-        # strict comparability forces a strict si-length increase downward
-        if self.si_length(w) <= self.si_length(v):
+        steps = self.si_length(w) - self.si_length(v)
+        if steps <= 0 or not _translation_le(v.translation, w.translation):
             return False
         # right translation equivariance: compare w t_{-beta_v} against the
-        # purely finite part of v, which keeps the cache small and the deep
-        # comparisons shallow
+        # purely finite part of v, which keeps the cache small
         diff = tuple(a - b for a, b in zip(w.translation, v.translation))
         w = AffineWeylElement(w.finite, diff)
         v = AffineWeylElement(v.finite, (0,) * self.datum.rank)
-        key = (w.key(), v.key())
-        got = self._si_cache.get(key)
-        if got is not None:
-            return got
-        wg = self.wg
-        prev = None
-        for n in _N_SCHEDULE:
-            t = wg.translation(self._deep_beta(n))
-            ans = wg.bruhat_le(wg.compose(w, t), wg.compose(v, t))
-            if prev is not None and ans == prev:
-                self._si_cache[key] = ans
-                return ans
-            prev = ans
-        raise StabilizationError(
-            f"semi-infinite comparison did not stabilize up to N={_N_SCHEDULE[-1]}"
-        )
-
-    # -- reflections -----------------------------------------------------------
-
-    def affine_reflection(self, alpha: AffineRoot) -> AffineWeylElement:
-        """s_alpha for alpha = gamma + n*delta, as s_gamma * t_{n gamma^vee}."""
-        from .rootdata import Root
-
-        gamma = Root(alpha.root_coords, alpha.coroot)
-        s_gamma = self.wg.reflection_by_root(gamma)
-        return self.wg.compose(
-            self.wg.affine_from_finite(s_gamma),
-            self.wg.translation(vec_scale(alpha.delta_coeff, alpha.coroot)),
-        )
-
-    def positive_affine_roots(self, height_bound: int):
-        """Positive real affine roots gamma + n delta with |n| <= height_bound."""
-        out = []
-        pos = self.datum.positive_roots()
-        for rt in pos:
-            out.append(AffineRoot(rt.coords, rt.coroot, 0))
-        for n in range(1, height_bound + 1):
-            for rt in pos:
-                out.append(AffineRoot(rt.coords, rt.coroot, n))
-                out.append(AffineRoot(vec_neg(rt.coords), vec_neg(rt.coroot), n))
-        return out
-
-    def si_covers_below(self, v: AffineWeylElement, height_bound: int = 2):
-        """All (alpha, s_alpha v) one step below v in the semi-infinite order.
-
-        Complete only for covering roots with |delta coefficient| <= height_bound.
-        """
-        if height_bound < 1:
-            raise ValueError("height_bound must be >= 1")
-        target = self.si_length(v) + 1
-        out = []
-        seen = set()
-        for alpha in self.positive_affine_roots(height_bound):
-            x = self.wg.compose(self.affine_reflection(alpha), v)
-            if x.key() in seen:
-                continue
-            if self.si_length(x) == target and self.si_le(x, v):
-                seen.add(x.key())
-                out.append((alpha, x))
-        out.sort(key=lambda pair: pair[1].key())
-        return out
+        got = self._si_cache.get((w, v))
+        if got is None:
+            got = self._si_cache[(w, v)] = w in self.down_set(v, diff, steps)[-1]
+        return got
 
     # -- boxes and intervals -----------------------------------------------------
 
@@ -157,21 +158,25 @@ class SemiInfiniteOrder:
             frontier = nxt
         return sorted(seen, key=lambda u: u.root_mat)
 
-    def si_interval(self, v: AffineWeylElement, w: AffineWeylElement, radius: int):
-        """All u in the radius box around w with v <=_si u <=_si w, sorted.
+    def si_interval(self, v: AffineWeylElement, w: AffineWeylElement, radius=None):
+        """All u with v <=_si u <=_si w, sorted by si-length, then key.
 
-        Returns [] if v and w are incomparable.
+        Returns [] if v and w are incomparable.  The interval is complete;
+        radius is accepted for compatibility and does not limit it.
         """
-        if not self.si_le(v, w):
+        steps = self.si_length(v) - self.si_length(w)
+        if steps < 0 or not _translation_le(w.translation, v.translation):
             return []
-        seen = {}
-        for center in (w, v):
-            for u in self.box(center, radius):
-                if u.key() in seen:
-                    continue
-                if self.si_le(v, u) and self.si_le(u, w):
-                    seen[u.key()] = u
-        out = list(seen.values())
+        levels = self.down_set(w, v.translation, steps)
+        if v not in levels[-1]:
+            return []
+        # sweep back up, keeping the elements with a cover above v
+        above = {v}
+        out = [v]
+        for level in reversed(levels[:-1]):
+            above = {u for u in level
+                     if any(x in above for _, x in self._covers(u))}
+            out.extend(above)
         out.sort(key=lambda u: (self.si_length(u), u.key()))
         return out
 

@@ -178,11 +178,16 @@ def _subword_oracle(datum, wg):
     return le
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2)])
+# (box radius, seeded sample size or None for every pair)
+_ORACLE_BOXES = {("A", 1): (3, None), ("A", 2): (3, None),
+                 ("B", 2): (1, 300), ("G", 2): (1, 300)}
+
+
+@pytest.mark.parametrize("kind,rank", list(_ORACLE_BOXES))
 def test_order_matches_subword_oracle(kind, rank):
-    """si_le on a radius-3 box equals the deep-translation subword oracle;
-    every strict relation strictly increases si-length and factors through
-    a cover directly below the upper element."""
+    """si_le on the pairs of a box equals the deep-translation subword
+    oracle; every strict relation strictly increases si-length and factors
+    through a cover directly below the upper element."""
     import sys
 
     sys.setrecursionlimit(100000)
@@ -190,20 +195,23 @@ def test_order_matches_subword_oracle(kind, rank):
     so = si_order(datum)
     wg = so.wg
     oracle = _subword_oracle(datum, wg)
-    box = so.box(wg.identity, 3)
-    for y in box:
-        covers = None
-        for x in box:
-            got = so.si_le(x, y)
-            assert got == oracle(x, y), (wg.format(x), wg.format(y))
-            if not got or x == y:
-                continue
-            assert so.si_length(x) > so.si_length(y)
-            if covers is None:
-                covers = [c for _, c in so.si_covers_below(y, 4)]
-            assert any(so.si_le(x, c) for c in covers), (
-                wg.format(x), wg.format(y)
-            )
+    radius, sample = _ORACLE_BOXES[(kind, rank)]
+    box = so.box(wg.identity, radius)
+    pairs = [(x, y) for y in box for x in box]
+    if sample is not None:
+        pairs = random.Random(2018).sample(pairs, sample)
+    covers = {}
+    for x, y in pairs:
+        got = so.si_le(x, y)
+        assert got == oracle(x, y), (wg.format(x), wg.format(y))
+        if not got or x == y:
+            continue
+        assert so.si_length(x) > so.si_length(y)
+        if y not in covers:
+            covers[y] = [c for _, c in so.si_covers_below(y, 4)]
+        assert any(so.si_le(x, c) for c in covers[y]), (
+            wg.format(x), wg.format(y)
+        )
 
 
 # ---------------------------------------------------------------------------

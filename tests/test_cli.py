@@ -144,11 +144,22 @@ def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
     ["pieri", "--type", "B", "--rank", "2", "--w", "e@0,0", "--lam", "1,1",
      "--window", "0:1", "--depth", "2"],
     ["order", "covers", "--rank", "1", "--v", "e@0", "--height-bound", "0"],
-], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0"])
+    ["dim", "parabolic", "--rank", "2", "--beta", "0,0", "--w", "5"],
+    ["dim", "parabolic", "--rank", "2", "--beta", "0,0", "--w", "1",
+     "--j", "1"],
+], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0", "parabolic-index",
+        "parabolic-descent"])
 def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
+
+
+def test_dim_parabolic_error_names_the_word(runner):
+    res = runner.invoke(main, ["dim", "parabolic", "--rank", "2", "--beta",
+                               "0,0", "--w", "1", "--j", "1", "--no-cache"])
+    assert res.exit_code == 2
+    assert "w = 1 is not the minimal representative" in res.output
 
 
 def test_qmap_validate_reports_invalid_without_failing(runner):

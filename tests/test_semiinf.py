@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
-from silc.rootdata import root_datum, vec_scale
+from silc.rootdata import Root, root_datum, vec_scale
 from silc.semiinf import si_order
-from silc.weylgroup import weyl_group
+from silc.weylgroup import AffineWeylElement, weyl_group
 
 
 def oracle_si_le(so, w, v, n=16):
@@ -112,8 +112,6 @@ def test_covers_translation_equivariance_a1(so_a1):
 
 
 def AffineFromKey(wg, key):
-    from silc.weylgroup import AffineWeylElement
-
     for u in si_order(wg.datum).all_finite_elements():
         if u.root_mat == key[0]:
             return AffineWeylElement(u, key[1])
@@ -127,9 +125,11 @@ def test_covers_are_below(so_a2):
     for alpha, x in so.si_covers_below(v, 2):
         assert so.si_le(x, v)
         assert so.si_length(x) == so.si_length(v) + 1
-        # the reflection really is by alpha
-        refl = so.affine_reflection(alpha)
-        assert wg.compose(refl, v) == x
+        # x v^{-1} is the affine reflection s_alpha = s_gamma t_{n gamma^vee}
+        gamma = Root(alpha.root_coords, alpha.coroot)
+        refl = AffineWeylElement(wg.reflection_by_root(gamma),
+                                 vec_scale(alpha.delta_coeff, alpha.coroot))
+        assert wg.compose(x, wg.inverse(v)) == refl
 
 
 def test_cover_existence_on_box(so_a1):
@@ -167,3 +167,33 @@ def test_s0_below_identity_is_false_a1(so_a1):
     so = so_a1
     assert not so.si_le(so.wg.s0, so.wg.identity)
     assert so.si_le(so.wg.identity, so.wg.s0)
+
+
+def test_si_interval_is_complete_a1(so_a1):
+    """The interval from e@0 down to 1@6 is the whole chain, including the
+    elements far from both ends."""
+    so = so_a1
+    wg = so.wg
+    chain = so.si_interval(wg.element([1], (6,)), wg.identity, 1)
+    assert [so.si_length(x) for x in chain] == list(range(14))
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "G"])
+def test_covers_are_complete_on_box(kind):
+    """The listed covers of v are exactly the elements one si-length step
+    below v that the deep-translation oracle puts below v, searched over
+    every translation within the largest coroot coefficient of v's."""
+    so = si_order(root_datum(kind, 2))
+    wg = so.wg
+    finite = so.all_finite_elements()
+    reach = max(max(rt.coroot) for rt in so.datum.positive_roots())
+    for v in so.box(wg.translation((1, -1)), 0):
+        target = so.si_length(v) + 1
+        below = set()
+        for gamma in itertools.product(range(-reach, reach + 1), repeat=2):
+            beta = tuple(b + g for b, g in zip(v.translation, gamma))
+            for u in finite:
+                x = AffineWeylElement(u, beta)
+                if so.si_length(x) == target and oracle_si_le(so, x, v):
+                    below.add(x)
+        assert {x for _, x in so.si_covers_below(v, 1)} == below, wg.format(v)
