@@ -110,9 +110,6 @@ class GradedCharacter:
     def nonnegative(self) -> bool:
         return all(c >= 0 for _, c in self.terms)
 
-    def support_weights(self):
-        return {wt for (_, wt), _ in self.terms}
-
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -359,7 +359,7 @@ def _load_dp(data, data_file):
         else:
             obj = json.loads(data)
         return DPData.from_json(obj)
-    except (OSError, ValueError, KeyError, QuasimapError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, QuasimapError) as exc:
         raise click.UsageError(f"Drinfeld-Pluecker data: {exc}")
 
 
@@ -396,10 +396,7 @@ def qmap_defect(kind, rank, output, no_cache, data, data_file):
     dp = _load_dp(data, data_file)
 
     def compute():
-        try:
-            div = defect_divisor(dp)
-        except QuasimapError as exc:
-            raise click.UsageError(str(exc))
+        div = defect_divisor(dp)
         out = div.to_json()
         out["total"] = list(div.total(dp.rank))
         return out
@@ -419,10 +416,7 @@ def qmap_eval(kind, rank, output, no_cache, data, data_file, at):
     dp = _load_dp(data, data_file)
 
     def compute():
-        try:
-            coords = evaluate(dp, at_infinity=(at == "inf"))
-        except QuasimapError as exc:
-            raise click.UsageError(str(exc))
+        coords = evaluate(dp, at_infinity=(at == "inf"))
         return {"at": at,
                 "coords": [[str(c) for c in vec] for vec in coords]}
 
@@ -478,15 +472,10 @@ def dim_parabolic_cmd(kind, rank, output, no_cache, j_opt, beta, w):
             f"--beta needs {datum.rank} coordinates, got {len(beta_t)}"
         )
 
-    def compute():
-        try:
-            return {"dim": dim_parabolic(datum, J, beta_t, wfin)}
-        except QuasimapError as exc:
-            raise click.UsageError(str(exc))
-
     _run("dim.parabolic", datum,
          {"J": sorted(J), "beta": list(beta_t), "w": word},
-         compute, output, no_cache)
+         lambda: {"dim": dim_parabolic(datum, J, beta_t, wfin)},
+         output, no_cache)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ q-grading given by the z-exponent.  Submodules generated by an extremal
 vector under the upper (or lower) triangular current algebra are computed by
 exact integer span closure inside a truncated tensor product; section spaces
 of Richardson varieties are graded intersections of one submodule of each
-kind.
+kind.  A caller that intersects one upward submodule with many downward ones
+passes richardson_blocks a memo of upward closures and drops it when done;
+this module keeps no closures of its own.
 
 Monomial basis: a slot is (subset, z_exp) with subset a sorted tuple encoding
 a wedge basis vector; a monomial is a tuple of slots.  All vectors are
@@ -198,29 +200,22 @@ def span_closure(rank, seeds, ops, d_ok):
 # current-algebra generator lists
 # ---------------------------------------------------------------------------
 
-def raising_ops(rank, k_max):
+def raising_ops(rank):
     """Generators of the Iwahori current algebra (degrees 0 and +1).
 
     A span that is closed under the simple raising operators E_{i,i+1} z^0
     and the affine generator E_{n+1,1} z^1 is closed under the whole algebra
     they generate (brackets act within any invariant subspace), so these
-    suffice for exact span closures.  k_max is accepted for interface
-    stability; when it is 0 the degree-raising generator is omitted.
+    suffice for exact span closures.
     """
     n1 = rank + 1
-    ops = [("E", i, i + 1, 0) for i in range(1, n1)]
-    if k_max > 0:
-        ops.append(("E", n1, 1, 1))
-    return ops
+    return [("E", i, i + 1, 0) for i in range(1, n1)] + [("E", n1, 1, 1)]
 
 
-def lowering_ops(rank, k_max):
+def lowering_ops(rank):
     """Generators of the opposite Iwahori current algebra (degrees 0 and -1)."""
     n1 = rank + 1
-    ops = [("E", i + 1, i, 0) for i in range(1, n1)]
-    if k_max > 0:
-        ops.append(("E", 1, n1, -1))
-    return ops
+    return [("E", i + 1, i, 0) for i in range(1, n1)] + [("E", 1, n1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +257,23 @@ def schubert_blocks(datum: RootDatum, ufin: FiniteWeylElement, beta, lam, d_max)
         return {}
     wg = weyl_group(datum)
     seed = extremal_monomial(wg, ufin, tuple(beta), lam)
-    ops = raising_ops(rank, max(0, d_max - 1 - d_ext))
-    span = span_closure(rank, [{seed: 1}], ops, lambda d: d_ext <= d < d_max)
+    span = span_closure(rank, [{seed: 1}], raising_ops(rank),
+                        lambda d: d_ext <= d < d_max)
     return span.dims()
 
 
-def richardson_blocks(datum: RootDatum, v, w, lam):
+def richardson_blocks(datum: RootDatum, v, w, lam, spans, reach):
     """Graded dimensions {(d, wt): dim} of the intersection of the upward
     module of w*w0 and the downward module of v*w0, in absolute z-degrees.
 
     The intersection is the full (finite-dimensional) space of the dual of
     the Richardson section module; no truncation is applied.
+
+    spans is a dict that keeps upward closures for later calls with the
+    same top; each is closed at least reach degrees above its seed.
+    The raising operators never lower the degree, so a block of the upward
+    module depends only on the degrees from the seed up to its own, and a
+    wider closure gives every narrower request the same dimensions.
     """
     require_type_a(datum)
     rank = datum.rank
@@ -288,14 +289,17 @@ def richardson_blocks(datum: RootDatum, v, w, lam):
     d_high = -sum(b * l for b, l in zip(bv, lam))
     if d_low > d_high:
         return {}
-    k_span = d_high - d_low
-    d_ok = lambda d: d_low <= d <= d_high
-
-    seed_up = {extremal_monomial(wg, uw, bw, lam): 1}
-    span_up = span_closure(rank, [seed_up], raising_ops(rank, k_span), d_ok)
+    d_top = max(d_high, d_low + reach)
+    key = (uw, bw, lam, d_top)
+    span_up = spans.get(key)
+    if span_up is None:
+        seed_up = {extremal_monomial(wg, uw, bw, lam): 1}
+        span_up = spans[key] = span_closure(
+            rank, [seed_up], raising_ops(rank), lambda d: d_low <= d <= d_top)
 
     seed_down = {extremal_monomial(wg, uv, bv, lam): 1}
-    span_down = span_closure(rank, [seed_down], lowering_ops(rank, k_span), d_ok)
+    span_down = span_closure(rank, [seed_down], lowering_ops(rank),
+                             lambda d: d_low <= d <= d_high)
 
     out = {}
     keys = set(span_up.blocks) & set(span_down.blocks)

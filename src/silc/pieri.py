@@ -7,11 +7,16 @@ extremal section term e^{-w w0 lambda} of the base element w sits at
 qbar-degree 0; weights are the (negated) weights of the underlying module.
 With this convention the coefficient table entry at u = w is the single
 monomial of weight -w w0 lambda at degree 0.
+
+Verified coefficients are memoized per datum and normalized table request.
+The work inside one table, its coefficients and the upward closures of its
+Richardson tops, lives in a memo that is dropped with the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import loopmodel
 from .charring import GradedCharacter, FULL_WINDOW, CharacterError
@@ -41,11 +46,12 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
     """Graded character of the sections of the lambda-twist on the Richardson
     variety cut out by v (bottom) and w (top).
 
-    Computed exactly as the graded dual of the intersection of the upward
-    module of w*w0 with the downward module of v*w0; the result equals the
-    sum of the twist coefficients a^u_w(lambda) over v <= u <= w.  The depth
-    parameter is accepted for interface compatibility but the computation is
-    exact and does not clip.
+    For strictly dominant (or zero) lambda it is computed exactly as the
+    graded dual of the intersection of the upward module of w*w0 with the
+    downward module of v*w0, and depth is unused.  Otherwise it is the sum
+    of the twist coefficients a^u_w(lambda) over v <= u <= w, taken from a
+    table of the given depth (default: the translation distance from v to w
+    plus 2).
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -54,12 +60,7 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
     if not so.si_le(v, w):
         return GradedCharacter.zero(window)
     if datum.is_strictly_dominant(lam) or sum(lam) == 0:
-        _, _, d_w = _xw_data(datum, w, lam)
-        blocks = loopmodel.richardson_blocks(datum, v, w, lam)
-        terms = {}
-        for (d, wt), dim in blocks.items():
-            terms[(d - d_w, vec_neg(wt))] = dim
-        return GradedCharacter.make(terms, window)
+        return _richardson_character(datum, v, w, lam, _TableMemo(0)).truncate(window)
     # non-regular twists fall outside the Demazure-intersection description;
     # sum the twist coefficients over the interval instead
     _, _, d_v = _xw_data(datum, v, lam)
@@ -74,17 +75,39 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
     return total.truncate(window)
 
 
-def h0_dimension(datum: RootDatum, v, w, lam, window=FULL_WINDOW, depth=None) -> int:
+def h0_dimension(datum: RootDatum, v, w, lam, depth=None) -> int:
     """Dimension of the section space (all coefficients summed).
 
     Exact: the underlying intersection is finite-dimensional and computed in
-    full, so the value does not depend on the window as long as the window
-    contains the support.
+    full.
     """
     return smt_character(datum, v, w, lam, FULL_WINDOW, depth).total()
 
 
-_SECTION_CACHE = {}
+class _TableMemo:
+    """Work shared by the coefficients of one table, dropped with it.
+
+    coefficients maps (x, top, mu) to the anchored a^x_top(mu); spans holds
+    the upward closures of Richardson tops (see loopmodel.richardson_blocks).
+    Every bottom of a table lies within depth translation steps of its top,
+    so a closure depth * sum(mu) degrees deep serves all of them.
+    """
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.coefficients = {}
+        self.spans = {}
+
+
+def _richardson_character(datum, v, w, lam, memo):
+    """Section character of the Richardson variety of v <= w for strictly
+    dominant (or zero) lam, anchored at w, unwindowed."""
+    _, _, d_w = _xw_data(datum, w, lam)
+    blocks = loopmodel.richardson_blocks(datum, v, w, lam, memo.spans,
+                                         memo.depth * sum(lam))
+    return GradedCharacter.make(
+        {(d - d_w, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
+        FULL_WINDOW)
 
 
 def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
@@ -96,17 +119,10 @@ def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
     """
     lam = tuple(lam)
     ufin, beta, d_ext = _xw_data(datum, u, lam)
-    key = (id(datum), ufin, beta, lam)
-    cached = _SECTION_CACHE.get(key)
-    if cached is not None and cached[0] >= qbar_max:
-        return cached[1].truncate((min(0, d_ext), qbar_max))
     blocks = loopmodel.schubert_blocks(datum, ufin, beta, lam, qbar_max)
-    terms = {}
-    for (d, wt), dim in blocks.items():
-        terms[(d, vec_neg(wt))] = dim
-    out = GradedCharacter.make(terms, (min(0, d_ext), qbar_max))
-    _SECTION_CACHE[key] = (qbar_max, out)
-    return out
+    return GradedCharacter.make(
+        {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
+        (min(0, d_ext), qbar_max))
 
 
 @dataclass(frozen=True)
@@ -153,8 +169,8 @@ def _candidates_below(so, w, depth):
 
 
 def _strict_coefficient(datum, x, top, mu, memo):
-    """a^x_top(mu) for strictly dominant mu, by inclusion-exclusion over
-    semi-infinite intervals.
+    """a^x_top(mu) for x <= top and strictly dominant mu, by inclusion-
+    exclusion over semi-infinite intervals.
 
     For strictly dominant mu the section character of the Richardson variety
     of [x, top] is the exact Demazure-module intersection and equals the sum
@@ -165,17 +181,17 @@ def _strict_coefficient(datum, x, top, mu, memo):
     x = AffineWeylElement(x.finite, vec_sub(x.translation, top.translation))
     top = AffineWeylElement(top.finite, (0,) * datum.rank)
     key = (x, top, mu)
-    got = memo.get(key)
+    got = memo.coefficients.get(key)
     if got is None:
-        got = smt_character(datum, x, top, mu, FULL_WINDOW)
+        got = _richardson_character(datum, x, top, mu, memo)
         for y in si_order(datum).si_interval(x, top):
             if y != x:
                 got = got - _strict_coefficient(datum, y, top, mu, memo)
-        memo[key] = got
+        memo.coefficients[key] = got
     return got
 
 
-def _degenerate_coefficients(datum, w, lam, candidates):
+def _degenerate_coefficients(datum, w, lam, candidates, memo):
     """a^u for non-regular lam, by peeling one strictly dominant step.
 
     The Demazure-module intersection describes Richardson section spaces only
@@ -196,7 +212,6 @@ def _degenerate_coefficients(datum, w, lam, candidates):
     so = si_order(datum)
     rho = datum.rho
     lam_rho = vec_add(lam, rho)
-    memo = {}
 
     def c_rho(u):
         _, _, d_u = _xw_data(datum, u, rho)
@@ -228,9 +243,6 @@ def _degenerate_coefficients(datum, w, lam, candidates):
     return out
 
 
-_TABLE_CACHE = {}
-
-
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
                   depth: int, verify_weights=None) -> PieriTable:
     """Twist coefficients a^u_w(lambda) for all u within the window.
@@ -238,94 +250,79 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
     For strictly dominant lambda the coefficients come from inclusion-
     exclusion over semi-infinite intervals of exact Richardson section
     characters; otherwise they are solved from the product identity with the
-    probe weight rho.  Either way the table is re-verified against the
-    product identity for the strictly dominant weights in verify_weights
-    (default rho and 2*rho) and completeness across the explored box is
-    certified by two outermost shells of vanishing coefficients.
+    probe weight rho.  Either way the coefficients on qbar-degrees [0, hi)
+    are re-verified against the product identity for the strictly dominant
+    weights in verify_weights (default rho and 2*rho), completeness across
+    the explored box is certified by two outermost shells of vanishing
+    coefficients, and only then is the table cut to the window [lo, hi).
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
-    so = si_order(datum)
-    q_lo, q_hi = window
+    window = tuple(window)
+    q_hi = window[1]
     if q_hi <= 0:
         raise WindowExhaustedError("window excludes the base coefficient at degree 0")
-
-    cache_key = (id(datum), w.key(), lam, tuple(window), depth,
-                 None if verify_weights is None
-                 else tuple(tuple(mu) for mu in verify_weights))
-    cached = _TABLE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-
-    _, _, d_w = _xw_data(datum, w, lam)
-
     if sum(lam) == 0:
         one = GradedCharacter.one(datum.rank, window)
-        return PieriTable(w, lam, tuple(window), ((w, one),), 0)
+        return PieriTable(w, lam, window, ((w, one),), 0)
+    if verify_weights is None:
+        verify_weights = (datum.rho, vec_add(datum.rho, datum.rho))
+    coeffs = _coefficients(datum, w, lam, q_hi, depth,
+                           tuple(tuple(mu) for mu in verify_weights))
+    cut = ((u, a.truncate(window)) for u, a in coeffs)
+    return PieriTable(w, lam, window,
+                      tuple((u, a) for u, a in cut if not a.is_zero()),
+                      _xw_data(datum, w, lam)[2])
 
+
+@lru_cache(maxsize=None)
+def _coefficients(datum, w, lam, q_hi, depth, verify_weights):
+    """The nonzero verified coefficients of compute_pieri on [0, q_hi), as
+    (u, a^u_w(lam)) pairs in candidate order."""
+    window = (0, q_hi)
     if any(w.translation):
         # anchored coefficients are equivariant under right translation, so
         # compute at the purely finite base and translate the support back
         wg = weyl_group(datum)
         shift = wg.translation(w.translation)
         base0 = AffineWeylElement(w.finite, (0,) * datum.rank)
-        inner = compute_pieri(datum, base0, lam, window, depth, verify_weights)
-        coeffs = tuple((wg.compose(u, shift), a) for u, a in inner.coeffs)
-        table = PieriTable(w, lam, tuple(window), coeffs, d_w)
-        # certify the translation step itself against the product identity
-        rho = datum.rho
-        weights = verify_weights if verify_weights is not None else \
-            (rho, vec_add(rho, rho))
-        for mu in weights:
-            _verify_table(datum, table, mu, q_hi)
-        _TABLE_CACHE[cache_key] = table
-        return table
-
-    if depth < 2:
-        raise WindowExhaustedError("depth must be at least 2 to certify the window")
-    candidates = _candidates_below(so, w, depth)
-    if datum.is_strictly_dominant(lam):
-        memo = {}
-        full = {u: _strict_coefficient(datum, u, w, lam, memo) for u in candidates}
+        inner = _coefficients(datum, base0, lam, q_hi, depth, verify_weights)
+        coeffs = tuple((wg.compose(u, shift), a) for u, a in inner)
     else:
-        full = _degenerate_coefficients(datum, w, lam, candidates)
+        if depth < 2:
+            raise WindowExhaustedError("depth must be at least 2 to certify the window")
+        candidates = _candidates_below(si_order(datum), w, depth)
+        memo = _TableMemo(depth)
+        if datum.is_strictly_dominant(lam):
+            full = {u: _strict_coefficient(datum, u, w, lam, memo) for u in candidates}
+        else:
+            full = _degenerate_coefficients(datum, w, lam, candidates, memo)
 
-    base = full[w]
-    expected = GradedCharacter.monomial(0, _base_weight(datum, w, lam))
-    if dict(base.terms) != dict(expected.terms):
-        raise InconsistencyError(
-            f"base coefficient {dict(base.terms)} is not the extremal monomial"
-        )
-
-    coeffs = []
-    full_coeffs = []
-    for u in candidates:
-        a_full = full[u]
-        a = a_full.truncate(window)
-        if a.is_zero():
-            continue
-        # completeness certificate: the two outermost explored shells must
-        # carry no support, otherwise coefficients may extend past the box
-        if _shell(u, w) >= depth - 1:
-            raise WindowExhaustedError(
-                f"nonzero coefficient at translation distance {_shell(u, w)} "
-                f"from the base with depth {depth}; increase depth"
+        base = full[w]
+        expected = GradedCharacter.monomial(0, _base_weight(datum, w, lam))
+        if dict(base.terms) != dict(expected.terms):
+            raise InconsistencyError(
+                f"base coefficient {dict(base.terms)} is not the extremal monomial"
             )
-        coeffs.append((u, a))
-        full_coeffs.append((u, a_full))
-
-    table = PieriTable(w, lam, tuple(window), tuple(coeffs), d_w)
-    # verify with untruncated coefficients so window edges cannot mask terms
-    checker = PieriTable(w, lam, tuple(window), tuple(full_coeffs), d_w)
-
-    if verify_weights is None:
-        rho = datum.rho
-        verify_weights = (rho, vec_add(rho, rho))
+        coeffs = []
+        for u in candidates:
+            a = full[u].truncate(window)
+            if a.is_zero():
+                continue
+            # completeness certificate: the two outermost explored shells must
+            # carry no support, otherwise coefficients may extend past the box
+            if _shell(u, w) >= depth - 1:
+                raise WindowExhaustedError(
+                    f"nonzero coefficient at translation distance {_shell(u, w)} "
+                    f"from the base with depth {depth}; increase depth"
+                )
+            coeffs.append((u, a))
+        coeffs = tuple(coeffs)
+    # the translated case verifies its own step, not only the finite table
     for mu in verify_weights:
-        _verify_table(datum, checker, mu, q_hi)
-    _TABLE_CACHE[cache_key] = table
-    return table
+        _verify_table(datum, w, lam, coeffs, mu, q_hi)
+    return coeffs
 
 
 def _base_weight(datum, w, lam):
@@ -335,13 +332,15 @@ def _base_weight(datum, w, lam):
     return vec_neg(x.finite.act_weight(lam))
 
 
-def _verify_table(datum: RootDatum, table: PieriTable, mu, q_height: int):
-    """Check the product identity for the twist by mu on a qbar-window."""
-    mu = tuple(mu)
+def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
+    """Check the product identity for the twist by mu on qbar-degrees
+    [0, q_height), given every nonzero coefficient a^u_w(lam) there.
+
+    Coefficient terms at qbar >= q_height cannot reach the check window,
+    because the sections of every u below w start no lower than those of w.
+    """
     if not datum.is_strictly_dominant(mu):
         raise CharacterError(f"verification weight {mu} must be strictly dominant")
-    w = table.base
-    lam = table.weight
     lam_mu = vec_add(lam, mu)
     _, _, d_w_lam = _xw_data(datum, w, lam)
     _, _, d_w_lam_mu = _xw_data(datum, w, lam_mu)
@@ -354,7 +353,7 @@ def _verify_table(datum: RootDatum, table: PieriTable, mu, q_height: int):
     # the anchor shift can be negative, in which case products that land in
     # the check window draw on section degrees above abs_hi
     sec_hi = abs_hi - min(d_w_lam, 0)
-    for u, a in table.coeffs:
+    for u, a in coeffs:
         a_abs = a.truncate(FULL_WINDOW).shift_q(d_w_lam)
         sec_u = schubert_section_character(datum, u, mu, sec_hi).truncate(FULL_WINDOW)
         rhs = rhs + (a_abs * sec_u).truncate(check_window)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .rootdata import RootDatum, root_datum, vec_dot, vec_sub
+from .rootdata import RootDatum, root_datum, solve_unpivoted, vec_dot, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -140,12 +140,16 @@ class DPData:
 
     @staticmethod
     def from_json(obj) -> "DPData":
-        comps = [None] * obj["rank"]
+        if not isinstance(obj, dict):
+            raise QuasimapError("data must be a JSON object")
+        rank = obj["rank"]
+        comps = [None] * rank
         for entry in obj["components"]:
-            comps[entry["weight"] - 1] = tuple(
-                tuple(Fraction(c) for c in poly) for poly in entry["polys"]
-            )
-        return DPData.make(obj["rank"], tuple(comps), tuple(obj["degrees"]))
+            i = entry["weight"]
+            if i not in range(1, rank + 1):
+                raise QuasimapError(f"component weight {i!r} is outside 1..{rank}")
+            comps[i - 1] = tuple(tuple(poly) for poly in entry["polys"])
+        return DPData.make(rank, tuple(comps), tuple(obj["degrees"]))
 
 
 @dataclass(frozen=True)
@@ -313,23 +317,10 @@ def evaluate(data: DPData, at_infinity: bool = False):
 
 def _weight_ge(a, b, datum: RootDatum) -> bool:
     """a >= b in the dominance order (difference in the positive root cone)."""
-    diff = vec_sub(a, b)
-    # solve A * coords = diff exactly (A = Cartan matrix, columns = simple
-    # roots in fundamental-weight coordinates)
-    r = datum.rank
-    work = [[Fraction(x) for x in row] + [Fraction(diff[i])]
-            for i, row in enumerate(datum.cartan.entries)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(r):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return all(work[i][r].denominator == 1 and work[i][r] >= 0
-               for i in range(r))
+    # the columns of the Cartan matrix are the simple roots in
+    # fundamental-weight coordinates
+    _, coords = solve_unpivoted(datum.cartan.entries, vec_sub(a, b))
+    return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
 def schubert_member(coords, w: FiniteWeylElement, datum: RootDatum,

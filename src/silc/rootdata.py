@@ -170,33 +170,34 @@ class CartanMatrix:
         r = self.rank
         if any(s[i][j] != s[j][i] for i in range(r) for j in range(r)):
             return False
-        # positive definiteness via leading principal minors
-        m = [row[:] for row in s]
-        for k in range(1, r + 1):
-            sub = [[m[i][j] for j in range(k)] for i in range(k)]
-            if _det(sub) <= 0:
-                return False
-        return True
+        # positive definite iff every leading principal minor is positive
+        pivots, _ = solve_unpivoted(s, (0,) * r)
+        return all(p > 0 for p in pivots)
 
 
-def _det(m):
-    m = [row[:] for row in m]
+def solve_unpivoted(m, b):
+    """Solve m x = b over the rationals by Gauss-Jordan elimination without
+    row exchanges.
+
+    Returns (pivots, x).  The k-th pivot is the ratio of the k-th to the
+    (k-1)-th leading principal minor of m, so the minors are all positive
+    iff the pivots are.  Elimination stops at the first zero pivot, and x
+    is then None.  Cartan matrices of finite type never have one.
+    """
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det
+    rows = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(m, b)]
+    pivots = []
+    for k in range(n):
+        p = rows[k][k]
+        pivots.append(p)
+        if p == 0:
+            return pivots, None
+        rows[k] = [x / p for x in rows[k]]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return pivots, tuple(row[n] for row in rows)
 
 
 def cartan_from_json(obj) -> CartanMatrix:

@@ -18,6 +18,7 @@ finite region, and order, intervals and down-sets are walks through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .rootdata import RootDatum, vec_add, vec_dot, vec_neg
@@ -181,12 +182,6 @@ class SemiInfiniteOrder:
         return out
 
 
-_ORDERS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def si_order(datum: RootDatum) -> SemiInfiniteOrder:
-    got = _ORDERS.get(id(datum))
-    if got is None:
-        got = SemiInfiniteOrder(weyl_group(datum))
-        _ORDERS[id(datum)] = got
-    return got
+    return SemiInfiniteOrder(weyl_group(datum))

@@ -147,12 +147,108 @@ def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
     ["dim", "parabolic", "--rank", "2", "--beta", "0,0", "--w", "5"],
     ["dim", "parabolic", "--rank", "2", "--beta", "0,0", "--w", "1",
      "--j", "1"],
+    ["qmap", "eval", "--rank", "1", "--data", "[1,2]"],
+    ["qmap", "eval", "--rank", "1", "--data", json.dumps(
+        {"rank": 1, "components": [{"weight": 2, "polys": [["1"], ["0"]]}],
+         "degrees": [0]})],
+    ["qmap", "validate", "--rank", "1", "--data", json.dumps(
+        {"rank": 1, "components": [{"weight": 1, "polys": [[0.1], ["1"]]}],
+         "degrees": [0]})],
 ], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0", "parabolic-index",
-        "parabolic-descent"])
+        "parabolic-descent", "qmap-data-list", "qmap-weight-2", "qmap-float"])
 def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
+
+
+DP_A1 = json.dumps({"rank": 1, "degrees": [1], "components": [
+    {"weight": 1, "polys": [["0", "1"], ["1"]]}]})
+DP_WEIGHT_2 = json.dumps({"rank": 1, "degrees": [0], "components": [
+    {"weight": 2, "polys": [["1"], ["0"]]}]})
+
+# every subcommand: a valid A1 argv, and the options appended to it (click
+# keeps the last value of a repeated option) that make it malformed, of a
+# non-A type, out of range, or inverted (a reversed window or pair)
+CONTRACT = {
+    "order le": (["--rank", "1", "--w", "1@0", "--v", "e@0"], {
+        "malformed": ["--w", "x@0"],
+        "type": ["--type", "B", "--rank", "2", "--w", "1@0,0", "--v", "e@0,0"],
+        "range": ["--w", "3@0"],
+        "inverted": ["--w", "e@0", "--v", "1@1"]}),
+    "order covers": (["--rank", "1", "--v", "e@0"], {
+        "malformed": ["--v", "e@a"],
+        "type": ["--type", "G", "--rank", "2", "--v", "e@0,0"],
+        "range": ["--height-bound", "-3"]}),
+    "order interval": (["--rank", "1", "--v", "1@1", "--w", "e@0"], {
+        "malformed": ["--radius", "x"],
+        "type": ["--type", "B", "--rank", "2", "--v", "1@1,1", "--w", "e@0,0"],
+        "range": ["--radius", "-1"],
+        "inverted": ["--v", "e@0", "--w", "1@1"]}),
+    "char weyl": (["--rank", "1", "--lam", "1"], {
+        "malformed": ["--lam", "1,,"],
+        "type": ["--type", "G", "--rank", "2", "--lam", "1,0"],
+        "range": ["--lam", "-2"]}),
+    "char gweyl": (["--rank", "1", "--w", "1@0", "--lam", "1", "--window", "0:3"], {
+        "malformed": ["--window", "0-3"],
+        "type": ["--type", "B", "--rank", "2", "--w", "e@0,0", "--lam", "1,0"],
+        "range": ["--lam", "-1"],
+        "inverted": ["--window", "3:0"]}),
+    "char demazure": (["--rank", "1", "--word", "1", "--lam", "1", "--window", "0:2"], {
+        "malformed": ["--word", "1,x"],
+        "type": ["--type", "B", "--rank", "2", "--word", "1,2", "--lam", "1,0"],
+        "range": ["--word", "2"],
+        "inverted": ["--window", "2:0"]}),
+    "pieri": (["--rank", "1", "--w", "e@0", "--lam", "1", "--window", "0:2",
+               "--depth", "3"], {
+        "malformed": ["--lam", "one"],
+        "type": ["--type", "B", "--rank", "2", "--w", "e@0,0", "--lam", "1,1",
+                 "--window", "0:1", "--depth", "2"],
+        "range": ["--depth", "-1"],
+        "inverted": ["--window", "2:0"]}),
+    "h0": (["--rank", "1", "--v", "1@1", "--w", "e@0", "--lam", "1"], {
+        "malformed": ["--window", "x"],
+        "type": ["--type", "B", "--rank", "2", "--v", "e@1,1", "--w", "e@0,0",
+                 "--lam", "1,1"],
+        "range": ["--lam", "-1"],
+        "inverted": ["--window", "3:0"]}),
+    "qmap validate": (["--rank", "1", "--data", DP_A1], {
+        "malformed": ["--data", "[1,2]"],
+        "type": ["--type", "G", "--rank", "2"],
+        "range": ["--data", DP_WEIGHT_2]}),
+    "qmap defect": (["--rank", "1", "--data", DP_A1], {
+        "malformed": ["--data", "{"],
+        "type": ["--type", "G", "--rank", "2"],
+        "range": ["--data", DP_WEIGHT_2]}),
+    "qmap eval": (["--rank", "1", "--data", DP_A1], {
+        "malformed": ["--data", "[1,2]"],
+        "type": ["--type", "G", "--rank", "2"],
+        "range": ["--data", DP_WEIGHT_2]}),
+    "dim richardson": (["--rank", "1", "--v", "1@1", "--w", "e@0"], {
+        "malformed": ["--v", "1@x"],
+        "type": ["--type", "B", "--rank", "2", "--v", "1@1,1", "--w", "e@0,0"],
+        "range": ["--v", "1@1,1"],
+        "inverted": ["--v", "e@0", "--w", "1@1"]}),
+    "dim parabolic": (["--rank", "2", "--beta", "1,0", "--w", "e"], {
+        "malformed": ["--beta", "1;0"],
+        "type": ["--type", "G", "--rank", "2"],
+        "range": ["--beta", "-1,0"],
+        "inverted": ["--j", "3"]}),
+}
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(cmd.split() + base + extra + ["--no-cache"], id=f"{cmd}-{name}")
+    for cmd, (base, variants) in CONTRACT.items()
+    for name, extra in variants.items()
+])
+def test_every_subcommand_keeps_the_exit_code_contract(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code in (0, 2, 3), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    if res.exit_code == 3:
+        assert "error" in json.loads(res.stdout)
 
 
 def test_dim_parabolic_error_names_the_word(runner):

@@ -1,7 +1,10 @@
 """Twist-coefficient tables and Richardson section characters."""
 
+import gc
+
 import pytest
 
+from silc import loopmodel, pieri
 from silc.charring import (
     CharacterError,
     FULL_WINDOW,
@@ -94,6 +97,37 @@ def test_a2_degenerate_twist_table(a2, wg_a2):
         "2@0,0": {(0, (1, -1)): 1},
         "1,2@0,0": {(0, (-1, 0)): 1},
     }
+
+
+@pytest.mark.parametrize("w_text", ["e@0", "1@2"])
+@pytest.mark.parametrize("lam", [(1,), (2,)])
+def test_window_above_zero_cuts_the_full_table(a1, wg_a1, w_text, lam):
+    """The window only cuts the table: verification still sees degree 0."""
+    w = wg_a1.parse(w_text)
+    full = compute_pieri(a1, w, lam, (0, 3), 4)
+    cut = compute_pieri(a1, w, lam, (1, 3), 4)
+    expect = [(u, a.truncate((1, 3))) for u, a in full.coeffs
+              if not a.truncate((1, 3)).is_zero()]
+    assert expect and list(cut.coeffs) == expect
+
+
+def test_table_closes_each_richardson_top_once(a2, wg_a2, monkeypatch):
+    """Upward closures are shared within a table and dropped with it."""
+    calls = []
+    closure = loopmodel.span_closure
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(loopmodel, "span_closure", counted)
+    pieri._coefficients.cache_clear()
+    table = compute_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 2)
+    assert len(table.support()) == 3
+    # 396 when each of the 194 Richardson characters closes both its modules
+    assert len(calls) < 250
+    gc.collect()
+    assert not any(isinstance(x, loopmodel.BlockSpan) for x in gc.get_objects())
 
 
 def test_translation_equivariance_of_tables(a1, wg_a1):
