@@ -5,6 +5,11 @@ machine-readable error object on stdout).  Results are deterministic for a
 fixed command line and code version; the cache (SILC_CACHE, default
 .silc-cache) only short-circuits the computation and never changes the bytes
 written to stdout ("cached" status goes to stderr).
+
+Each subcommand is a compute function ``(datum, **options) -> payload``
+registered with ``job``.  Its options are typed click parameters, parsed and
+checked against the root datum of ``--type``/``--rank`` before anything is
+computed; ``job`` owns the cache key, the cache and the exit codes.
 """
 
 from __future__ import annotations
@@ -15,120 +20,190 @@ import sys
 import click
 
 from . import cache as cachemod
-from .cache import cache_key
-from .charring import (
-    CharacterError,
-    GradedCharacter,
-    demazure_word,
-    gch_global_weyl,
-    weyl_character,
-)
-from .pieri import (
-    InconsistencyError,
-    WindowExhaustedError,
-    compute_pieri,
-    h0_dimension,
-    smt_character,
-)
-from .quasimap import (
-    DPData,
-    EmptyRichardsonError,
-    QuasimapError,
-    defect_divisor,
-    dim_parabolic,
-    dim_richardson,
-    evaluate,
-    validate_dp,
-)
+from .charring import (CharacterError, GradedCharacter, demazure_word,
+                       gch_global_weyl, weyl_character)
+from .pieri import (InconsistencyError, WindowExhaustedError, compute_pieri,
+                    h0_dimension, smt_character)
+from .quasimap import (DPData, EmptyRichardsonError, QuasimapError,
+                       defect_divisor, dim_parabolic, dim_richardson, evaluate,
+                       validate_dp)
 from .rootdata import RootDataError, root_datum
 from .semiinf import si_order
-from .weylgroup import weyl_group
+from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
-COMPUTATION_ERRORS = (WindowExhaustedError, InconsistencyError)
-# library errors about the input itself: reported as usage errors (exit 2)
+# the exit-code contract: library errors about the input exit 2; a window or
+# depth that cannot be certified, or a failed cross-check, exits 3
 USAGE_ERRORS = (CharacterError, QuasimapError, RootDataError)
+COMPUTATION_ERRORS = (WindowExhaustedError, InconsistencyError)
+# what parsing option text can raise: bad numbers, JSON, shapes and files
+PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError) + USAGE_ERRORS
 
 
-def _datum(kind, rank):
+# ---------------------------------------------------------------------------
+# typed options
+# ---------------------------------------------------------------------------
+
+def datum_of(ctx):
+    """The root datum of --type and --rank, which are eager, so parsed first."""
     try:
-        return root_datum(kind, rank)
+        return root_datum(ctx.params["kind"], ctx.params["rank"])
     except RootDataError as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(str(exc), ctx)
 
 
-def _parse_element(wg, text, field):
-    try:
-        return wg.parse(text)
-    except (RootDataError, ValueError) as exc:
-        raise click.UsageError(f"{field}: {exc}")
+class Parsed(click.ParamType):
+    """Option text read by parse(datum, text); any parse error exits 2."""
 
+    name = "text"
 
-def _parse_weight(datum, text, field="lam"):
-    try:
-        lam = tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise click.UsageError(f"{field}: {exc}")
-    if len(lam) != datum.rank:
-        raise click.UsageError(
-            f"{field} needs {datum.rank} coordinates, got {len(lam)}"
-        )
-    return lam
+    def __init__(self, parse):
+        self.parse = parse
 
-
-def _parse_window(text):
-    try:
-        lo, hi = text.split(":")
-        return (int(lo), int(hi))
-    except ValueError:
-        raise click.UsageError(f"window must look like 0:4, got {text!r}")
-
-
-def _emit(payload, output, csv_rows=None):
-    if output == "csv":
-        if csv_rows is None:
-            raise click.UsageError("csv output is not available for this command")
-        header, rows = csv_rows(payload)
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(str(x) for x in row))
-        return
-    indent = 2 if output == "pretty" else None
-    click.echo(json.dumps(payload, sort_keys=True, indent=indent,
-                          separators=None if indent else (",", ":")))
-
-
-def _run(command, datum, params, compute, output, no_cache, csv_rows=None):
-    key = cache_key(command, datum.cartan.entries, params)
-    payload = None if no_cache else cachemod.load(key)
-    if payload is None:
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):
+            return value
+        datum = datum_of(ctx)
         try:
-            payload = compute()
-        except COMPUTATION_ERRORS as exc:
-            click.echo(json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                sort_keys=True,
-            ))
-            sys.exit(3)
-        except USAGE_ERRORS as exc:
-            raise click.UsageError(str(exc))
-        if not no_cache:
-            cachemod.store(key, payload)
-    else:
-        print("cached: true", file=sys.stderr)
-    _emit(payload, output, csv_rows)
+            return self.parse(datum, value)
+        except PARSE_ERRORS as exc:
+            self.fail(str(exc), param, ctx)
 
 
-def common_options(f):
-    f = click.option("--type", "kind", default="A", show_default=True,
-                     help="Cartan type letter")(f)
-    f = click.option("--rank", type=int, required=True)(f)
-    f = click.option("--output", type=click.Choice(["json", "csv", "pretty"]),
-                     default="json", show_default=True)(f)
-    f = click.option("--no-cache", is_flag=True, default=False)(f)
-    return f
+def _ints(text):
+    return tuple(int(t) for t in text.split(",") if t.strip() != "")
 
 
-def _char_csv(payload):
+def _vector(datum, text):
+    vec = tuple(int(t) for t in text.split(","))
+    if len(vec) != datum.rank:
+        raise ValueError(f"needs {datum.rank} coordinates, got {len(vec)}")
+    return vec
+
+
+def _window(datum, text):
+    try:
+        lo, hi = (int(t) for t in text.split(":"))
+    except ValueError:
+        raise ValueError(f"window must look like 0:4, got {text!r}") from None
+    return lo, hi
+
+
+def _dp(datum, text):
+    dp = DPData.from_json(json.loads(text))
+    if datum.cartan != root_datum("A", dp.rank).cartan:
+        raise QuasimapError(
+            f"data of rank {dp.rank} needs --type A --rank {dp.rank}"
+        )
+    return dp
+
+
+def _dp_file(datum, path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _dp(datum, fh.read())
+
+
+# an affine element u_word@beta; a weight or coweight; a window lo:hi; a
+# finite element by its word ('e' for the identity); a list of indices
+ELEMENT = Parsed(lambda datum, text: weyl_group(datum).parse(text))
+VECTOR = Parsed(_vector)
+WINDOW = Parsed(_window)
+WORD = Parsed(lambda datum, text: weyl_group(datum).finite_from_word(
+    () if text.strip() == "e" else _ints(text)))
+INTS = Parsed(lambda datum, text: _ints(text))
+
+
+def _one_source(ctx, param, value):
+    """--data and --data-file: the second of the two to be parsed checks
+    that exactly one of them was given."""
+    other = "data_file" if param.name == "data" else "data"
+    if other in ctx.params and (value is None) == (ctx.params[other] is None):
+        raise click.UsageError("provide exactly one of --data / --data-file", ctx)
+    return value
+
+
+def data_options(f):
+    f = click.option("--data-file", type=Parsed(_dp_file), callback=_one_source,
+                     help="path to a DPData JSON file")(f)
+    return click.option("--data", type=Parsed(_dp), callback=_one_source,
+                        help="DPData as inline JSON")(f)
+
+
+COMMON_OPTIONS = (
+    click.option("--type", "kind", default="A", show_default=True,
+                 is_eager=True, help="Cartan type letter"),
+    click.option("--rank", type=int, required=True, is_eager=True),
+    click.option("--output", type=click.Choice(["json", "csv", "pretty"]),
+                 default="json", show_default=True),
+    click.option("--no-cache", is_flag=True, default=False),
+)
+
+
+# ---------------------------------------------------------------------------
+# the job runner
+# ---------------------------------------------------------------------------
+
+def _key(datum, value):
+    """The JSON form of one parsed option in the cache key."""
+    if isinstance(value, AffineWeylElement):
+        return weyl_group(datum).format(value)
+    if isinstance(value, FiniteWeylElement):
+        return weyl_group(datum).reduced_word_finite(value)
+    if isinstance(value, DPData):
+        return value.to_json()
+    return value
+
+
+def job(group, name, csv_rows=None):
+    """Register compute(datum, **options) -> payload as the subcommand `name`
+    of `group`, with the click options declared under this decorator.
+
+    The cache key holds every option; csv_rows(payload, datum) gives the
+    (header, rows) of --output csv, which commands without it reject.
+    """
+    command = name if group is main else f"{group.name}.{name}"
+
+    def register(compute):
+        def run(kind, rank, output, no_cache, **options):
+            if output == "csv" and csv_rows is None:
+                raise click.UsageError("csv output is not available for this command")
+            datum = datum_of(click.get_current_context())
+            key = cachemod.cache_key(command, datum.cartan.entries,
+                                     {k: _key(datum, v) for k, v in options.items()})
+            payload = None if no_cache else cachemod.load(key)
+            if payload is not None:
+                print("cached: true", file=sys.stderr)
+            else:
+                try:
+                    payload = compute(datum, **options)
+                except COMPUTATION_ERRORS as exc:
+                    click.echo(json.dumps(
+                        {"error": {"type": type(exc).__name__, "message": str(exc)}},
+                        sort_keys=True,
+                    ))
+                    sys.exit(3)
+                except USAGE_ERRORS as exc:
+                    raise click.UsageError(str(exc))
+                if not no_cache:
+                    cachemod.store(key, payload)
+            if output == "csv":
+                header, rows = csv_rows(payload, datum)
+                for row in (header, *rows):
+                    click.echo(",".join(str(x) for x in row))
+            else:
+                indent = 2 if output == "pretty" else None
+                click.echo(json.dumps(payload, sort_keys=True, indent=indent,
+                                      separators=None if indent else (",", ":")))
+
+        run.__click_params__ = list(getattr(compute, "__click_params__", ()))
+        for option in COMMON_OPTIONS:
+            run = option(run)
+        group.command(name)(run)
+        return compute
+
+    return register
+
+
+def _char_csv(payload, datum):
     return (("q", "wt", "c"),
             [(t["q"], " ".join(str(x) for x in t["wt"]), t["c"])
              for t in payload["terms"]])
@@ -148,74 +223,40 @@ def order():
     """Semi-infinite Bruhat order queries."""
 
 
-@order.command("le")
-@common_options
-@click.option("--w", required=True)
-@click.option("--v", required=True)
-def order_le(kind, rank, output, no_cache, w, v):
-    datum = _datum(kind, rank)
-    wg = weyl_group(datum)
-    we, ve = _parse_element(wg, w, "--w"), _parse_element(wg, v, "--v")
-    _run("order.le", datum, {"w": wg.format(we), "v": wg.format(ve)},
-         lambda: {"result": si_order(datum).si_le(we, ve)}, output, no_cache)
+@job(order, "le")
+@click.option("--w", type=ELEMENT, required=True)
+@click.option("--v", type=ELEMENT, required=True)
+def order_le(datum, w, v):
+    return {"result": si_order(datum).si_le(w, v)}
 
 
-@order.command("covers")
-@common_options
-@click.option("--v", required=True)
+@job(order, "covers")
+@click.option("--v", type=ELEMENT, required=True)
 @click.option("--height-bound", type=click.IntRange(min=1), default=2,
               show_default=True)
-def order_covers(kind, rank, output, no_cache, v, height_bound):
-    datum = _datum(kind, rank)
+def order_covers(datum, v, height_bound):
     wg = weyl_group(datum)
-    ve = _parse_element(wg, v, "--v")
-
-    def compute():
-        covers = si_order(datum).si_covers_below(ve, height_bound)
-        return {
-            "height_bound": height_bound,
-            "covers": [
-                {
-                    "root": {"coords": list(alpha.root_coords),
-                             "delta": alpha.delta_coeff},
-                    "element": wg.format(x),
-                }
-                for alpha, x in covers
-            ],
-        }
-
-    _run("order.covers", datum,
-         {"v": wg.format(ve), "height_bound": height_bound},
-         compute, output, no_cache)
+    covers = si_order(datum).si_covers_below(v, height_bound)
+    return {"height_bound": height_bound,
+            "covers": [{"root": {"coords": list(alpha.root_coords),
+                                 "delta": alpha.delta_coeff},
+                        "element": wg.format(x)} for alpha, x in covers]}
 
 
-@order.command("interval")
-@common_options
-@click.option("--v", required=True)
-@click.option("--w", required=True)
+def _interval_csv(payload, datum):
+    return (("element", "si_length"),
+            [(e["element"], e["si_length"]) for e in payload["elements"]])
+
+
+@job(order, "interval", _interval_csv)
+@click.option("--v", type=ELEMENT, required=True)
+@click.option("--w", type=ELEMENT, required=True)
 @click.option("--radius", type=int, default=2, show_default=True)
-def order_interval(kind, rank, output, no_cache, v, w, radius):
-    datum = _datum(kind, rank)
-    wg = weyl_group(datum)
-    ve, we = _parse_element(wg, v, "--v"), _parse_element(wg, w, "--w")
-
-    def compute():
-        so = si_order(datum)
-        return {
-            "radius": radius,
-            "elements": [
-                {"element": wg.format(x), "si_length": so.si_length(x)}
-                for x in so.si_interval(ve, we)
-            ],
-        }
-
-    def csv_rows(payload):
-        return (("element", "si_length"),
-                [(e["element"], e["si_length"]) for e in payload["elements"]])
-
-    _run("order.interval", datum,
-         {"v": wg.format(ve), "w": wg.format(we), "radius": radius},
-         compute, output, no_cache, csv_rows)
+def order_interval(datum, v, w, radius):
+    wg, so = weyl_group(datum), si_order(datum)
+    return {"radius": radius,
+            "elements": [{"element": wg.format(x), "si_length": so.si_length(x)}
+                         for x in so.si_interval(v, w, radius)]}
 
 
 # ---------------------------------------------------------------------------
@@ -227,201 +268,102 @@ def char():
     """Graded characters."""
 
 
-@char.command("weyl")
-@common_options
-@click.option("--lam", required=True)
-def char_weyl(kind, rank, output, no_cache, lam):
-    datum = _datum(kind, rank)
-    lam_t = _parse_weight(datum, lam)
-    _run("char.weyl", datum, {"lam": list(lam_t)},
-         lambda: weyl_character(datum, lam_t).to_json(),
-         output, no_cache, _char_csv)
+@job(char, "weyl", _char_csv)
+@click.option("--lam", type=VECTOR, required=True)
+def char_weyl(datum, lam):
+    return weyl_character(datum, lam).to_json()
 
 
-@char.command("gweyl")
-@common_options
-@click.option("--w", required=True)
-@click.option("--lam", required=True)
-@click.option("--window", required=True)
-def char_gweyl(kind, rank, output, no_cache, w, lam, window):
-    datum = _datum(kind, rank)
-    wg = weyl_group(datum)
-    we = _parse_element(wg, w, "--w")
-    lam_t = _parse_weight(datum, lam)
-    win = _parse_window(window)
-    _run("char.gweyl", datum,
-         {"w": wg.format(we), "lam": list(lam_t), "window": list(win)},
-         lambda: gch_global_weyl(datum, we, lam_t, win).to_json(),
-         output, no_cache, _char_csv)
+@job(char, "gweyl", _char_csv)
+@click.option("--w", type=ELEMENT, required=True)
+@click.option("--lam", type=VECTOR, required=True)
+@click.option("--window", type=WINDOW, required=True)
+def char_gweyl(datum, w, lam, window):
+    return gch_global_weyl(datum, w, lam, window).to_json()
 
 
-@char.command("demazure")
-@common_options
-@click.option("--word", required=True,
+@job(char, "demazure", _char_csv)
+@click.option("--word", type=INTS, required=True,
               help="comma-separated indices in {0,...,rank}")
-@click.option("--lam", required=True, help="starting weight e^lam")
+@click.option("--lam", type=VECTOR, required=True, help="starting weight e^lam")
 @click.option("--q", type=int, default=0, show_default=True,
               help="starting q-power")
-@click.option("--window", required=True)
-def char_demazure(kind, rank, output, no_cache, word, lam, q, window):
-    datum = _datum(kind, rank)
-    try:
-        word_t = [int(t) for t in word.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise click.UsageError(f"--word: {exc}")
-    lam_t = _parse_weight(datum, lam)
-    win = _parse_window(window)
-
-    def compute():
-        f = GradedCharacter.monomial(q, lam_t, 1, win)
-        return demazure_word(datum, word_t, f).to_json()
-
-    _run("char.demazure", datum,
-         {"word": word_t, "lam": list(lam_t), "q": q, "window": list(win)},
-         compute, output, no_cache, _char_csv)
+@click.option("--window", type=WINDOW, required=True)
+def char_demazure(datum, word, lam, q, window):
+    f = GradedCharacter.monomial(q, lam, 1, window)
+    return demazure_word(datum, word, f).to_json()
 
 
 # ---------------------------------------------------------------------------
 # twist coefficients and section dimensions
 # ---------------------------------------------------------------------------
 
-@main.command("pieri")
-@common_options
-@click.option("--w", required=True)
-@click.option("--lam", required=True)
-@click.option("--window", required=True)
-@click.option("--depth", type=int, default=3, show_default=True)
-def pieri_cmd(kind, rank, output, no_cache, w, lam, window, depth):
-    datum = _datum(kind, rank)
+def _pieri_csv(payload, datum):
     wg = weyl_group(datum)
-    we = _parse_element(wg, w, "--w")
-    lam_t = _parse_weight(datum, lam)
-    win = _parse_window(window)
-
-    def compute():
-        return compute_pieri(datum, we, lam_t, win, depth).to_json(wg)
-
-    def csv_rows(payload):
-        rows = []
-        for entry in payload["coeffs"]:
-            u = wg.format(wg.from_json(entry["u"]))
-            for t in entry["a"]["terms"]:
-                rows.append((u, t["q"],
-                             " ".join(str(x) for x in t["wt"]), t["c"]))
-        return ("u", "qbar", "wt", "c"), rows
-
-    _run("pieri", datum,
-         {"w": wg.format(we), "lam": list(lam_t), "window": list(win),
-          "depth": depth},
-         compute, output, no_cache, csv_rows)
+    return (("u", "qbar", "wt", "c"),
+            [(wg.format(wg.from_json(entry["u"])), t["q"],
+              " ".join(str(x) for x in t["wt"]), t["c"])
+             for entry in payload["coeffs"] for t in entry["a"]["terms"]])
 
 
-@main.command("h0")
-@common_options
-@click.option("--v", required=True)
-@click.option("--w", required=True)
-@click.option("--lam", required=True)
-@click.option("--window", default=None,
+@job(main, "pieri", _pieri_csv)
+@click.option("--w", type=ELEMENT, required=True)
+@click.option("--lam", type=VECTOR, required=True)
+@click.option("--window", type=WINDOW, required=True)
+@click.option("--depth", type=int, default=3, show_default=True)
+def pieri_cmd(datum, w, lam, window, depth):
+    return compute_pieri(datum, w, lam, window, depth).to_json(weyl_group(datum))
+
+
+@job(main, "h0")
+@click.option("--v", type=ELEMENT, required=True)
+@click.option("--w", type=ELEMENT, required=True)
+@click.option("--lam", type=VECTOR, required=True)
+@click.option("--window", type=WINDOW, default=None,
               help="qbar-window for the reported character (default: full)")
 @click.option("--depth", type=int, default=None)
-def h0_cmd(kind, rank, output, no_cache, v, w, lam, window, depth):
-    datum = _datum(kind, rank)
-    wg = weyl_group(datum)
-    ve, we = _parse_element(wg, v, "--v"), _parse_element(wg, w, "--w")
-    lam_t = _parse_weight(datum, lam)
-
-    def compute():
-        payload = {"dim": h0_dimension(datum, ve, we, lam_t, depth=depth)}
-        if window is not None:
-            win = _parse_window(window)
-            payload["character"] = smt_character(
-                datum, ve, we, lam_t, win, depth
-            ).to_json()
-        return payload
-
-    _run("h0", datum,
-         {"v": wg.format(ve), "w": wg.format(we), "lam": list(lam_t),
-          "window": window, "depth": depth},
-         compute, output, no_cache)
+def h0_cmd(datum, v, w, lam, window, depth):
+    payload = {"dim": h0_dimension(datum, v, w, lam, depth=depth)}
+    if window is not None:
+        payload["character"] = smt_character(datum, v, w, lam, window,
+                                             depth).to_json()
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # quasi-maps
 # ---------------------------------------------------------------------------
 
-def _load_dp(data, data_file):
-    if (data is None) == (data_file is None):
-        raise click.UsageError("provide exactly one of --data / --data-file")
-    try:
-        if data_file is not None:
-            with open(data_file, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.loads(data)
-        return DPData.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError, QuasimapError) as exc:
-        raise click.UsageError(f"Drinfeld-Pluecker data: {exc}")
-
-
 @main.group()
 def qmap():
     """Drinfeld-Pluecker data operations."""
 
 
-@qmap.command("validate")
-@common_options
-@click.option("--data", default=None, help="DPData as inline JSON")
-@click.option("--data-file", default=None, help="path to a DPData JSON file")
-def qmap_validate(kind, rank, output, no_cache, data, data_file):
-    datum = _datum(kind, rank)
-    dp = _load_dp(data, data_file)
-
-    def compute():
-        try:
-            beta = validate_dp(dp)
-        except QuasimapError as exc:
-            return {"valid": False, "reason": str(exc)}
-        return {"valid": True, "beta": list(beta.beta)}
-
-    _run("qmap.validate", datum, {"data": dp.to_json()},
-         compute, output, no_cache)
+@job(qmap, "validate")
+@data_options
+def qmap_validate(datum, data, data_file):
+    try:
+        beta = validate_dp(data or data_file)
+    except QuasimapError as exc:
+        return {"valid": False, "reason": str(exc)}
+    return {"valid": True, "beta": list(beta)}
 
 
-@qmap.command("defect")
-@common_options
-@click.option("--data", default=None)
-@click.option("--data-file", default=None)
-def qmap_defect(kind, rank, output, no_cache, data, data_file):
-    datum = _datum(kind, rank)
-    dp = _load_dp(data, data_file)
-
-    def compute():
-        div = defect_divisor(dp)
-        out = div.to_json()
-        out["total"] = list(div.total(dp.rank))
-        return out
-
-    _run("qmap.defect", datum, {"data": dp.to_json()},
-         compute, output, no_cache)
+@job(qmap, "defect")
+@data_options
+def qmap_defect(datum, data, data_file):
+    dp = data or data_file
+    div = defect_divisor(dp)
+    return {**div.to_json(), "total": list(div.total(dp.rank))}
 
 
-@qmap.command("eval")
-@common_options
-@click.option("--data", default=None)
-@click.option("--data-file", default=None)
+@job(qmap, "eval")
+@data_options
 @click.option("--at", type=click.Choice(["0", "inf"]), default="0",
               show_default=True)
-def qmap_eval(kind, rank, output, no_cache, data, data_file, at):
-    datum = _datum(kind, rank)
-    dp = _load_dp(data, data_file)
-
-    def compute():
-        coords = evaluate(dp, at_infinity=(at == "inf"))
-        return {"at": at,
-                "coords": [[str(c) for c in vec] for vec in coords]}
-
-    _run("qmap.eval", datum, {"data": dp.to_json(), "at": at},
-         compute, output, no_cache)
+def qmap_eval(datum, data, data_file, at):
+    coords = evaluate(data or data_file, at_infinity=(at == "inf"))
+    return {"at": at, "coords": [[str(c) for c in vec] for vec in coords]}
 
 
 # ---------------------------------------------------------------------------
@@ -433,49 +375,22 @@ def dim():
     """Dimension calculators."""
 
 
-@dim.command("richardson")
-@common_options
-@click.option("--v", required=True)
-@click.option("--w", required=True)
-def dim_richardson_cmd(kind, rank, output, no_cache, v, w):
-    datum = _datum(kind, rank)
-    wg = weyl_group(datum)
-    ve, we = _parse_element(wg, v, "--v"), _parse_element(wg, w, "--w")
-
-    def compute():
-        try:
-            return {"empty": False, "dim": dim_richardson(datum, ve, we)}
-        except EmptyRichardsonError:
-            return {"empty": True}
-
-    _run("dim.richardson", datum, {"v": wg.format(ve), "w": wg.format(we)},
-         compute, output, no_cache)
-
-
-@dim.command("parabolic")
-@common_options
-@click.option("--j", "j_opt", default="", help="comma-separated subset of I")
-@click.option("--beta", required=True)
-@click.option("--w", required=True, help="finite word, e.g. '1,2' or 'e'")
-def dim_parabolic_cmd(kind, rank, output, no_cache, j_opt, beta, w):
-    datum = _datum(kind, rank)
-    wg = weyl_group(datum)
+@job(dim, "richardson")
+@click.option("--v", type=ELEMENT, required=True)
+@click.option("--w", type=ELEMENT, required=True)
+def dim_richardson_cmd(datum, v, w):
     try:
-        J = tuple(int(t) for t in j_opt.split(",") if t.strip() != "")
-        beta_t = tuple(int(t) for t in beta.split(","))
-        word = [] if w.strip() in ("e", "") else [int(t) for t in w.split(",")]
-        wfin = wg.finite_from_word(word)
-    except (ValueError, RootDataError) as exc:
-        raise click.UsageError(str(exc))
-    if len(beta_t) != datum.rank:
-        raise click.UsageError(
-            f"--beta needs {datum.rank} coordinates, got {len(beta_t)}"
-        )
+        return {"empty": False, "dim": dim_richardson(datum, v, w)}
+    except EmptyRichardsonError:
+        return {"empty": True}
 
-    _run("dim.parabolic", datum,
-         {"J": sorted(J), "beta": list(beta_t), "w": word},
-         lambda: {"dim": dim_parabolic(datum, J, beta_t, wfin)},
-         output, no_cache)
+
+@job(dim, "parabolic")
+@click.option("--j", type=INTS, default="", help="comma-separated subset of I")
+@click.option("--beta", type=VECTOR, required=True)
+@click.option("--w", type=WORD, required=True, help="finite word, e.g. '1,2' or 'e'")
+def dim_parabolic_cmd(datum, j, beta, w):
+    return {"dim": dim_parabolic(datum, j, beta, w)}
 
 
 if __name__ == "__main__":

@@ -177,14 +177,6 @@ class DefectDivisor:
         }
 
 
-@dataclass(frozen=True)
-class DegreeVector:
-    beta: tuple  # simple-coroot coordinates, all entries >= 0
-
-    def to_json(self) -> dict:
-        return {"beta": list(self.beta)}
-
-
 def _coeff_tuple(p: Poly):
     if p.is_zero:
         return ()
@@ -226,8 +218,9 @@ def _beta_from_degrees(rank, degrees) -> tuple:
     return (degrees[1], degrees[0])
 
 
-def validate_dp(data: DPData) -> DegreeVector:
-    """Exact degree-bound and contraction checks; returns the degree vector."""
+def validate_dp(data: DPData) -> tuple:
+    """Exact degree-bound and contraction checks; returns the degree vector
+    beta in simple-coroot coordinates, all entries >= 0."""
     for i in range(data.rank):
         deg = data.component_degree(i)
         if deg > data.degrees[i]:
@@ -246,7 +239,7 @@ def validate_dp(data: DPData) -> DegreeVector:
     beta = _beta_from_degrees(data.rank, data.degrees)
     if any(b < 0 for b in beta):
         raise DegreeError(f"degree vector {beta} has a negative entry")
-    return DegreeVector(beta)
+    return beta
 
 
 def _component_gcd(vec) -> Poly:

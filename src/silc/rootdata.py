@@ -13,7 +13,6 @@ column of the Cartan matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,27 +197,6 @@ def solve_unpivoted(m, b):
             if i != k and f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
     return pivots, tuple(row[n] for row in rows)
-
-
-def cartan_from_json(obj) -> CartanMatrix:
-    """Load a Cartan matrix from the documented JSON schema.
-
-    Either {"type": "A", "rank": 2} or {"type": "custom", "matrix": [[...]]}.
-    """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    kind = obj.get("type")
-    if kind is None:
-        raise RootDataError('missing "type" field')
-    if kind == "custom":
-        m = obj.get("matrix")
-        if m is None:
-            raise RootDataError('type "custom" requires a "matrix" field')
-        return CartanMatrix(tuple(tuple(int(x) for x in row) for row in m))
-    rank = obj.get("rank")
-    if rank is None:
-        raise RootDataError("named types require a rank")
-    return CartanMatrix(_builtin_cartan(kind, int(rank)))
 
 
 # ---------------------------------------------------------------------------

@@ -264,18 +264,6 @@ class WeylGroup:
             if self.length_affine(xs) < self.length_affine(x):
                 x = xs
 
-    def min_coset_rep(self, w: AffineWeylElement) -> AffineWeylElement:
-        """Minimal-length representative of the coset w*W."""
-        while True:
-            lw = self.length_affine(w)
-            for i in range(1, self.datum.rank + 1):
-                cand = self.right_mul_simple(w, i)
-                if self.length_affine(cand) < lw:
-                    w = cand
-                    break
-            else:
-                return w
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self, w: AffineWeylElement) -> dict:
@@ -285,19 +273,20 @@ class WeylGroup:
         return self.element(obj["u_word"], obj["beta"])
 
     def parse(self, text: str) -> AffineWeylElement:
-        """Parse the command-line grammar "u_word@beta", e.g. "1,2@0,1" or "e@1"."""
-        text = text.strip()
-        if "@" in text:
-            upart, bpart = text.split("@", 1)
-        else:
-            upart, bpart = text, ""
+        """Parse the command-line grammar "u_word@beta", e.g. "1,2@0,1" or "e@1".
+
+        Text without "@" has translation 0; an "@" needs a translation.
+        """
+        upart, at, bpart = text.strip().partition("@")
         upart = upart.strip()
         if upart in ("e", ""):
             word = []
         else:
             word = [int(t) for t in upart.split(",") if t.strip() != ""]
-        if bpart.strip() == "":
+        if not at:
             beta = [0] * self.datum.rank
+        elif bpart.strip() == "":
+            raise RootDataError(f"no translation after '@' in {text!r}")
         else:
             beta = [int(t) for t in bpart.split(",")]
         if len(beta) != self.datum.rank:

@@ -69,10 +69,14 @@ def test_csv_output(runner):
     assert set(lines[1:]) == {"0,-1,1", "0,1,1"}
 
 
-def test_csv_unsupported_command(runner):
-    res = invoke(runner, ["h0", "--rank", "1", "--v", "e@0", "--w", "e@0",
+def test_csv_unsupported_command(runner, tmp_path):
+    res = invoke(runner, ["h0", "--rank", "1", "--v", "1@1", "--w", "e@0",
                           "--lam", "1", "--output", "csv"])
     assert res.exit_code == 2
+    # rejected before computing: nothing printed, nothing cached
+    assert res.stdout == ""
+    cache_dir = tmp_path / "cache"
+    assert not cache_dir.exists() or not os.listdir(cache_dir)
 
 
 def test_pretty_output_same_payload(runner):
@@ -119,12 +123,6 @@ def test_unwritable_cache_is_bypassed(monkeypatch):
     assert json.loads(res.stdout) == {"result": True}
 
 
-def test_cache_key_includes_parameters(runner, tmp_path):
-    invoke(runner, ["order", "le", "--rank", "1", "--w", "1@0", "--v", "e@0"])
-    invoke(runner, ["order", "le", "--rank", "1", "--w", "e@0", "--v", "1@0"])
-    assert len(os.listdir(tmp_path / "cache")) == 2
-
-
 def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
     from silc import cache
 
@@ -134,6 +132,12 @@ def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
     res = invoke(runner, args)
     assert res.exit_code == 0
     assert len(os.listdir(tmp_path / "cache")) == 2
+
+
+DP_A1 = json.dumps({"rank": 1, "degrees": [1], "components": [
+    {"weight": 1, "polys": [["0", "1"], ["1"]]}]})
+DP_WEIGHT_2 = json.dumps({"rank": 1, "degrees": [0], "components": [
+    {"weight": 2, "polys": [["1"], ["0"]]}]})
 
 
 @pytest.mark.parametrize("args", [
@@ -154,18 +158,17 @@ def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
     ["qmap", "validate", "--rank", "1", "--data", json.dumps(
         {"rank": 1, "components": [{"weight": 1, "polys": [[0.1], ["1"]]}],
          "degrees": [0]})],
+    ["dim", "richardson", "--rank", "1", "--v", "1@", "--w", "e@0"],
+    ["qmap", "validate", "--type", "G", "--rank", "2", "--data", DP_A1],
+    ["qmap", "eval", "--rank", "2", "--data", DP_A1],
 ], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0", "parabolic-index",
-        "parabolic-descent", "qmap-data-list", "qmap-weight-2", "qmap-float"])
+        "parabolic-descent", "qmap-data-list", "qmap-weight-2", "qmap-float",
+        "empty-translation", "qmap-type-G", "qmap-rank-2"])
 def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
 
-
-DP_A1 = json.dumps({"rank": 1, "degrees": [1], "components": [
-    {"weight": 1, "polys": [["0", "1"], ["1"]]}]})
-DP_WEIGHT_2 = json.dumps({"rank": 1, "degrees": [0], "components": [
-    {"weight": 2, "polys": [["1"], ["0"]]}]})
 
 # every subcommand: a valid A1 argv, and the options appended to it (click
 # keeps the last value of a repeated option) that make it malformed, of a
@@ -271,3 +274,43 @@ def test_qmap_validate_reports_invalid_without_failing(runner):
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
     assert payload["valid"] is False and "contraction" in payload["reason"]
+
+
+DP_A1_OTHER = json.dumps({"rank": 1, "degrees": [2], "components": [
+    {"weight": 1, "polys": [["0", "1"], ["1", "0", "1"]]}]})
+
+# for every subcommand, each of its options set to another valid value
+# (appended to the CONTRACT argv); --data-file gives the same data as --data
+VARIED = {
+    "order le": [["--w", "e@0"], ["--v", "1@0"]],
+    "order covers": [["--v", "1@0"], ["--height-bound", "3"]],
+    "order interval": [["--v", "1@2"], ["--w", "1@0"], ["--radius", "3"]],
+    "char weyl": [["--lam", "2"]],
+    "char gweyl": [["--w", "e@0"], ["--lam", "2"], ["--window", "0:2"]],
+    "char demazure": [["--word", "0"], ["--lam", "2"], ["--q", "1"],
+                      ["--window", "0:1"]],
+    "pieri": [["--w", "1@0"], ["--lam", "2"], ["--window", "0:1"],
+              ["--depth", "4"]],
+    "h0": [["--v", "1@2"], ["--w", "1@0"], ["--lam", "2"], ["--window", "0:2"],
+           ["--depth", "3"]],
+    "qmap validate": [["--data", DP_A1_OTHER]],
+    "qmap defect": [["--data", DP_A1_OTHER]],
+    "qmap eval": [["--data", DP_A1_OTHER], ["--at", "inf"]],
+    "dim richardson": [["--v", "1@2"], ["--w", "1@0"]],
+    "dim parabolic": [["--beta", "0,1"], ["--w", "2"], ["--j", "1"]],
+}
+
+
+@pytest.mark.parametrize("cmd", list(CONTRACT))
+def test_cache_key_includes_parameters(runner, tmp_path, cmd):
+    command = main
+    for word in cmd.split():
+        command = command.commands[word]
+    options = {opt for p in command.params for opt in p.opts}
+    shared = {"--type", "--rank", "--output", "--no-cache", "--data-file"}
+    assert options - shared == {extra[0] for extra in VARIED[cmd]}
+    base = CONTRACT[cmd][0]
+    for extra in [[]] + VARIED[cmd]:
+        res = invoke(runner, cmd.split() + base + extra)
+        assert res.exit_code == 0, (extra, res.output)
+    assert len(os.listdir(tmp_path / "cache")) == 1 + len(VARIED[cmd])

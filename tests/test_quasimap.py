@@ -33,7 +33,7 @@ from silc.weylgroup import weyl_group
 
 def test_standard_flag_is_valid():
     data = DPData.make(2, (((1,), (0,), (0,)), ((1,), (0,), (0,))), (0, 0))
-    assert validate_dp(data).beta == (0, 0)
+    assert validate_dp(data) == (0, 0)
 
 
 def test_transversality_failure_rejected():
@@ -48,7 +48,7 @@ def test_symbolic_wedge_line_is_valid():
     data = DPData.make(
         2, (((1,), (0, 1), (0,)), ((1,), (0, 1), (0, 0, 1))), (1, 2)
     )
-    assert validate_dp(data).beta == (2, 1)
+    assert validate_dp(data) == (2, 1)
 
 
 def test_degree_overflow_rejected():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from silc.rootdata import (
     CartanMatrix,
     RootDataError,
-    cartan_from_json,
     root_datum,
     vec_add,
 )
@@ -111,15 +110,6 @@ def test_parabolic_data_a2(a2):
     # positive roots outside span{alpha_1}: alpha_2 and alpha_1 + alpha_2
     assert two_rho == (0, 3)
     assert basis == (2,) and gens == (1,)
-
-
-def test_cartan_json_roundtrip(a2):
-    assert cartan_from_json({"type": "A", "rank": 2}) == a2.cartan
-    assert cartan_from_json({"type": "custom", "matrix": [[2, -1], [-1, 2]]}) == a2.cartan
-    with pytest.raises(RootDataError):
-        cartan_from_json({"type": "Z", "rank": 2})
-    with pytest.raises(RootDataError):
-        cartan_from_json({"rank": 2})
 
 
 def test_invalid_cartan_rejected():

@@ -271,48 +271,8 @@ def test_bruhat_partial_order_a2(wg_a2):
 
 
 # ---------------------------------------------------------------------------
-# cosets, serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-def test_min_coset_rep(wg):
-    r = wg.datum.rank
-    # elements of W collapse to the identity
-    assert wg.min_coset_rep(wg.affine_from_finite(wg.w0)) == wg.identity
-    # antidominant translations are already minimal
-    beta = tuple(-c for c in wg.datum.two_rho_coweight)
-    assert wg.min_coset_rep(wg.translation(beta)) == wg.translation(beta)
-    # brute force over the coset w*W
-    w = wg.element([1], tuple([1] * r))
-    coset = set()
-    frontier = {w.key(): w}
-    while frontier:
-        nxt = {}
-        for x in frontier.values():
-            if x.key() not in coset:
-                coset.add(x.key())
-                for i in range(1, r + 1):
-                    y = wg.right_mul_simple(x, i)
-                    if y.key() not in coset:
-                        nxt[y.key()] = y
-        frontier = nxt
-    rep = wg.min_coset_rep(w)
-    assert rep.key() in coset
-    assert min(wg.length_affine(AffineWeylElementFromKey(wg, k)) for k in coset) \
-        == wg.length_affine(rep)
-    # no right descent in the finite generators
-    for i in range(1, r + 1):
-        assert wg.length_affine(wg.right_mul_simple(rep, i)) > wg.length_affine(rep)
-
-
-def AffineWeylElementFromKey(wg, key):
-    from silc.weylgroup import AffineWeylElement
-
-    root_mat, beta = key
-    for u in _all_finite(wg):
-        if u.root_mat == root_mat:
-            return AffineWeylElement(u, beta)
-    raise AssertionError
-
 
 def _all_finite(wg):
     frontier = [wg.id_finite]
