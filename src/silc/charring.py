@@ -124,13 +124,6 @@ class GradedCharacter:
         return GradedCharacter.make(terms, tuple(obj["window"]))
 
 
-def gch_dual(f: GradedCharacter) -> GradedCharacter:
-    """Negate all weights and q-powers; the window is reflected."""
-    out = {(-q, tuple(-x for x in wt)): c for (q, wt), c in f.terms}
-    lo, hi = f.window
-    return GradedCharacter.make(out, (-hi + 1, -lo + 1))
-
-
 # ---------------------------------------------------------------------------
 # Demazure operators
 # ---------------------------------------------------------------------------
@@ -192,18 +185,6 @@ def weyl_character(datum: RootDatum, lam) -> GradedCharacter:
     word = wg.reduced_word_finite(wg.w0)
     f = GradedCharacter.monomial(0, lam, 1, (0, 1))
     return demazure_word(datum, word, f)
-
-
-def weyl_dimension(datum: RootDatum, lam) -> int:
-    """Product formula for dim V(lambda) (independent oracle for tests)."""
-    from fractions import Fraction
-
-    num = Fraction(1)
-    rho = datum.rho
-    for rt in datum.positive_roots():
-        num *= Fraction(vec_dot(rt.coroot, vec_add(lam, rho)), vec_dot(rt.coroot, rho))
-    assert num.denominator == 1
-    return int(num)
 
 
 # ---------------------------------------------------------------------------

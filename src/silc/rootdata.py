@@ -285,46 +285,11 @@ class RootDatum:
         """Deterministically ordered tuple of positive roots with coroots."""
         return self._positive_roots
 
-    @property
-    def two_rho_coweight(self):
-        """Sum of all positive coroots (= 2 rho^vee), in coroot coordinates."""
-        out = tuple(0 for _ in range(self.rank))
-        for rt in self._positive_roots:
-            out = vec_add(out, rt.coroot)
-        return out
-
-    # -- Weyl action on weights / coweights ---------------------------------
-
-    def reflect_weight(self, i, lam):
-        """s_i(lambda) for lambda in fundamental-weight coordinates."""
-        return vec_sub(lam, vec_scale(lam[i], self.simple_root_weights[i]))
-
-    def reflect_coweight(self, i, beta):
-        """s_i(beta) for beta in simple-coroot coordinates (dual action)."""
-        a = self.cartan.entries
-        p = sum(beta[k] * a[k][i] for k in range(self.rank))
-        out = list(beta)
-        out[i] -= p
-        return tuple(out)
-
-    def weyl_act(self, word, lam):
-        """Apply the product s_{i1}...s_{ik} to a weight, rightmost first."""
-        for i in reversed(word):
-            self._check_index(i)
-            lam = self.reflect_weight(i - 1, lam)
-        return lam
-
-    def weyl_act_coweight(self, word, beta):
-        for i in reversed(word):
-            self._check_index(i)
-            beta = self.reflect_coweight(i - 1, beta)
-        return beta
+    # -- parabolic data ------------------------------------------------------
 
     def _check_index(self, i):
         if not 1 <= i <= self.rank:
             raise RootDataError(f"simple reflection index {i} out of range 1..{self.rank}")
-
-    # -- parabolic data ------------------------------------------------------
 
     def parabolic_data(self, J):
         """(P_J basis indices, 2*rho_J as a weight, W_J generator indices).
@@ -360,7 +325,13 @@ class RootDatum:
         return all(c > 0 for c in lam)
 
 
+MAX_RANK = 16
+
+
 @lru_cache(maxsize=None)
 def root_datum(kind: str, rank: int) -> RootDatum:
-    """Root datum for a named series, cached."""
+    """Root datum for a named series, cached.  A rank above MAX_RANK is
+    rejected before any matrix is built."""
+    if rank > MAX_RANK:
+        raise RootDataError(f"rank {rank} is above the maximum {MAX_RANK}")
     return RootDatum(CartanMatrix(_builtin_cartan(kind, rank)))

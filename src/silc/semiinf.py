@@ -134,30 +134,17 @@ class SemiInfiniteOrder:
     # -- boxes and intervals -----------------------------------------------------
 
     def box(self, center: AffineWeylElement, radius: int):
-        """All u t_beta with |beta_i - center_beta_i| <= radius, any finite part."""
-        elements = []
-        finite_parts = self.all_finite_elements()
-        c = center.translation
-        ranges = [range(ci - radius, ci + radius + 1) for ci in c]
-        for beta in product(*ranges):
-            for u in finite_parts:
-                elements.append(AffineWeylElement(u, beta))
-        return elements
+        """All u t_beta with |beta_i - center_beta_i| <= radius, any finite part.
 
-    def all_finite_elements(self):
-        wg = self.wg
-        frontier = [wg.id_finite]
-        seen = {wg.id_finite}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(1, self.datum.rank + 1):
-                    cand = wg._simple_finite[i - 1] * u
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        return sorted(seen, key=lambda u: u.root_mat)
+        Every finite element lies below the identity, so the finite parts are
+        the identity's down-set at translation 0, sorted by root matrix.
+        """
+        levels = self.down_set(self.wg.identity, (0,) * self.datum.rank)
+        finite_parts = sorted((x.finite for level in levels for x in level),
+                              key=lambda u: u.root_mat)
+        ranges = [range(c - radius, c + radius + 1) for c in center.translation]
+        return [AffineWeylElement(u, beta) for beta in product(*ranges)
+                for u in finite_parts]
 
     def si_interval(self, v: AffineWeylElement, w: AffineWeylElement, radius=None):
         """All u with v <=_si u <=_si w, sorted by si-length, then key.

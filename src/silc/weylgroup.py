@@ -19,7 +19,6 @@ from .rootdata import (
     mat_vec,
     vec_add,
     vec_dot,
-    vec_neg,
 )
 
 
@@ -101,15 +100,13 @@ class WeylGroup:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         r = datum.rank
-        # positive roots in root and fundamental-weight coordinates
+        # positive roots in root coordinates
         self._pos_roots = tuple(rt.coords for rt in datum.positive_roots())
-        self._pos_weights = tuple(datum.root_to_weight(rc) for rc in self._pos_roots)
         self._elements = {}
         ident = mat_identity(r)
         self.id_finite = self._intern(ident, ident)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
         self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
-        self._s0 = self._build_s0()
         self._w0 = self._build_w0()
 
     # -- constructors --------------------------------------------------------
@@ -157,12 +154,6 @@ class WeylGroup:
             coweight_cols.append(cc)
         return self._intern(tuple(zip(*root_cols)), tuple(zip(*coweight_cols)))
 
-    def _build_s0(self):
-        # s_0 = s_theta * t_{-theta^vee}
-        theta = self.datum.theta
-        s_theta = self.reflection_by_root(theta)
-        return AffineWeylElement(s_theta, vec_neg(theta.coroot))
-
     def _build_w0(self):
         """Longest finite element: multiply by left ascents until none is left."""
         w = self.id_finite
@@ -176,16 +167,6 @@ class WeylGroup:
     def w0(self) -> FiniteWeylElement:
         return self._w0
 
-    @property
-    def s0(self) -> AffineWeylElement:
-        return self._s0
-
-    def simple_affine(self, i) -> AffineWeylElement:
-        """s_i as an affine element, i in {0, 1, ..., r}."""
-        if i == 0:
-            return self._s0
-        return AffineWeylElement(self._simple_finite[i - 1], self.identity.translation)
-
     # -- group law -----------------------------------------------------------
 
     def compose(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
@@ -193,10 +174,6 @@ class WeylGroup:
         u = x.finite * y.finite
         beta = vec_add(y.finite.inverse().act_coweight(x.translation), y.translation)
         return AffineWeylElement(u, beta)
-
-    def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
-        uinv = x.finite.inverse()
-        return AffineWeylElement(uinv, vec_neg(x.finite.act_coweight(x.translation)))
 
     def affine_from_finite(self, u: FiniteWeylElement) -> AffineWeylElement:
         return AffineWeylElement(u, self.identity.translation)
@@ -206,13 +183,7 @@ class WeylGroup:
     def length_finite(self, u: FiniteWeylElement) -> int:
         return sum(u.inversions)
 
-    def length_affine(self, w: AffineWeylElement) -> int:
-        # l(u t_beta) = sum over alpha > 0 of |<beta, alpha> + [u alpha < 0]|
-        beta = w.translation
-        return sum(abs(vec_dot(beta, fw) + chi)
-                   for fw, chi in zip(self._pos_weights, w.finite.inversions))
-
-    # -- reduced words and Bruhat order ---------------------------------------
+    # -- reduced words -------------------------------------------------------
 
     def _left_descents(self, u: FiniteWeylElement):
         """For i = 1..r, whether l(s_i u) < l(u), i.e. u^{-1} alpha_i < 0:
@@ -228,41 +199,6 @@ class WeylGroup:
             word.append(i + 1)
             u = self._simple_finite[i] * u
         return word
-
-    def left_mul_simple(self, i, w: AffineWeylElement) -> AffineWeylElement:
-        return self.compose(self.simple_affine(i), w)
-
-    def right_mul_simple(self, w: AffineWeylElement, i) -> AffineWeylElement:
-        return self.compose(w, self.simple_affine(i))
-
-    def first_left_descent(self, w: AffineWeylElement):
-        lw = self.length_affine(w)
-        for i in range(0, self.datum.rank + 1):
-            if self.length_affine(self.left_mul_simple(i, w)) < lw:
-                return i
-        return None
-
-    def from_word(self, word) -> AffineWeylElement:
-        out = self.identity
-        for i in word:
-            out = self.compose(out, self.simple_affine(i))
-        return out
-
-    def bruhat_le(self, x: AffineWeylElement, y: AffineWeylElement) -> bool:
-        """Affine Bruhat order by the standard descent recursion."""
-        while True:
-            if x == y:
-                return True
-            ly = self.length_affine(y)
-            if self.length_affine(x) >= ly:
-                return False
-            if ly == 0:
-                return False
-            i = self.first_left_descent(y)
-            y = self.left_mul_simple(i, y)
-            xs = self.left_mul_simple(i, x)
-            if self.length_affine(xs) < self.length_affine(x):
-                x = xs
 
     # -- serialization ---------------------------------------------------------
 

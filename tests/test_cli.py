@@ -60,6 +60,15 @@ def test_unknown_type_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("rank", [-1, 0, 17])
+def test_rank_out_of_range_usage_error(runner, rank):
+    lam = ",".join(["1"] + ["0"] * (rank - 1))
+    res = invoke(runner, ["char", "weyl", "--rank", str(rank), "--lam", lam])
+    assert res.exit_code == 2
+    if rank > 0:
+        assert "maximum 16" in res.output
+
+
 def test_csv_output(runner):
     res = invoke(runner, ["char", "weyl", "--rank", "1", "--lam", "1",
                           "--output", "csv"])

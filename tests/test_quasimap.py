@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qm_random import random_dp
+from subword import Subword
+
 from silc.quasimap import (
     DegreeError,
     DPData,
@@ -177,13 +179,13 @@ def test_opposite_membership_sl2(a1):
 
 def test_fixed_point_membership_matches_bruhat_sl3(a2):
     wg = weyl_group(a2)
+    sub = Subword("A", 2)
     words = [[], [1], [2], [1, 2], [2, 1], [1, 2, 1]]
     fins = [wg.finite_from_word(word) for word in words]
     for u, w in itertools.product(fins, repeat=2):
         member = schubert_member(fixed_point_coords(u, a2), w, a2)
-        expected = wg.bruhat_le(
-            wg.affine_from_finite(w), wg.affine_from_finite(u)
-        )
+        expected = sub.bruhat_le(sub.of(wg.affine_from_finite(w)),
+                                 sub.of(wg.affine_from_finite(u)))
         assert member == expected
 
 

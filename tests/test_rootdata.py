@@ -9,6 +9,7 @@ from silc.rootdata import (
     root_datum,
     vec_add,
 )
+from silc.weylgroup import weyl_group
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
 
@@ -54,15 +55,15 @@ def test_a3_sum_of_positive_roots_is_two_rho(a3):
 
 
 def test_weyl_act_examples(a1, a2):
-    assert a1.weyl_act([1], (1,)) == (-1,)
+    assert weyl_group(a1).finite_from_word([1]).act_weight((1,)) == (-1,)
     # w0 = s1 s2 s1 in A2 sends varpi1 to -varpi2
-    assert a2.weyl_act([1, 2, 1], (1, 0)) == (0, -1)
-    assert a2.weyl_act([], (5, -3)) == (5, -3)
+    assert weyl_group(a2).finite_from_word([1, 2, 1]).act_weight((1, 0)) == (0, -1)
+    assert weyl_group(a2).id_finite.act_weight((5, -3)) == (5, -3)
 
 
 def test_weyl_act_bad_index(a2):
     with pytest.raises(RootDataError):
-        a2.weyl_act([3], (1, 0))
+        weyl_group(a2).finite_from_word([3])
 
 
 def test_simple_reflection_permutes_other_positive_roots(datum):
@@ -88,11 +89,12 @@ def test_rho_pairings(datum):
 def test_weyl_invariance_of_pairing(data):
     datum = root_datum(*data.draw(st.sampled_from(ALL_TYPES)))
     r = datum.rank
-    word = data.draw(st.lists(st.integers(1, r), max_size=6))
+    u = weyl_group(datum).finite_from_word(
+        data.draw(st.lists(st.integers(1, r), max_size=6)))
     lam = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
     beta = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
-    assert datum.pairing(datum.weyl_act_coweight(word, beta),
-                         datum.weyl_act(word, lam)) == datum.pairing(beta, lam)
+    assert (datum.pairing(u.act_coweight(beta), u.act_weight(lam))
+            == datum.pairing(beta, lam))
 
 
 def test_theta_is_highest(datum):

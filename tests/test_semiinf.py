@@ -4,16 +4,16 @@ import itertools
 
 import pytest
 
+from subword import Subword
+
 from silc.rootdata import Root, root_datum, vec_scale
 from silc.semiinf import si_order
-from silc.weylgroup import AffineWeylElement, weyl_group
+from silc.weylgroup import AffineWeylElement
 
 
-def oracle_si_le(so, w, v, n=16):
-    """Fixed deep translation + descent-recursion Bruhat (independent path)."""
-    wg = so.wg
-    t = wg.translation(vec_scale(-n, so.datum.two_rho_coweight))
-    return wg.bruhat_le(wg.compose(w, t), wg.compose(v, t))
+def finite_elements(wg, sub):
+    """The finite Weyl group, listed by the oracle's reduced words."""
+    return [wg.finite_from_word(word) for word in sub.finite_words.values()]
 
 
 def test_si_length_examples(so_a1):
@@ -37,19 +37,21 @@ def test_si_le_examples(so_a1):
 def test_restriction_to_finite_weyl_group(so_a2):
     so = so_a2
     wg = so.wg
-    finite = [wg.affine_from_finite(u) for u in so.all_finite_elements()]
+    sub = Subword("A", 2)
+    finite = [wg.affine_from_finite(u) for u in finite_elements(wg, sub)]
     for x in finite:
         for y in finite:
-            assert so.si_le(x, y) == wg.bruhat_le(y, x)
+            assert so.si_le(x, y) == sub.bruhat_le(sub.of(y), sub.of(x))
 
 
 @pytest.mark.parametrize("kind,rank,radius", [("A", 1, 2), ("A", 2, 1)])
 def test_si_le_matches_oracle_on_box(kind, rank, radius):
     so = si_order(root_datum(kind, rank))
+    sub = Subword(kind, rank)
     box = so.box(so.wg.identity, radius)
     for x in box:
         for y in box:
-            assert so.si_le(x, y) == oracle_si_le(so, x, y), (x, y)
+            assert so.si_le(x, y) == sub.si_le(x, y), (x, y)
 
 
 def test_translation_equivariance(so_a1):
@@ -104,18 +106,9 @@ def test_covers_translation_equivariance_a1(so_a1):
     so = so_a1
     wg = so.wg
     t = wg.translation((-1,))
-    base = {x.key() for _, x in so.si_covers_below(wg.identity, 2)}
-    shifted = {x.key() for _, x in so.si_covers_below(t, 2)}
-    translated = {wg.compose(wg.from_word([]), wg.compose(
-        AffineFromKey(wg, k), t)).key() for k in base}
-    assert shifted == translated
-
-
-def AffineFromKey(wg, key):
-    for u in si_order(wg.datum).all_finite_elements():
-        if u.root_mat == key[0]:
-            return AffineWeylElement(u, key[1])
-    raise AssertionError
+    base = {x for _, x in so.si_covers_below(wg.identity, 2)}
+    shifted = {x for _, x in so.si_covers_below(t, 2)}
+    assert shifted == {wg.compose(x, t) for x in base}
 
 
 def test_covers_are_below(so_a2):
@@ -125,11 +118,11 @@ def test_covers_are_below(so_a2):
     for alpha, x in so.si_covers_below(v, 2):
         assert so.si_le(x, v)
         assert so.si_length(x) == so.si_length(v) + 1
-        # x v^{-1} is the affine reflection s_alpha = s_gamma t_{n gamma^vee}
+        # x = s_alpha v for the affine reflection s_alpha = s_gamma t_{n gamma^vee}
         gamma = Root(alpha.root_coords, alpha.coroot)
         refl = AffineWeylElement(wg.reflection_by_root(gamma),
                                  vec_scale(alpha.delta_coeff, alpha.coroot))
-        assert wg.compose(x, wg.inverse(v)) == refl
+        assert wg.compose(refl, v) == x
 
 
 def test_cover_existence_on_box(so_a1):
@@ -165,8 +158,9 @@ def test_si_interval_incomparable_empty(so_a1):
 def test_s0_below_identity_is_false_a1(so_a1):
     # s0 has si-length -1, hence lies above the identity, not below
     so = so_a1
-    assert not so.si_le(so.wg.s0, so.wg.identity)
-    assert so.si_le(so.wg.identity, so.wg.s0)
+    s0 = so.wg.element([1], (-1,))  # s_theta t_{-theta^vee}
+    assert not so.si_le(s0, so.wg.identity)
+    assert so.si_le(so.wg.identity, s0)
 
 
 def test_si_interval_is_complete_a1(so_a1):
@@ -185,7 +179,8 @@ def test_covers_are_complete_on_box(kind):
     every translation within the largest coroot coefficient of v's."""
     so = si_order(root_datum(kind, 2))
     wg = so.wg
-    finite = so.all_finite_elements()
+    sub = Subword(kind, 2)
+    finite = finite_elements(wg, sub)
     reach = max(max(rt.coroot) for rt in so.datum.positive_roots())
     for v in so.box(wg.translation((1, -1)), 0):
         target = so.si_length(v) + 1
@@ -194,6 +189,6 @@ def test_covers_are_complete_on_box(kind):
             beta = tuple(b + g for b, g in zip(v.translation, gamma))
             for u in finite:
                 x = AffineWeylElement(u, beta)
-                if so.si_length(x) == target and oracle_si_le(so, x, v):
+                if so.si_length(x) == target and sub.si_le(x, v):
                     below.add(x)
         assert {x for _, x in so.si_covers_below(v, 1)} == below, wg.format(v)

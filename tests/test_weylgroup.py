@@ -1,54 +1,83 @@
 """Finite/affine Weyl group arithmetic against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affine_words import reduced_word
+import oracle
+from subword import Subword
+
 from silc.rootdata import root_datum, vec_neg
-from silc.weylgroup import weyl_group
+from silc.weylgroup import AffineWeylElement, weyl_group
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
 
 
 @pytest.fixture(params=ALL_TYPES, ids=lambda t: f"{t[0]}{t[1]}")
-def wg(request):
-    return weyl_group(root_datum(*request.param))
+def cartan_type(request):
+    return request.param
+
+
+@pytest.fixture
+def wg(cartan_type):
+    return weyl_group(root_datum(*cartan_type))
+
+
+@pytest.fixture
+def sub(cartan_type):
+    return Subword(*cartan_type)
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# affine words through compose, and brute-force oracles
 # ---------------------------------------------------------------------------
+
+def simple_affine(wg, i):
+    """s_i for i in {0, 1, ..., r}, with s_0 = s_theta t_{-theta^vee}."""
+    if i == 0:
+        theta = wg.datum.theta
+        return AffineWeylElement(wg.reflection_by_root(theta), vec_neg(theta.coroot))
+    return wg.affine_from_finite(wg.finite_from_word([i]))
+
+
+def from_word(wg, word):
+    x = wg.identity
+    for i in word:
+        x = wg.compose(x, simple_affine(wg, i))
+    return x
+
+
+def length(sub, w):
+    return sub.length(sub.of(w))
+
 
 def brute_min_length(wg, w, cap=8):
     """Smallest k such that some word of length k in I_af equals w."""
     if w == wg.identity:
         return 0
-    gens = list(range(0, wg.datum.rank + 1))
-    frontier = {wg.identity.key(): wg.identity}
+    frontier = {wg.identity}
     seen = set(frontier)
     for k in range(1, cap + 1):
-        nxt = {}
-        for x in frontier.values():
-            for i in gens:
-                y = wg.right_mul_simple(x, i)
-                if y.key() not in seen:
-                    seen.add(y.key())
-                    nxt[y.key()] = y
-                    if y == w:
-                        return k
+        nxt = set()
+        for x in frontier:
+            for i in range(wg.datum.rank + 1):
+                y = wg.compose(x, simple_affine(wg, i))
+                if y == w:
+                    return k
+                if y not in seen:
+                    seen.add(y)
+                    nxt.add(y)
         frontier = nxt
     raise AssertionError("cap too small for brute-force length")
 
 
-def subword_le(wg, x, y):
-    """Bruhat comparison by exhaustive subword enumeration."""
-    word = reduced_word(wg, y)
-    lx = wg.length_affine(x)
-    for positions in itertools.combinations(range(len(word)), lx):
-        cand = wg.from_word([word[p] for p in positions])
-        if cand == x:
+def subword_le(sub, x, y):
+    """Bruhat comparison of oracle elements by exhaustive subword enumeration."""
+    word = sub.reduced_word(y)
+    for positions in itertools.combinations(range(len(word)), sub.length(x)):
+        if sub.from_word([word[p] for p in positions]) == x:
             return True
     return x == y
 
@@ -72,24 +101,43 @@ def test_conjugated_translation_a1(wg_a1):
     assert x == wg.translation((-1,))
 
 
-def test_s0_identity(wg):
-    # s_theta * s_0 = t_{-theta^vee}
+def test_s0_identity(wg, sub):
+    # s_0 is the oracle's affine simple reflection; s_theta * s_0 = t_{-theta^vee}
     theta = wg.datum.theta
+    s0 = simple_affine(wg, 0)
+    assert sub.of(s0) == sub.simple[0]
     s_theta = wg.affine_from_finite(wg.reflection_by_root(theta))
-    assert wg.compose(s_theta, wg.s0) == wg.translation(vec_neg(theta.coroot))
+    assert wg.compose(s_theta, s0) == wg.translation(vec_neg(theta.coroot))
+
+
+def test_compose_matches_oracle(wg, sub):
+    """compose is the product of the affine maps x -> u(x + beta)."""
+    rng = random.Random(6)
+    words = list(sub.finite_words.values())
+
+    def sample():
+        return wg.element(rng.choice(words),
+                          [rng.randint(-3, 3) for _ in range(wg.datum.rank)])
+
+    for _ in range(100):
+        x, y = sample(), sample()
+        assert sub.of(wg.compose(x, y)) == sub.mul(sub.of(x), sub.of(y)), (x, y)
 
 
 def test_associativity_random(wg_a2):
     wg = wg_a2
-    xs = [wg.element([1], (1, 0)), wg.element([2, 1], (0, -1)), wg.s0]
+    xs = [wg.element([1], (1, 0)), wg.element([2, 1], (0, -1)), simple_affine(wg, 0)]
     for a, b, c in itertools.product(xs, repeat=3):
         assert wg.compose(wg.compose(a, b), c) == wg.compose(a, wg.compose(b, c))
 
 
 def test_inverse(wg):
-    x = wg.compose(wg.s0, wg.element([1], tuple([1] * wg.datum.rank)))
-    assert wg.compose(x, wg.inverse(x)) == wg.identity
-    assert wg.compose(wg.inverse(x), x) == wg.identity
+    x = wg.compose(simple_affine(wg, 0), wg.element([1], tuple([1] * wg.datum.rank)))
+    # (u t_beta)^{-1} = u^{-1} t_{-u beta}
+    inv = AffineWeylElement(x.finite.inverse(),
+                            vec_neg(x.finite.act_coweight(x.translation)))
+    assert wg.compose(x, inv) == wg.identity
+    assert wg.compose(inv, x) == wg.identity
 
 
 # ---------------------------------------------------------------------------
@@ -97,46 +145,48 @@ def test_inverse(wg):
 # ---------------------------------------------------------------------------
 
 def test_length_examples_a1(wg_a1):
-    wg = wg_a1
-    assert wg.length_affine(wg.identity) == 0
-    assert wg.length_affine(wg.translation((1,))) == 2
-    assert wg.length_affine(wg.s0) == 1
-    assert wg.length_affine(wg.element([1], (-1,))) == 1  # this is s0
+    wg, sub = wg_a1, Subword("A", 1)
+    assert length(sub, wg.identity) == 0
+    assert length(sub, wg.translation((1,))) == 2
+    assert length(sub, simple_affine(wg, 0)) == 1
+    assert length(sub, wg.element([1], (-1,))) == 1  # this is s0
 
 
 def test_length_dominant_translation_a2(wg_a2):
+    sub = Subword("A", 2)
     # l(t_beta) = sum over positive roots of |<beta, alpha>|; alpha_1^vee is
     # not a dominant coweight in A2 (<alpha_1^vee, alpha_2> = -1), so the
     # length is 2 + 1 + 1 = 4 (confirmed by the brute-force word oracle).
-    assert wg_a2.length_affine(wg_a2.translation((1, 0))) == 4
+    assert length(sub, wg_a2.translation((1, 0))) == 4
     # a genuinely dominant coweight: sum of all positive coroots = 2 rho^vee
-    beta = wg_a2.datum.two_rho_coweight
+    beta = sub.rs.two_rho_coweight
     expected = sum(wg_a2.datum.pairing(beta, wg_a2.datum.root_to_weight(rt.coords))
                    for rt in wg_a2.datum.positive_roots())
-    assert wg_a2.length_affine(wg_a2.translation(beta)) == expected
+    assert length(sub, wg_a2.translation(beta)) == expected
 
 
-def test_length_matches_brute_force(wg):
+def test_length_matches_brute_force(wg, sub):
     r = wg.datum.rank
+    s0 = simple_affine(wg, 0)
     elements = [
         wg.identity,
-        wg.s0,
+        s0,
         wg.translation(tuple([1] + [0] * (r - 1))),
         wg.element([1], tuple([0] * r)),
-        wg.compose(wg.s0, wg.element([1], tuple([0] * r))),
+        wg.compose(s0, wg.element([1], tuple([0] * r))),
         wg.element([1], tuple([-1] * r)),
     ]
     for w in elements:
-        assert wg.length_affine(w) == brute_min_length(wg, w)
+        assert length(sub, w) == brute_min_length(wg, w)
 
 
-def test_simple_multiplication_changes_length_by_one(wg):
+def test_simple_multiplication_changes_length_by_one(wg, sub):
     r = wg.datum.rank
     words = [[], [0], [1], [1, 0], [0, 1, 0]]
     for word in words:
-        w = wg.from_word(word)
+        w = from_word(wg, word)
         for i in range(0, r + 1):
-            diff = wg.length_affine(wg.left_mul_simple(i, w)) - wg.length_affine(w)
+            diff = length(sub, wg.compose(simple_affine(wg, i), w)) - length(sub, w)
             assert diff in (1, -1)
 
 
@@ -145,25 +195,26 @@ def test_simple_multiplication_changes_length_by_one(wg):
 # ---------------------------------------------------------------------------
 
 def test_reduced_word_examples_a1(wg_a1):
-    wg = wg_a1
-    assert reduced_word(wg, wg.identity) == []
-    assert reduced_word(wg, wg.translation((1,))) == [0, 1]
-    assert reduced_word(wg, wg.element([1], (1,))) == [1, 0, 1]
+    wg, sub = wg_a1, Subword("A", 1)
+    assert sub.reduced_word(sub.of(wg.identity)) == []
+    assert sub.reduced_word(sub.of(wg.translation((1,)))) == [0, 1]
+    assert sub.reduced_word(sub.of(wg.element([1], (1,)))) == [1, 0, 1]
 
 
-def test_reduced_word_roundtrip(wg):
+def test_reduced_word_roundtrip(wg, sub):
     r = wg.datum.rank
+    s0 = simple_affine(wg, 0)
     samples = [
-        wg.s0,
+        s0,
         wg.translation(tuple([1] * r)),
         wg.element([1], tuple([0] * r)),
-        wg.compose(wg.translation(tuple([1] * r)), wg.s0),
+        wg.compose(wg.translation(tuple([1] * r)), s0),
         wg.element([1], tuple([-2] + [0] * (r - 1))),
     ]
     for w in samples:
-        word = reduced_word(wg, w)
-        assert len(word) == wg.length_affine(w)
-        assert wg.from_word(word) == w
+        word = sub.reduced_word(sub.of(w))
+        assert len(word) == length(sub, w)
+        assert from_word(wg, word) == w
 
 
 def test_w0_longest(wg):
@@ -177,24 +228,26 @@ def test_w0_longest(wg):
 
 # ---------------------------------------------------------------------------
 # interned finite elements; rho has trivial stabilizer, so its image under
-# RootDatum.weyl_act identifies an element without using weylgroup
+# the oracle's Weyl action identifies an element without using silc
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind,rank,order", [("A", 2, 6), ("B", 2, 8), ("G", 2, 12)])
 def test_reduced_word_finite_is_lexicographically_smallest(kind, rank, order):
     datum = root_datum(kind, rank)
     wg = weyl_group(datum)
+    rs = oracle.RootSystem(kind, rank)
+    assert rs.A == datum.cartan.entries
     # all words by length, then lexicographically: the first word reaching
     # an image is the smallest reduced word of that element
     words = [()] + [w for k in range(1, len(datum.positive_roots()) + 1)
                     for w in itertools.product(range(1, rank + 1), repeat=k)]
     smallest = {}
     for word in words:
-        smallest.setdefault(datum.weyl_act(word, datum.rho), list(word))
+        smallest.setdefault(rs.act_word(word, datum.rho), list(word))
     assert len(smallest) == order
     for word in words:
         u = wg.finite_from_word(word)
-        image = datum.weyl_act(word, datum.rho)
+        image = rs.act_word(word, datum.rho)
         assert u.act_weight(datum.rho) == image
         assert wg.reduced_word_finite(u) == smallest[image], word
 
@@ -204,7 +257,7 @@ def test_e8_w0_reduced_word():
     wg = weyl_group(datum)
     word = wg.reduced_word_finite(wg.w0)
     assert len(word) == 120
-    assert datum.weyl_act(word, datum.rho) == vec_neg(datum.rho)
+    assert oracle.RootSystem("E", 8).act_word(word, datum.rho) == vec_neg(datum.rho)
 
 
 def test_finite_elements_are_interned(wg_a2):
@@ -221,53 +274,49 @@ def test_finite_elements_are_interned(wg_a2):
 # ---------------------------------------------------------------------------
 
 def box_elements(wg, max_len):
-    gens = list(range(0, wg.datum.rank + 1))
-    frontier = {wg.identity.key(): wg.identity}
-    seen = dict(frontier)
+    """The elements of length <= max_len, by right multiplication."""
+    seen = frontier = {wg.identity}
     for _ in range(max_len):
-        nxt = {}
-        for x in frontier.values():
-            for i in gens:
-                y = wg.right_mul_simple(x, i)
-                if y.key() not in seen:
-                    seen[y.key()] = y
-                    nxt[y.key()] = y
-        frontier = nxt
-    return list(seen.values())
+        frontier = {wg.compose(x, simple_affine(wg, i))
+                    for x in frontier for i in range(wg.datum.rank + 1)} - seen
+        seen = seen | frontier
+    return list(seen)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2)])
 def test_bruhat_matches_subword_oracle(kind, rank):
+    """The memoized subword search equals exhaustive subword enumeration."""
     wg = weyl_group(root_datum(kind, rank))
-    elems = box_elements(wg, 4 if rank == 2 else 6)
+    sub = Subword(kind, rank)
+    elems = [sub.of(x) for x in box_elements(wg, 4 if rank == 2 else 6)]
     for x in elems:
         for y in elems:
-            assert wg.bruhat_le(x, y) == subword_le(wg, x, y), (x, y)
+            assert sub.bruhat_le(x, y) == subword_le(sub, x, y), (x, y)
 
 
 def test_bruhat_examples_a1(wg_a1):
-    wg = wg_a1
-    assert wg.bruhat_le(wg.identity, wg.translation((1,)))
-    assert not wg.bruhat_le(wg.s0, wg.affine_from_finite(wg.finite_from_word([1])))
-    x = wg.element([1], (2, ) * 0 + (2,))
-    assert wg.bruhat_le(x, x)
+    wg, sub = wg_a1, Subword("A", 1)
+    assert sub.bruhat_le(sub.of(wg.identity), sub.of(wg.translation((1,))))
+    assert not sub.bruhat_le(sub.simple[0], sub.of(wg.element([1], (0,))))
+    x = sub.of(wg.element([1], (2,)))
+    assert sub.bruhat_le(x, x)
 
 
 def test_bruhat_partial_order_a2(wg_a2):
-    wg = wg_a2
-    elems = box_elements(wg, 3)
-    le = {(x.key(), y.key()): wg.bruhat_le(x, y) for x in elems for y in elems}
+    sub = Subword("A", 2)
+    elems = [sub.of(x) for x in box_elements(wg_a2, 3)]
+    le = {(x, y): sub.bruhat_le(x, y) for x in elems for y in elems}
     for x in elems:
         for y in elems:
-            if le[(x.key(), y.key())] and le[(y.key(), x.key())]:
+            if le[(x, y)] and le[(y, x)]:
                 assert x == y
     for x in elems:
         for y in elems:
-            if not le[(x.key(), y.key())]:
+            if not le[(x, y)]:
                 continue
             for z in elems:
-                if le[(y.key(), z.key())]:
-                    assert le[(x.key(), z.key())]
+                if le[(y, z)]:
+                    assert le[(x, z)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +340,7 @@ def _all_finite(wg):
 
 def test_serialization_roundtrip(wg):
     r = wg.datum.rank
-    samples = [wg.identity, wg.s0, wg.element([1], tuple([2] * r))]
+    samples = [wg.identity, simple_affine(wg, 0), wg.element([1], tuple([2] * r))]
     for w in samples:
         assert wg.from_json(wg.to_json(w)) == w
         assert wg.parse(wg.format(w)) == w
@@ -307,11 +356,11 @@ def test_parse_grammar(wg_a1):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_length_subadditive(data):
-    wg = weyl_group(root_datum(*data.draw(st.sampled_from([("A", 1), ("A", 2)]))))
-    r = wg.datum.rank
-    w1 = data.draw(st.lists(st.integers(0, r), max_size=5))
-    w2 = data.draw(st.lists(st.integers(0, r), max_size=5))
-    x, y = wg.from_word(w1), wg.from_word(w2)
-    lxy = wg.length_affine(wg.compose(x, y))
-    assert lxy <= wg.length_affine(x) + wg.length_affine(y)
-    assert (lxy - wg.length_affine(x) - wg.length_affine(y)) % 2 == 0
+    kind, rank = data.draw(st.sampled_from([("A", 1), ("A", 2)]))
+    wg, sub = weyl_group(root_datum(kind, rank)), Subword(kind, rank)
+    w1 = data.draw(st.lists(st.integers(0, rank), max_size=5))
+    w2 = data.draw(st.lists(st.integers(0, rank), max_size=5))
+    x, y = from_word(wg, w1), from_word(wg, w2)
+    lxy = length(sub, wg.compose(x, y))
+    assert lxy <= length(sub, x) + length(sub, y)
+    assert (lxy - length(sub, x) - length(sub, y)) % 2 == 0
