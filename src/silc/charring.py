@@ -104,9 +104,6 @@ class GradedCharacter:
         """Specialization q -> 1, e^mu -> 1 (sum of all coefficients)."""
         return sum(c for _, c in self.terms)
 
-    def q_layer(self, q) -> dict:
-        return {wt: c for (qq, wt), c in self.terms if qq == q}
-
     def nonnegative(self) -> bool:
         return all(c >= 0 for _, c in self.terms)
 

@@ -20,10 +20,10 @@ import sys
 import click
 
 from . import cache as cachemod
-from .charring import (CharacterError, GradedCharacter, demazure_word,
-                       gch_global_weyl, weyl_character)
+from .charring import (FULL_WINDOW, CharacterError, GradedCharacter,
+                       demazure_word, gch_global_weyl, weyl_character)
 from .pieri import (InconsistencyError, WindowExhaustedError, compute_pieri,
-                    h0_dimension, smt_character)
+                    smt_character)
 from .quasimap import (DPData, EmptyRichardsonError, QuasimapError,
                        defect_divisor, dim_parabolic, dim_richardson, evaluate,
                        validate_dp)
@@ -323,10 +323,10 @@ def pieri_cmd(datum, w, lam, window, depth):
               help="qbar-window for the reported character (default: full)")
 @click.option("--depth", type=int, default=None)
 def h0_cmd(datum, v, w, lam, window, depth):
-    payload = {"dim": h0_dimension(datum, v, w, lam, depth=depth)}
+    full = smt_character(datum, v, w, lam, FULL_WINDOW, depth)
+    payload = {"dim": full.total()}
     if window is not None:
-        payload["character"] = smt_character(datum, v, w, lam, window,
-                                             depth).to_json()
+        payload["character"] = full.truncate(window).to_json()
     return payload
 
 

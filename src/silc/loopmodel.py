@@ -12,9 +12,16 @@ passes richardson_blocks a memo of upward closures and drops it when done;
 this module keeps no closures of its own.
 
 Monomial basis: a slot is (subset, z_exp) with subset a sorted tuple encoding
-a wedge basis vector; a monomial is a tuple of slots.  All vectors are
-homogeneous in (total z-degree, total weight), so the linear algebra runs in
-small independent blocks.
+a wedge basis vector.  The current algebra acts by derivations, so the module
+of an extremal vector stays inside the symmetric tensors tensor_i
+Sym^{m_i}(Lambda^i tensor K[z, 1/z]); a monomial is a sorted tuple of slots M
+and stands for the sum of its distinct orderings (slots of different varpi_i
+differ in subset size, so one global sort suffices).  An operator acts once on
+each distinct slot s of M: if it sends s to sign * s', it adds
+sign * mult_{M'}(s') to M' = sorted(M - s + s'), which keeps the arithmetic in
+the integers and every dimension as in the full tensor product.  All vectors
+are homogeneous in (total z-degree, total weight), so the linear algebra runs
+in small independent blocks.
 """
 
 from __future__ import annotations
@@ -142,18 +149,14 @@ def monomial_data(monomial, rank):
     return d, wt
 
 
-def span_closure(rank, seeds, ops, d_ok):
-    """Close the span of the seeds under the operators; returns a BlockSpan."""
+def span_closure(rank, seed, ops, d_ok):
+    """Close the span of a sorted seed monomial under the operators (each a
+    derivation of the symmetric tensor algebra); returns a BlockSpan."""
     span = BlockSpan()
     work = deque()
-    for vec in seeds:
-        lead = next(iter(vec))
-        d, wt = monomial_data(lead, rank)
-        if not d_ok(d):
-            continue
-        inserted = span.insert((d, wt), vec)
-        if inserted is not None:
-            work.append(((d, wt), inserted))
+    key = monomial_data(seed, rank)
+    if d_ok(key[0]):
+        work.append((key, span.insert(key, {seed: 1})))
     # per-operator caches: slot action table and the fixed (degree, weight)
     # shift, so block keys propagate without re-deriving them per monomial
     eps = [subset_weight((i,), rank) for i in range(1, rank + 2)]
@@ -171,18 +174,21 @@ def span_closure(rank, seeds, ops, d_ok):
             out = {}
             get_hit = table.get
             for monomial, coeff in vec.items():
-                for slot_idx in range(len(monomial)):
-                    subset, z = monomial[slot_idx]
+                for i, slot in enumerate(monomial):
+                    if i and slot == monomial[i - 1]:
+                        continue  # act once on each distinct slot
+                    subset, z = slot
                     hit = get_hit(subset, 0)
                     if hit == 0:
-                        hit = matrix_unit(a, b, subset)
-                        table[subset] = hit
+                        hit = table[subset] = matrix_unit(a, b, subset)
                     if hit is None:
                         continue
                     sign, new_subset = hit
-                    new_mono = (monomial[:slot_idx] + ((new_subset, z + k),)
-                                + monomial[slot_idx + 1:])
-                    nc = out.get(new_mono, 0) + sign * coeff
+                    new_slot = (new_subset, z + k)
+                    new_mono = tuple(sorted(
+                        monomial[:i] + (new_slot,) + monomial[i + 1:]))
+                    nc = (out.get(new_mono, 0)
+                          + sign * coeff * new_mono.count(new_slot))
                     if nc:
                         out[new_mono] = nc
                     elif new_mono in out:
@@ -222,22 +228,12 @@ def lowering_ops(rank):
 # extremal seeds and module characters
 # ---------------------------------------------------------------------------
 
-def slot_layout(lam):
-    """Slot list for lambda = sum m_i varpi_i: fundamental index per slot."""
-    slots = []
-    for i, m in enumerate(lam, start=1):
-        slots.extend([i] * m)
-    return slots
-
-
 def extremal_monomial(wg, u: FiniteWeylElement, beta, lam):
-    """Monomial of the extremal vector of u * t_beta in the tensor model."""
+    """Sorted monomial of the extremal vector of u * t_beta: for
+    lambda = sum m_i varpi_i, m_i equal slots u(1..i) z^{-beta_i}."""
     perm = permutation_of(wg, u)
-    slots = []
-    for i in slot_layout(lam):
-        subset = tuple(sorted(perm[j - 1] for j in range(1, i + 1)))
-        slots.append((subset, -beta[i - 1]))
-    return tuple(slots)
+    return tuple(sorted((tuple(sorted(perm[:i])), -beta[i - 1])
+                        for i, m in enumerate(lam, start=1) for _ in range(m)))
 
 
 def schubert_blocks(datum: RootDatum, ufin: FiniteWeylElement, beta, lam, d_max):
@@ -257,7 +253,7 @@ def schubert_blocks(datum: RootDatum, ufin: FiniteWeylElement, beta, lam, d_max)
         return {}
     wg = weyl_group(datum)
     seed = extremal_monomial(wg, ufin, tuple(beta), lam)
-    span = span_closure(rank, [{seed: 1}], raising_ops(rank),
+    span = span_closure(rank, seed, raising_ops(rank),
                         lambda d: d_ext <= d < d_max)
     return span.dims()
 
@@ -293,13 +289,11 @@ def richardson_blocks(datum: RootDatum, v, w, lam, spans, reach):
     key = (uw, bw, lam, d_top)
     span_up = spans.get(key)
     if span_up is None:
-        seed_up = {extremal_monomial(wg, uw, bw, lam): 1}
         span_up = spans[key] = span_closure(
-            rank, [seed_up], raising_ops(rank), lambda d: d_low <= d <= d_top)
-
-    seed_down = {extremal_monomial(wg, uv, bv, lam): 1}
-    span_down = span_closure(rank, [seed_down], lowering_ops(rank),
-                             lambda d: d_low <= d <= d_high)
+            rank, extremal_monomial(wg, uw, bw, lam), raising_ops(rank),
+            lambda d: d_low <= d <= d_top)
+    span_down = span_closure(rank, extremal_monomial(wg, uv, bv, lam),
+                             lowering_ops(rank), lambda d: d_low <= d <= d_high)
 
     out = {}
     keys = set(span_up.blocks) & set(span_down.blocks)

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 import oracle
 from jobspecs import JOBSPECS
+from qlayer import q_layer
 from qm_random import random_dp
 from subword import Subword
 
@@ -56,6 +57,14 @@ def test_projective_space_section_counts(a1, wg_a1):
             got = h0_dimension(a1, v, wg_a1.identity, (m,))
             assert got == math.comb(2 * d + 1 + m, m), (d, m, got)
     assert time.monotonic() - start < 60
+
+
+@pytest.mark.parametrize("d,m", [(4, 3), (3, 4)])
+def test_section_counts_with_many_equal_slots(a1, wg_a1, d, m):
+    """The same closed form where the twist puts m equal slots in the seed."""
+    v = wg_a1.element([1], (d,))
+    assert (h0_dimension(a1, v, wg_a1.identity, (m,))
+            == oracle.h0_closed_form(d, m))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +141,8 @@ def test_section_restriction_tower(a1, wg_a1, so_a1, wword, lam):
     got = chars[deepest.key()]
     for k in range(*window):
         # the sections in degree k are the dual of the module's q^k layer
-        assert got.q_layer(k) == {vec_neg(wt): c
-                                  for wt, c in full.q_layer(k).items()}, k
+        assert q_layer(got, k) == {vec_neg(wt): c
+                                   for wt, c in q_layer(full, k).items()}, k
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from silc import loopmodel
 from silc.cli import main
 
 
@@ -31,6 +32,20 @@ def test_h0_example(runner):
                           "--lam", "1"])
     assert res.exit_code == 0
     assert json.loads(res.stdout) == {"dim": 4}
+
+
+def test_h0_window_computes_the_character_once(runner, monkeypatch):
+    calls = []
+    blocks = loopmodel.richardson_blocks
+    monkeypatch.setattr(loopmodel, "richardson_blocks",
+                        lambda *args: calls.append(args) or blocks(*args))
+    res = invoke(runner, ["h0", "--rank", "1", "--v", "1@1", "--w", "e@0",
+                          "--lam", "1", "--window", "0:100", "--no-cache"])
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    terms = payload["character"]["terms"]
+    assert payload["dim"] == 4 == sum(t["c"] for t in terms)
+    assert len(calls) == 1
 
 
 def test_malformed_coordinates_usage_error(runner):

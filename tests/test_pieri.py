@@ -3,6 +3,7 @@
 import gc
 
 import pytest
+from qlayer import q_layer
 
 from silc import loopmodel, pieri
 from silc.charring import (
@@ -233,8 +234,8 @@ def test_exhaustion_matches_global_module(a1, wg_a1):
     got = smt_character(a1, v, e, lam, window)
     # qbar-layer k of the sections matches the negated q-layer k of the module
     for k in range(*window):
-        sections = got.q_layer(k)
-        module = {vec_neg(wt): c for wt, c in full.q_layer(k).items()}
+        sections = q_layer(got, k)
+        module = {vec_neg(wt): c for wt, c in q_layer(full, k).items()}
         assert sections == module
 
 
@@ -260,5 +261,5 @@ def test_schubert_sections_match_global_weyl_dual(a1, wg_a1):
     sec = schubert_section_character(a1, wg_a1.identity, lam, 3)
     full = gch_global_weyl(a1, wg_a1.affine_from_finite(wg_a1.w0), lam, (0, 3))
     for k in range(3):
-        assert sec.q_layer(k) == {vec_neg(wt): c
-                                  for wt, c in full.q_layer(k).items()}
+        assert q_layer(sec, k) == {vec_neg(wt): c
+                                   for wt, c in q_layer(full, k).items()}

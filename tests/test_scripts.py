@@ -31,3 +31,13 @@ def test_twist_table_sweep_is_translation_invariant(monkeypatch, capsys):
     assert [row[0] for row in rows] == ["1@-1", "e@-1", "1@0", "e@0", "1@1", "e@1"]
     # support and mass per finite part, the same at every translation
     assert [row[1:3] for row in rows] == [["3", "3"], ["4", "4"]] * 3
+
+
+def test_goldens_check_passes_and_writes_nothing(monkeypatch, capsys, tmp_path):
+    golden = SCRIPTS.parent / "tests" / "golden"
+    before = {p.name: p.stat().st_mtime_ns for p in golden.iterdir()}
+    monkeypatch.setenv("SILC_CACHE", str(tmp_path / "cache"))
+    lines = run_script(monkeypatch, capsys, "make_goldens.py", "--check")
+    assert lines[-1].endswith("goldens match")
+    assert not any(line.startswith("differs") for line in lines)
+    assert {p.name: p.stat().st_mtime_ns for p in golden.iterdir()} == before
