@@ -8,9 +8,24 @@ qbar-degree 0; weights are the (negated) weights of the underlying module.
 With this convention the coefficient table entry at u = w is the single
 monomial of weight -w w0 lambda at degree 0.
 
+The Richardson section character R(v, u; mu), anchored at u, is exact for
+strictly dominant (or zero) mu.  The twist coefficients a^u_w(lambda) of
+every dominant lambda solve one relation,
+
+    R(v, w; lambda+mu) = sum over u in [v, w] of
+                         a^u_w(lambda) * R(v, u; mu) * qbar^{c_u(mu)},
+
+where c_u(mu) is the extremal mu-degree of u relative to w.  For strictly
+dominant lambda, mu = 0 and the relation is plain inclusion-exclusion.
+Otherwise mu = rho: expanding the (lambda+rho)-twist by the rho-twist gives
+a^v'_w(lambda+rho) = sum over u in [v', w] of a^u_w(lambda) a^v'_u(rho)
+qbar^{c_u(rho)}; sum it over v' in [v, w] and swap the sums.  The diagonal
+term R(v, v; mu) is the monomial e^{-v w0 mu}, so a^v_w(lambda) follows by
+back-substitution from w downward.
+
 Verified coefficients are memoized per datum and normalized table request.
-The work inside one table, its coefficients and the upward closures of its
-Richardson tops, lives in a memo that is dropped with the table.
+The work inside one table, its Richardson characters and the upward
+closures of their tops, lives in a memo that is dropped with the table.
 """
 
 from __future__ import annotations
@@ -33,12 +48,13 @@ class InconsistencyError(RuntimeError):
     """The re-verification of the twist identity for a second weight failed."""
 
 
-def _xw_data(datum, w, lam):
-    """(finite part, translation, extremal degree) of w * w0 against lam."""
+def _extremal(datum, w, lam):
+    """(w * w0, qbar-degree, weight) of the extremal section e^{-w w0 lam}
+    of w, the degree absolute."""
     wg = weyl_group(datum)
     x = wg.compose(w, wg.affine_from_finite(wg.w0))
-    d_ext = -sum(b * l for b, l in zip(x.translation, lam))
-    return x.finite, x.translation, d_ext
+    return (x, -sum(b * l for b, l in zip(x.translation, lam)),
+            vec_neg(x.finite.act_weight(lam)))
 
 
 def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
@@ -60,12 +76,10 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
     if not so.si_le(v, w):
         return GradedCharacter.zero(window)
     if datum.is_strictly_dominant(lam) or sum(lam) == 0:
-        return _richardson_character(datum, v, w, lam, _TableMemo(0)).truncate(window)
+        return _richardson(datum, v, w, lam, _TableMemo(0)).truncate(window)
     # non-regular twists fall outside the Demazure-intersection description;
     # sum the twist coefficients over the interval instead
-    _, _, d_v = _xw_data(datum, v, lam)
-    _, _, d_w = _xw_data(datum, w, lam)
-    q_hi = d_v - d_w + 1
+    q_hi = _extremal(datum, v, lam)[1] - _extremal(datum, w, lam)[1] + 1
     depth_eff = depth if depth is not None else _shell(v, w) + 2
     table = compute_pieri(datum, w, lam, (0, q_hi), max(depth_eff, 2))
     total = GradedCharacter.zero(FULL_WINDOW)
@@ -87,27 +101,38 @@ def h0_dimension(datum: RootDatum, v, w, lam, depth=None) -> int:
 class _TableMemo:
     """Work shared by the coefficients of one table, dropped with it.
 
-    coefficients maps (x, top, mu) to the anchored a^x_top(mu); spans holds
-    the upward closures of Richardson tops (see loopmodel.richardson_blocks).
-    Every bottom of a table lies within depth translation steps of its top,
-    so a closure depth * sum(mu) degrees deep serves all of them.
+    characters maps (v, top, mu) to the anchored R(v, top; mu), with top
+    moved to its finite part; spans holds the upward closures of Richardson
+    tops (see loopmodel.richardson_blocks).  Every bottom of a table lies
+    within depth translation steps of its top, so a closure depth * sum(mu)
+    degrees deep serves all of them.
     """
 
     def __init__(self, depth):
         self.depth = depth
-        self.coefficients = {}
+        self.characters = {}
         self.spans = {}
 
 
-def _richardson_character(datum, v, w, lam, memo):
-    """Section character of the Richardson variety of v <= w for strictly
-    dominant (or zero) lam, anchored at w, unwindowed."""
-    _, _, d_w = _xw_data(datum, w, lam)
-    blocks = loopmodel.richardson_blocks(datum, v, w, lam, memo.spans,
-                                         memo.depth * sum(lam))
-    return GradedCharacter.make(
-        {(d - d_w, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
-        FULL_WINDOW)
+def _richardson(datum, v, top, mu, memo):
+    """R(v, top; mu), the section character of the Richardson variety of
+    v <= top for strictly dominant (or zero) mu, anchored at top, unwindowed.
+
+    Anchored characters are equivariant under right translation, so top is
+    moved to its finite part and one memo entry serves every top of a coset.
+    """
+    v = AffineWeylElement(v.finite, vec_sub(v.translation, top.translation))
+    top = AffineWeylElement(top.finite, (0,) * datum.rank)
+    key = (v, top, mu)
+    got = memo.characters.get(key)
+    if got is None:
+        d_top = _extremal(datum, top, mu)[1]
+        blocks = loopmodel.richardson_blocks(datum, v, top, mu, memo.spans,
+                                             memo.depth * sum(mu))
+        got = memo.characters[key] = GradedCharacter.make(
+            {(d - d_top, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
+            FULL_WINDOW)
+    return got
 
 
 def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
@@ -118,8 +143,9 @@ def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
     module term (d', wt) of the global Weyl character of u*w0.
     """
     lam = tuple(lam)
-    ufin, beta, d_ext = _xw_data(datum, u, lam)
-    blocks = loopmodel.schubert_blocks(datum, ufin, beta, lam, qbar_max)
+    x, d_ext, _ = _extremal(datum, u, lam)
+    blocks = loopmodel.schubert_blocks(datum, x.finite, x.translation, lam,
+                                       qbar_max)
     return GradedCharacter.make(
         {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
         (min(0, d_ext), qbar_max))
@@ -168,77 +194,34 @@ def _candidates_below(so, w, depth):
             for u in sorted(level, key=AffineWeylElement.key)]
 
 
-def _strict_coefficient(datum, x, top, mu, memo):
-    """a^x_top(mu) for x <= top and strictly dominant mu, by inclusion-
-    exclusion over semi-infinite intervals.
-
-    For strictly dominant mu the section character of the Richardson variety
-    of [x, top] is the exact Demazure-module intersection and equals the sum
-    of a^y_top(mu) over x <= y <= top.  Anchored coefficients are equivariant
-    under right translation, so top is moved to its finite part and the memo
-    entries serve every top of one coset.
-    """
-    x = AffineWeylElement(x.finite, vec_sub(x.translation, top.translation))
-    top = AffineWeylElement(top.finite, (0,) * datum.rank)
-    key = (x, top, mu)
-    got = memo.coefficients.get(key)
-    if got is None:
-        got = _richardson_character(datum, x, top, mu, memo)
-        for y in si_order(datum).si_interval(x, top):
-            if y != x:
-                got = got - _strict_coefficient(datum, y, top, mu, memo)
-        memo.coefficients[key] = got
-    return got
-
-
-def _degenerate_coefficients(datum, w, lam, candidates, memo):
-    """a^u for non-regular lam, by peeling one strictly dominant step.
-
-    The Demazure-module intersection describes Richardson section spaces only
-    for strictly dominant twists, so the inclusion-exclusion route is not
-    available directly.  Expanding the section character of the (lam+rho+mu)-
-    twist in two ways and matching the mu-expansion gives the exact anchored
-    relation
-
-        a^v_w(lam+rho) = sum over u in [v, w] of
-                         a^u_w(lam) * a^v_u(rho) * qbar^{c_u(rho)},
-
-    where c_u(rho) is the extremal rho-degree of u relative to w.  Both outer
-    tables are strictly dominant, hence exact, and a^v_v(rho) is the single
-    invertible monomial e^{-v w0 rho}, so the relation solves for a^v_w(lam)
-    by back-substitution from w downward.  The result is still re-verified
-    against the product identity for two strictly dominant weights.
+def _solve(datum, w, lam, candidates, memo):
+    """a^v_w(lam) for every v in candidates, which list each element after
+    those above it, by back-substitution in the relation of the module
+    docstring.  With mu = 0 the kernel R(v, u; 0) qbar^{c_u(0)} is 1, so
+    neither its product nor the division by the diagonal term is made.
     """
     so = si_order(datum)
-    rho = datum.rho
-    lam_rho = vec_add(lam, rho)
-
-    def c_rho(u):
-        _, _, d_u = _xw_data(datum, u, rho)
-        _, _, d_base = _xw_data(datum, w, rho)
-        return d_u - d_base
-
+    mu = (0,) * datum.rank if datum.is_strictly_dominant(lam) else datum.rho
+    d_w = _extremal(datum, w, mu)[1]
     out = {}
     for v in candidates:
-        val = _strict_coefficient(datum, v, w, lam_rho, memo)
+        val = _richardson(datum, v, w, vec_add(lam, mu), memo)
         for u in so.si_interval(v, w):
-            if u == v:
-                continue
-            a_u = out.get(u)
+            a_u = out.get(u)  # None at u == v, which is being solved
             if a_u is None or a_u.is_zero():
                 continue
-            pair = _strict_coefficient(datum, v, u, rho, memo)
-            if pair.is_zero():
-                continue
-            val = val - (a_u * pair).shift_q(c_rho(u))
-        # divide by the extremal monomial a^v_v(rho) = e^{-v w0 rho} at c_v
-        inv = GradedCharacter.monomial(-c_rho(v), vec_neg(_base_weight(datum, v, rho)))
-        val = (val.truncate(FULL_WINDOW) * inv).truncate(FULL_WINDOW)
+            if any(mu):
+                a_u = (a_u * _richardson(datum, v, u, mu, memo)).shift_q(
+                    _extremal(datum, u, mu)[1] - d_w)
+            val = val - a_u
+        if any(mu):
+            # divide by the diagonal term R(v, v; mu) qbar^{c_v} = e^{-v w0 mu} qbar^{c_v}
+            _, d_v, wt_v = _extremal(datum, v, mu)
+            inv = GradedCharacter.monomial(d_w - d_v, vec_neg(wt_v))
+            val = (val.truncate(FULL_WINDOW) * inv).truncate(FULL_WINDOW)
         if any(q < 0 for (q, _), _ in val.terms):
-            raise InconsistencyError(
-                "negative qbar-degree while peeling the rho-step; "
-                "the explored depth is inconsistent"
-            )
+            raise InconsistencyError("negative qbar-degree in a twist "
+                                     "coefficient; the explored depth is inconsistent")
         out[v] = val
     return out
 
@@ -247,14 +230,14 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
                   depth: int, verify_weights=None) -> PieriTable:
     """Twist coefficients a^u_w(lambda) for all u within the window.
 
-    For strictly dominant lambda the coefficients come from inclusion-
-    exclusion over semi-infinite intervals of exact Richardson section
-    characters; otherwise they are solved from the product identity with the
-    probe weight rho.  Either way the coefficients on qbar-degrees [0, hi)
-    are re-verified against the product identity for the strictly dominant
-    weights in verify_weights (default rho and 2*rho), completeness across
-    the explored box is certified by two outermost shells of vanishing
-    coefficients, and only then is the table cut to the window [lo, hi).
+    The coefficients of every u within depth translation steps below w are
+    solved from the relation of the module docstring, with mu = 0 for
+    strictly dominant lambda and mu = rho otherwise.  The coefficients on
+    qbar-degrees [0, hi) are then re-verified against the product identity
+    for the strictly dominant weights in verify_weights (default rho and
+    2*rho), completeness across the explored box is certified by two
+    outermost shells of vanishing coefficients, and only then is the table
+    cut to the window [lo, hi).
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -273,7 +256,7 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
     cut = ((u, a.truncate(window)) for u, a in coeffs)
     return PieriTable(w, lam, window,
                       tuple((u, a) for u, a in cut if not a.is_zero()),
-                      _xw_data(datum, w, lam)[2])
+                      _extremal(datum, w, lam)[1])
 
 
 @lru_cache(maxsize=None)
@@ -293,14 +276,9 @@ def _coefficients(datum, w, lam, q_hi, depth, verify_weights):
         if depth < 2:
             raise WindowExhaustedError("depth must be at least 2 to certify the window")
         candidates = _candidates_below(si_order(datum), w, depth)
-        memo = _TableMemo(depth)
-        if datum.is_strictly_dominant(lam):
-            full = {u: _strict_coefficient(datum, u, w, lam, memo) for u in candidates}
-        else:
-            full = _degenerate_coefficients(datum, w, lam, candidates, memo)
-
+        full = _solve(datum, w, lam, candidates, _TableMemo(depth))
         base = full[w]
-        expected = GradedCharacter.monomial(0, _base_weight(datum, w, lam))
+        expected = GradedCharacter.monomial(0, _extremal(datum, w, lam)[2])
         if dict(base.terms) != dict(expected.terms):
             raise InconsistencyError(
                 f"base coefficient {dict(base.terms)} is not the extremal monomial"
@@ -325,13 +303,6 @@ def _coefficients(datum, w, lam, q_hi, depth, verify_weights):
     return coeffs
 
 
-def _base_weight(datum, w, lam):
-    """-w w0 lambda, the weight of the extremal section of the base element."""
-    wg = weyl_group(datum)
-    x = wg.compose(w, wg.affine_from_finite(wg.w0))
-    return vec_neg(x.finite.act_weight(lam))
-
-
 def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
     """Check the product identity for the twist by mu on qbar-degrees
     [0, q_height), given every nonzero coefficient a^u_w(lam) there.
@@ -342,10 +313,9 @@ def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
     if not datum.is_strictly_dominant(mu):
         raise CharacterError(f"verification weight {mu} must be strictly dominant")
     lam_mu = vec_add(lam, mu)
-    _, _, d_w_lam = _xw_data(datum, w, lam)
-    _, _, d_w_lam_mu = _xw_data(datum, w, lam_mu)
-    abs_lo = d_w_lam_mu
-    abs_hi = d_w_lam_mu + q_height
+    d_w_lam = _extremal(datum, w, lam)[1]
+    abs_lo = _extremal(datum, w, lam_mu)[1]
+    abs_hi = abs_lo + q_height
     check_window = (abs_lo, abs_hi)
 
     lhs = schubert_section_character(datum, w, lam_mu, abs_hi).truncate(check_window)

@@ -143,6 +143,8 @@ class DPData:
         if not isinstance(obj, dict):
             raise QuasimapError("data must be a JSON object")
         rank = obj["rank"]
+        if type(rank) is not int or rank not in (1, 2):
+            raise QuasimapError(f"rank {rank!r} not supported (1 or 2 only)")
         comps = [None] * rank
         for entry in obj["components"]:
             i = entry["weight"]
@@ -276,15 +278,8 @@ def saturate(data: DPData) -> DPData:
     comps = []
     for i in range(data.rank):
         g = _component_gcd(data.components[i])
-        vec = []
-        for coeffs in data.components[i]:
-            if not coeffs:
-                vec.append(())
-                continue
-            q = _poly(coeffs).div(g)[0]
-            out = [Fraction(str(c)) for c in reversed(q.all_coeffs())]
-            vec.append(tuple(out))
-        comps.append(tuple(vec))
+        comps.append(tuple(_coeff_tuple(_poly(coeffs).div(g)[0])
+                           for coeffs in data.components[i]))
     return DPData(data.rank, tuple(comps), data.degrees)
 
 

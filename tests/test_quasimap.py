@@ -64,6 +64,12 @@ def test_zero_component_rejected():
         DPData.make(1, (((0,), (0,)),), (1,))
 
 
+def test_json_rank_checked_before_components():
+    data = {"rank": 3, "components": None, "degrees": [1, 1, 1]}
+    with pytest.raises(QuasimapError, match="rank 3 not supported"):
+        DPData.from_json(data)
+
+
 def test_json_round_trip():
     data = DPData.make(
         1, ((tuple(Fraction(x) for x in ("1/2", "-2")), (0, 1)),), (1,)
