@@ -20,8 +20,8 @@ import sys
 import click
 
 from . import cache as cachemod
-from .charring import (FULL_WINDOW, CharacterError, GradedCharacter,
-                       demazure_word, gch_global_weyl, weyl_character)
+from .charring import (CharacterError, GradedCharacter, demazure_word,
+                       gch_global_weyl, weyl_character)
 from .pieri import (InconsistencyError, WindowExhaustedError, compute_pieri,
                     smt_character)
 from .quasimap import (DPData, EmptyRichardsonError, QuasimapError,
@@ -70,7 +70,8 @@ class Parsed(click.ParamType):
 
 
 def _ints(text):
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
+    """Comma-separated integers, every letter nonempty; blank text is ()."""
+    return tuple(int(t) for t in text.split(",")) if text.strip() else ()
 
 
 def _vector(datum, text):
@@ -321,9 +322,8 @@ def pieri_cmd(datum, w, lam, window, depth):
 @click.option("--lam", type=VECTOR, required=True)
 @click.option("--window", type=WINDOW, default=None,
               help="qbar-window for the reported character (default: full)")
-@click.option("--depth", type=int, default=None)
-def h0_cmd(datum, v, w, lam, window, depth):
-    full = smt_character(datum, v, w, lam, FULL_WINDOW, depth)
+def h0_cmd(datum, v, w, lam, window):
+    full = smt_character(datum, v, w, lam)
     payload = {"dim": full.total()}
     if window is not None:
         payload["character"] = full.truncate(window).to_json()

@@ -27,7 +27,6 @@ in small independent blocks.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from math import gcd
 
 from .rootdata import RootDataError, RootDatum, vec_add
@@ -65,9 +64,7 @@ def subset_weight(subset, rank):
 
 
 def matrix_unit(a, b, subset):
-    """E_{ab} on a wedge subset: returns (sign, new_subset) or None."""
-    if a == b:
-        return (1, subset) if a in subset else None
+    """E_{ab}, a != b, on a wedge subset: returns (sign, new_subset) or None."""
     if b not in subset or a in subset:
         return None
     lo, hi = (a, b) if a < b else (b, a)
@@ -150,8 +147,9 @@ def monomial_data(monomial, rank):
 
 
 def span_closure(rank, seed, ops, d_ok):
-    """Close the span of a sorted seed monomial under the operators (each a
-    derivation of the symmetric tensor algebra); returns a BlockSpan."""
+    """Close the span of a sorted seed monomial under the operators, each a
+    triple (a, b, k) for E_{ab} z^k acting as a derivation of the symmetric
+    tensor algebra; returns a BlockSpan."""
     span = BlockSpan()
     work = deque()
     key = monomial_data(seed, rank)
@@ -161,8 +159,7 @@ def span_closure(rank, seed, ops, d_ok):
     # shift, so block keys propagate without re-deriving them per monomial
     eps = [subset_weight((i,), rank) for i in range(1, rank + 2)]
     tables = []
-    for op in ops:
-        _, a, b, k = op
+    for a, b, k in ops:
         shift = tuple(x - y for x, y in zip(eps[a - 1], eps[b - 1]))
         tables.append((a, b, k, shift, {}))
     while work:
@@ -215,13 +212,13 @@ def raising_ops(rank):
     suffice for exact span closures.
     """
     n1 = rank + 1
-    return [("E", i, i + 1, 0) for i in range(1, n1)] + [("E", n1, 1, 1)]
+    return [(i, i + 1, 0) for i in range(1, n1)] + [(n1, 1, 1)]
 
 
 def lowering_ops(rank):
     """Generators of the opposite Iwahori current algebra (degrees 0 and -1)."""
     n1 = rank + 1
-    return [("E", i + 1, i, 0) for i in range(1, n1)] + [("E", 1, n1, -1)]
+    return [(i + 1, i, 0) for i in range(1, n1)] + [(1, n1, -1)]
 
 
 # ---------------------------------------------------------------------------

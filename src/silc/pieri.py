@@ -58,16 +58,15 @@ def _extremal(datum, w, lam):
 
 
 def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
-                  lam, window=FULL_WINDOW, depth=None) -> GradedCharacter:
+                  lam, window=FULL_WINDOW) -> GradedCharacter:
     """Graded character of the sections of the lambda-twist on the Richardson
     variety cut out by v (bottom) and w (top).
 
     For strictly dominant (or zero) lambda it is computed exactly as the
     graded dual of the intersection of the upward module of w*w0 with the
-    downward module of v*w0, and depth is unused.  Otherwise it is the sum
-    of the twist coefficients a^u_w(lambda) over v <= u <= w, taken from a
-    table of the given depth (default: the translation distance from v to w
-    plus 2).
+    downward module of v*w0.  Otherwise it is the sum of the twist
+    coefficients a^u_w(lambda) over v <= u <= w, solved on that interval
+    alone: each a^u depends only on the elements of [u, w].
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -77,35 +76,28 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
         return GradedCharacter.zero(window)
     if datum.is_strictly_dominant(lam) or sum(lam) == 0:
         return _richardson(datum, v, w, lam, _TableMemo(0)).truncate(window)
-    # non-regular twists fall outside the Demazure-intersection description;
-    # sum the twist coefficients over the interval instead
-    q_hi = _extremal(datum, v, lam)[1] - _extremal(datum, w, lam)[1] + 1
-    depth_eff = depth if depth is not None else _shell(v, w) + 2
-    table = compute_pieri(datum, w, lam, (0, q_hi), max(depth_eff, 2))
-    total = GradedCharacter.zero(FULL_WINDOW)
-    for u, a in table.coeffs:
-        if so.si_le(v, u):
-            total = total + a.truncate(FULL_WINDOW)
-    return total.truncate(window)
+    # non-regular twists fall outside the Demazure-intersection description
+    coeffs = _solve(datum, w, lam, so.si_interval(v, w), _TableMemo(_shell(v, w)))
+    return sum(coeffs.values(), GradedCharacter.zero(FULL_WINDOW)).truncate(window)
 
 
-def h0_dimension(datum: RootDatum, v, w, lam, depth=None) -> int:
+def h0_dimension(datum: RootDatum, v, w, lam) -> int:
     """Dimension of the section space (all coefficients summed).
 
     Exact: the underlying intersection is finite-dimensional and computed in
     full.
     """
-    return smt_character(datum, v, w, lam, FULL_WINDOW, depth).total()
+    return smt_character(datum, v, w, lam).total()
 
 
 class _TableMemo:
-    """Work shared by the coefficients of one table, dropped with it.
+    """Work shared by the coefficients of one table or interval, dropped with it.
 
     characters maps (v, top, mu) to the anchored R(v, top; mu), with top
     moved to its finite part; spans holds the upward closures of Richardson
-    tops (see loopmodel.richardson_blocks).  Every bottom of a table lies
-    within depth translation steps of its top, so a closure depth * sum(mu)
-    degrees deep serves all of them.
+    tops (see loopmodel.richardson_blocks).  Every bottom lies within depth
+    translation steps of its top, so a closure depth * sum(mu) degrees deep
+    serves all of them.
     """
 
     def __init__(self, depth):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .rootdata import RootDatum, root_datum, solve_unpivoted, vec_dot, vec_sub
+from .rootdata import RootDatum, solve_unpivoted, vec_dot, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -119,7 +119,9 @@ class DPData:
             if all(not c for c in vec):
                 raise QuasimapError(f"component {i + 1} is the zero vector")
             comps.append(vec)
-        return DPData(rank, tuple(comps), tuple(int(d) for d in degrees))
+        if any(type(d) is not int for d in degrees):
+            raise QuasimapError(f"degrees {list(degrees)!r} must be integers")
+        return DPData(rank, tuple(comps), tuple(degrees))
 
     def component_degree(self, i) -> int:
         return max(_poly_degree(c) for c in self.components[i])
@@ -148,8 +150,10 @@ class DPData:
         comps = [None] * rank
         for entry in obj["components"]:
             i = entry["weight"]
-            if i not in range(1, rank + 1):
+            if type(i) is not int or i not in range(1, rank + 1):
                 raise QuasimapError(f"component weight {i!r} is outside 1..{rank}")
+            if comps[i - 1] is not None:
+                raise QuasimapError(f"component weight {i} is given twice")
             comps[i - 1] = tuple(tuple(poly) for poly in entry["polys"])
         return DPData.make(rank, tuple(comps), tuple(obj["degrees"]))
 

@@ -218,7 +218,7 @@ class WeylGroup:
         if upart in ("e", ""):
             word = []
         else:
-            word = [int(t) for t in upart.split(",") if t.strip() != ""]
+            word = [int(t) for t in upart.split(",")]
         if not at:
             beta = [0] * self.datum.rank
         elif bpart.strip() == "":

@@ -185,9 +185,17 @@ DP_WEIGHT_2 = json.dumps({"rank": 1, "degrees": [0], "components": [
     ["dim", "richardson", "--rank", "1", "--v", "1@", "--w", "e@0"],
     ["qmap", "validate", "--type", "G", "--rank", "2", "--data", DP_A1],
     ["qmap", "eval", "--rank", "2", "--data", DP_A1],
+    *[["qmap", "validate", "--rank", "1", "--data", json.dumps(
+        {**json.loads(DP_A1), "degrees": [d]})] for d in (1.9, "1", True)],
+    ["qmap", "validate", "--rank", "1", "--data", json.dumps(
+        {**json.loads(DP_A1), "components": 2 * json.loads(DP_A1)["components"]})],
+    ["order", "le", "--rank", "2", "--w", "1,,2@0,0", "--v", "e@0,0"],
+    ["dim", "parabolic", "--rank", "2", "--beta", "0,0", "--w", "1,,"],
 ], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0", "parabolic-index",
         "parabolic-descent", "qmap-data-list", "qmap-weight-2", "qmap-float",
-        "empty-translation", "qmap-type-G", "qmap-rank-2"])
+        "empty-translation", "qmap-type-G", "qmap-rank-2", "qmap-degree-float",
+        "qmap-degree-string", "qmap-degree-bool", "qmap-weight-twice",
+        "element-empty-letter", "word-empty-letter"])
 def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -315,8 +323,7 @@ VARIED = {
                       ["--window", "0:1"]],
     "pieri": [["--w", "1@0"], ["--lam", "2"], ["--window", "0:1"],
               ["--depth", "4"]],
-    "h0": [["--v", "1@2"], ["--w", "1@0"], ["--lam", "2"], ["--window", "0:2"],
-           ["--depth", "3"]],
+    "h0": [["--v", "1@2"], ["--w", "1@0"], ["--lam", "2"], ["--window", "0:2"]],
     "qmap validate": [["--data", DP_A1_OTHER]],
     "qmap defect": [["--data", DP_A1_OTHER]],
     "qmap eval": [["--data", DP_A1_OTHER], ["--at", "inf"]],

@@ -8,7 +8,6 @@ from qlayer import q_layer
 from silc import loopmodel, pieri
 from silc.charring import (
     CharacterError,
-    FULL_WINDOW,
     GradedCharacter,
     gch_global_weyl,
 )
@@ -19,7 +18,8 @@ from silc.pieri import (
     schubert_section_character,
     smt_character,
 )
-from silc.rootdata import vec_add, vec_neg
+from silc.rootdata import root_datum, vec_neg
+from silc.semiinf import si_order
 from silc.weylgroup import weyl_group
 
 
@@ -263,17 +263,36 @@ def test_exhaustion_matches_global_module(a1, wg_a1):
         assert sections == module
 
 
-def test_smt_equals_interval_sum_of_coefficients(a1, wg_a1, so_a1):
-    e = wg_a1.identity
-    lam = (2,)
-    table = compute_pieri(a1, e, lam, (0, 3), 4)
-    for v in [wg_a1.element([1], (1,)), wg_a1.translation((1,))]:
-        expect = GradedCharacter.zero(FULL_WINDOW)
+@pytest.mark.parametrize("rank,lam,window,depth,extra", [
+    (1, (2,), (0, 3), 4, ["1@1", "e@1"]),
+    (2, (1, 0), (0, 1), 2, ["1,2,1@1,1", "2,1@1,0", "1,2,1@0,0"]),
+], ids=["A1-(2)", "A2-(1,0)"])
+def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra):
+    """Sections are the interval sum of the coefficients of the verified,
+    depth-certified table; (1,0) is solved on the interval itself."""
+    datum = root_datum("A", rank)
+    wg, so = weyl_group(datum), si_order(datum)
+    e = wg.identity
+    table = compute_pieri(datum, e, lam, window, depth)
+    for v in list(table.support()) + [wg.parse(x) for x in extra]:
+        expect = GradedCharacter.zero(window)
         for u, a in table.coeffs:
-            if so_a1.si_le(v, u):
-                expect = expect + a.truncate(FULL_WINDOW)
-        got = smt_character(a1, v, e, lam, (0, 3))
-        assert dict(got.terms) == dict(expect.truncate((0, 3)).terms)
+            if so.si_le(v, u):
+                expect = expect + a
+        got = smt_character(datum, v, e, lam, window)
+        assert dict(got.terms) == dict(expect.terms), wg.format(v)
+
+
+@pytest.mark.parametrize("lam,dim", [((1, 0), 6), ((2, 0), 21)],
+                         ids=["(1,0)", "(2,0)"])
+def test_nonregular_sections_commute_with_the_diagram_flip(a2, wg_a2, lam, dim):
+    """On w0 t_(1,1) below e the flipped weight gives the flipped sections."""
+    e = wg_a2.identity
+    v = wg_a2.parse("1,2,1@1,1")
+    got = smt_character(a2, wg_a2.parse(_flip(wg_a2.format(v))), e, lam[::-1])
+    expect = smt_character(a2, v, e, lam)
+    assert dict(got.terms) == {(q, wt[::-1]): c for (q, wt), c in expect.terms}
+    assert got.total() == dim
 
 
 # ---------------------------------------------------------------------------
