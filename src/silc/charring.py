@@ -4,13 +4,18 @@ A GradedCharacter is a finite map (q_power, weight) -> integer coefficient
 together with a half-open truncation window [q_min, q_max) on the q-exponent.
 The q-grading tracks the loop rotation; weights are in fundamental-weight
 coordinates.
+
+Demazure operators run in one kernel, demazure_word, on packed terms: each
+(q, weight) becomes one int with the weight in fixed-width digits below q,
+so a string step is an int subtraction; the terms are unpacked into a
+GradedCharacter once, at the end of the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import RootDatum, vec_add, vec_dot, vec_scale, vec_sub
+from .rootdata import RootDatum, vec_add, vec_dot
 from .weylgroup import AffineWeylElement, weyl_group
 
 
@@ -129,48 +134,97 @@ def demazure_step(datum: RootDatum, i: int, f: GradedCharacter) -> GradedCharact
     """D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}), exactly per string.
 
     i ranges over {0, 1, ..., r}; i = 0 uses the affine simple root, whose
-    reflection shifts the q-power alongside the finite weight.
+    reflection shifts the q-power alongside the finite weight.  A term
+    c q^k e^wt with m = <alpha_i^vee, wt> (for i = 0, m = -<theta^vee, wt>)
+    becomes the string c q^k (e^wt + ... + e^{wt - m alpha_i}) if m >= 0,
+    nothing if m = -1, and -c q^k (e^{wt + alpha_i} + ... +
+    e^{wt - (m + 1) alpha_i}) if m < -1, where alpha_0 = -theta moves the
+    q-power by one per step: e^{wt + j theta} sits at q^{k - j}.  Terms
+    outside the window are dropped.
     """
-    r = datum.rank
-    if not 0 <= i <= r:
-        raise CharacterError(f"Demazure index {i} out of range 0..{r}")
-    q_min, q_max = f.window
-    out = {}
-
-    def put(q, wt, c):
-        if q_min <= q < q_max:
-            k = (q, wt)
-            out[k] = out.get(k, 0) + c
-
-    if i >= 1:
-        alpha = datum.simple_root_weights[i - 1]
-        for (q, wt), c in f.terms:
-            m = wt[i - 1]
-            if m >= 0:
-                for k in range(m + 1):
-                    put(q, vec_sub(wt, vec_scale(k, alpha)), c)
-            elif m < -1:
-                for k in range(1, -m):
-                    put(q, vec_add(wt, vec_scale(k, alpha)), -c)
-    else:
-        theta_wt = datum.root_to_weight(datum.theta.coords)
-        theta_covec = datum.theta.coroot
-        for (q, wt), c in f.terms:
-            m = -vec_dot(theta_covec, wt)
-            if m >= 0:
-                # affine string: weight + k*theta, q-power - k
-                for k in range(m + 1):
-                    put(q - k, vec_add(wt, vec_scale(k, theta_wt)), c)
-            elif m < -1:
-                for k in range(1, -m):
-                    put(q + k, vec_sub(wt, vec_scale(k, theta_wt)), -c)
-    return GradedCharacter.make(out, f.window)
+    return demazure_word(datum, (i,), f)
 
 
 def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter:
+    """D_{i_n} ... D_{i_1} f for word = (i_1, ..., i_n): each demazure_step
+    in turn, on packed terms.
+
+    A term (q, wt) is packed once into the int
+    q * 2^(r b) + sum_j (wt_j + bound) * 2^(j b), with b bits per weight
+    digit, so a string step adds or subtracts the packed alpha_i (for i = 0,
+    the packed theta minus one unit of q), and the window test on q is a
+    comparison with q_min * 2^(r b) and q_max * 2^(r b).
+    """
+    r = datum.rank
+    word = tuple(word)
     for i in word:
-        f = demazure_step(datum, i, f)
-    return f
+        if not 0 <= i <= r:
+            raise CharacterError(f"Demazure index {i} out of range 0..{r}")
+    # Digit width.  Every weight a step emits lies on the segment from wt to
+    # s_i wt (for i = 0 from wt to s_theta wt: s_0 acts on weights as
+    # s_theta), and the convex hull of a W-stable set is W-stable, so every
+    # weight of the word stays in the convex hull of W * (initial support).
+    # Coordinate j of a weight mu is <alpha_j^vee, mu>, and on w * nu this is
+    # <w^-1 alpha_j^vee, nu>, a coroot paired with nu.  So no coordinate
+    # exceeds bound = max |<beta^vee, nu>| over positive roots beta and
+    # initial weights nu, every digit wt_j + bound lies in [0, 2 bound], and
+    # digits never carry into each other.  q, the top digit, is unbounded.
+    coroots = [rt.coroot for rt in datum.positive_roots()]
+    bound = max((abs(vec_dot(cv, wt)) for (_, wt), _c in f.terms
+                 for cv in coroots), default=0)
+    bits = (2 * bound + 1).bit_length()
+    mask = (1 << bits) - 1
+    shifts = [j * bits for j in range(r)]
+    q_shift = r * bits
+
+    def packed(vec, offset=0):
+        return sum((c + offset) << s for c, s in zip(vec, shifts))
+
+    alphas = [packed(a) for a in datum.simple_root_weights]
+    theta_step = packed(datum.root_to_weight(datum.theta.coords)) - (1 << q_shift)
+    theta_covec = [(c, s) for c, s in zip(datum.theta.coroot, shifts) if c]
+    q_min, q_max = f.window
+    lo, hi = q_min << q_shift, q_max << q_shift
+    terms = {(q << q_shift) + packed(wt, bound): c for (q, wt), c in f.terms}
+    for i in word:
+        out = {}
+        get = out.get
+        if i >= 1:
+            s, a = shifts[i - 1], alphas[i - 1]
+            for x, c in terms.items():
+                if not c:
+                    continue
+                m = ((x >> s) & mask) - bound
+                if m >= 0:
+                    for _ in range(m + 1):
+                        out[x] = get(x, 0) + c
+                        x -= a
+                elif m < -1:
+                    c = -c
+                    for _ in range(-m - 1):
+                        x += a
+                        out[x] = get(x, 0) + c
+        else:
+            for x, c in terms.items():
+                if not c:
+                    continue
+                m = -sum(cv * (((x >> s) & mask) - bound) for cv, s in theta_covec)
+                if m >= 0:
+                    for _ in range(m + 1):
+                        if lo <= x < hi:
+                            out[x] = get(x, 0) + c
+                        x += theta_step
+                elif m < -1:
+                    c = -c
+                    for _ in range(-m - 1):
+                        x -= theta_step
+                        if lo <= x < hi:
+                            out[x] = get(x, 0) + c
+        terms = out
+    return GradedCharacter.make(
+        {(x >> q_shift, tuple(((x >> s) & mask) - bound for s in shifts)): c
+         for x, c in terms.items()},
+        f.window)
 
 
 def weyl_character(datum: RootDatum, lam) -> GradedCharacter:

@@ -22,6 +22,13 @@ sign * mult_{M'}(s') to M' = sorted(M - s + s'), which keeps the arithmetic in
 the integers and every dimension as in the full tensor product.  All vectors
 are homogeneous in (total z-degree, total weight), so the linear algebra runs
 in small independent blocks.
+
+Vectors are keyed by int ids, not by monomials: a Monomials table interns
+each sorted monomial once, and operators read the slots back through it.  A
+closure owns its table unless it is handed one; richardson_blocks hands the
+downward closure the table of the memoized upward one, so their blocks
+compare, and truncates it afterwards to the upward closure's own monomials.
+No table outlives the closures that hold it.
 """
 
 from __future__ import annotations
@@ -90,11 +97,41 @@ def permutation_of(wg, u: FiniteWeylElement):
 # span closure
 # ---------------------------------------------------------------------------
 
-class BlockSpan:
-    """Echelonized homogeneous subspace, blocked by (degree, weight)."""
+class Monomials:
+    """Interning table of sorted monomials: ids maps each monomial to an int
+    id, given in order of first appearance, and monos maps an id back."""
 
     def __init__(self):
-        self.blocks = {}  # (d, wt) -> dict pivot_monomial -> vector(dict)
+        self.ids = {}
+        self.monos = []
+
+    def intern(self, monomial):
+        mid = self.ids.get(monomial)
+        if mid is None:
+            mid = self.ids[monomial] = len(self.monos)
+            self.monos.append(monomial)
+        return mid
+
+    def truncate(self, n):
+        """Forget every id from n on."""
+        for monomial in self.monos[n:]:
+            del self.ids[monomial]
+        del self.monos[n:]
+
+
+class BlockSpan:
+    """Echelonized homogeneous subspace, blocked by (degree, weight).
+
+    A vector is a dict from monomial ids to nonzero integer coefficients,
+    ids of the Monomials table the span holds; spans whose blocks are
+    compared must hold the same table.  A pivot is the largest id of its
+    row, so the pivots depend on the order in which the table met the
+    monomials, and the dimensions do not.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.blocks = {}  # (d, wt) -> dict pivot id -> vector
 
     @staticmethod
     def _normalize(vec):
@@ -110,9 +147,9 @@ class BlockSpan:
         return vec
 
     def insert(self, key, vec):
-        """Reduce vec against the block; insert if independent. Returns vec or None."""
+        """Reduce vec against the block; insert if independent. Returns the
+        inserted row or None.  vec itself is never changed."""
         block = self.blocks.setdefault(key, {})
-        vec = dict(vec)
         while vec:
             lead = max(vec)
             row = block.get(lead)
@@ -124,8 +161,9 @@ class BlockSpan:
             g = gcd(a, b)
             fa, fb = a // g, b // g
             new = {m: fa * c for m, c in vec.items()}
+            get = new.get
             for m, c in row.items():
-                nc = new.get(m, 0) - fb * c
+                nc = get(m, 0) - fb * c
                 if nc:
                     new[m] = nc
                 elif m in new:
@@ -146,50 +184,61 @@ def monomial_data(monomial, rank):
     return d, wt
 
 
-def span_closure(rank, seed, ops, d_ok):
+def span_closure(rank, seed, ops, d_ok, table=None):
     """Close the span of a sorted seed monomial under the operators, each a
     triple (a, b, k) for E_{ab} z^k acting as a derivation of the symmetric
-    tensor algebra; returns a BlockSpan."""
-    span = BlockSpan()
+    tensor algebra; returns a BlockSpan over table (a new Monomials table
+    if None), which gains every monomial the closure meets."""
+    span = BlockSpan(Monomials() if table is None else table)
+    monos = span.table.monos
+    intern = span.table.intern
     work = deque()
     key = monomial_data(seed, rank)
     if d_ok(key[0]):
-        work.append((key, span.insert(key, {seed: 1})))
-    # per-operator caches: slot action table and the fixed (degree, weight)
-    # shift, so block keys propagate without re-deriving them per monomial
+        work.append((key, span.insert(key, {intern(seed): 1})))
+    # per-operator caches: the fixed (degree, weight) shift, so block keys
+    # propagate without re-deriving them per monomial, the matrix unit on
+    # each wedge subset, and the action on each monomial id as a list of
+    # (id, coefficient)
     eps = [subset_weight((i,), rank) for i in range(1, rank + 2)]
-    tables = []
+    caches = []
     for a, b, k in ops:
         shift = tuple(x - y for x, y in zip(eps[a - 1], eps[b - 1]))
-        tables.append((a, b, k, shift, {}))
+        caches.append((a, b, k, shift, {}, {}))
+
+    def act(mid, a, b, k, units):
+        monomial = monos[mid]
+        terms = []
+        for i, slot in enumerate(monomial):
+            if i and slot == monomial[i - 1]:
+                continue  # act once on each distinct slot
+            subset, z = slot
+            hit = units.get(subset, 0)
+            if hit == 0:
+                hit = units[subset] = matrix_unit(a, b, subset)
+            if hit is None:
+                continue
+            sign, new_subset = hit
+            new_slot = (new_subset, z + k)
+            new_mono = tuple(sorted(monomial[:i] + (new_slot,) + monomial[i + 1:]))
+            terms.append((intern(new_mono), sign * new_mono.count(new_slot)))
+        return terms
+
     while work:
         (d, wt), vec = work.popleft()
-        for a, b, k, shift, table in tables:
+        for a, b, k, shift, units, acted in caches:
             nd = d + k
             if not d_ok(nd):
                 continue
             out = {}
-            get_hit = table.get
-            for monomial, coeff in vec.items():
-                for i, slot in enumerate(monomial):
-                    if i and slot == monomial[i - 1]:
-                        continue  # act once on each distinct slot
-                    subset, z = slot
-                    hit = get_hit(subset, 0)
-                    if hit == 0:
-                        hit = table[subset] = matrix_unit(a, b, subset)
-                    if hit is None:
-                        continue
-                    sign, new_subset = hit
-                    new_slot = (new_subset, z + k)
-                    new_mono = tuple(sorted(
-                        monomial[:i] + (new_slot,) + monomial[i + 1:]))
-                    nc = (out.get(new_mono, 0)
-                          + sign * coeff * new_mono.count(new_slot))
-                    if nc:
-                        out[new_mono] = nc
-                    elif new_mono in out:
-                        del out[new_mono]
+            get = out.get
+            for mid, coeff in vec.items():
+                terms = acted.get(mid)
+                if terms is None:
+                    terms = acted[mid] = act(mid, a, b, k, units)
+                for nid, c in terms:
+                    out[nid] = get(nid, 0) + c * coeff
+            out = {m: c for m, c in out.items() if c}
             if not out:
                 continue
             nkey = (nd, vec_add(wt, shift))
@@ -289,9 +338,14 @@ def richardson_blocks(datum: RootDatum, v, w, lam, spans, reach):
         span_up = spans[key] = span_closure(
             rank, extremal_monomial(wg, uw, bw, lam), raising_ops(rank),
             lambda d: d_low <= d <= d_top)
+    # the downward closure interns into the upward one's table, so their
+    # blocks compare, and gives its monomials back when done: the table
+    # keeps only what the memoized closure holds, whatever ran before
+    table = span_up.table
+    n_up = len(table.monos)
     span_down = span_closure(rank, extremal_monomial(wg, uv, bv, lam),
-                             lowering_ops(rank), lambda d: d_low <= d <= d_high)
-
+                             lowering_ops(rank), lambda d: d_low <= d <= d_high,
+                             table)
     out = {}
     keys = set(span_up.blocks) & set(span_down.blocks)
     for key in keys:
@@ -301,8 +355,8 @@ def richardson_blocks(datum: RootDatum, v, w, lam, spans, reach):
         if dim_a == 0 or dim_b == 0:
             continue
         # dim(A ∩ B) = dim A + dim B - dim(A + B)
-        stack = BlockSpan()
-        stack.blocks[key] = {m: dict(vec) for m, vec in block_a.items()}
+        stack = BlockSpan(table)
+        stack.blocks[key] = dict(block_a)
         added = 0
         for vec in block_b.values():
             if stack.insert(key, vec) is not None:
@@ -310,4 +364,5 @@ def richardson_blocks(datum: RootDatum, v, w, lam, spans, reach):
         dim = dim_b - added
         if dim > 0:
             out[key] = dim
+    table.truncate(n_up)
     return out

@@ -155,6 +155,9 @@ class DPData:
             if comps[i - 1] is not None:
                 raise QuasimapError(f"component weight {i} is given twice")
             comps[i - 1] = tuple(tuple(poly) for poly in entry["polys"])
+        for i, comp in enumerate(comps, start=1):
+            if comp is None:
+                raise QuasimapError(f"component weight {i} is missing")
         return DPData.make(rank, tuple(comps), tuple(obj["degrees"]))
 
 

@@ -154,6 +154,51 @@ def test_demazure_idempotent_a2(data, i):
     assert demazure_step(datum, i, once) == once
 
 
+def _reference_step(datum, i, terms, window):
+    """demazure_step by its docstring, term by term on (q, weight) tuples."""
+    q_min, q_max = window
+    if i:
+        alpha, dq = datum.simple_root_weights[i - 1], 0
+    else:
+        alpha, dq = tuple(-x for x in datum.root_to_weight(datum.theta.coords)), 1
+    out = {}
+    for (q, wt), c in terms.items():
+        m = wt[i - 1] if i else -sum(x * y for x, y in zip(datum.theta.coroot, wt))
+        if m >= 0:
+            string, sign = range(m + 1), 1
+        else:
+            string, sign = range(-1, m, -1), -1
+        for j in string:
+            key = (q - j * dq, tuple(x - j * a for x, a in zip(wt, alpha)))
+            if q_min <= key[0] < q_max:
+                out[key] = out.get(key, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_affine_word_matches_tuple_reference_in_a_cutting_window(a2):
+    word = [0, 1, 0, 2, 0]
+    start = {(0, (1, 1)): 1, (0, (-2, 1)): 2, (1, (0, -2)): -1}
+
+    def reference(window):
+        terms = {k: c for k, c in start.items() if window[0] <= k[0] < window[1]}
+        for i in word:
+            terms = _reference_step(a2, i, terms, window)
+        return terms
+
+    window = (-2, 1)
+    qs = {q for q, _ in reference(FULL_WINDOW)}
+    assert min(qs) < window[0] and max(qs) >= window[1]
+    got = demazure_word(a2, word, GradedCharacter.make(start, window))
+    assert got == GradedCharacter.make(reference(window), window)
+    assert got.terms
+
+
+def test_weyl_character_of_a_large_a1_weight(a1):
+    """Weights down to -1000 pack with an offset of 1000 per digit."""
+    ch = weyl_character(a1, (1000,))
+    assert ch.terms == tuple(((0, (k,)), 1) for k in range(-1000, 1001, 2))
+
+
 # ---------------------------------------------------------------------------
 # Weyl characters
 # ---------------------------------------------------------------------------

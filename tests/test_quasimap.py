@@ -70,6 +70,13 @@ def test_json_rank_checked_before_components():
         DPData.from_json(data)
 
 
+def test_json_names_a_missing_component():
+    data = {"rank": 2, "degrees": [0, 0],
+            "components": [{"weight": 1, "polys": [["1"], ["0"], ["0"]]}]}
+    with pytest.raises(QuasimapError, match="component weight 2 is missing"):
+        DPData.from_json(data)
+
+
 def test_json_round_trip():
     data = DPData.make(
         1, ((tuple(Fraction(x) for x in ("1/2", "-2")), (0, 1)),), (1,)
