@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import loopmodel
 from .rootdata import RootDatum, vec_add, vec_dot
 from .weylgroup import AffineWeylElement, weyl_group
 
@@ -130,8 +131,9 @@ class GradedCharacter:
 # Demazure operators
 # ---------------------------------------------------------------------------
 
-def demazure_step(datum: RootDatum, i: int, f: GradedCharacter) -> GradedCharacter:
-    """D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}), exactly per string.
+def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter:
+    """D_{i_n} ... D_{i_1} f for word = (i_1, ..., i_n), where
+    D_i f = (f - e^{-alpha_i} s_i f) / (1 - e^{-alpha_i}), exactly per string.
 
     i ranges over {0, 1, ..., r}; i = 0 uses the affine simple root, whose
     reflection shifts the q-power alongside the finite weight.  A term
@@ -141,15 +143,8 @@ def demazure_step(datum: RootDatum, i: int, f: GradedCharacter) -> GradedCharact
     e^{wt - (m + 1) alpha_i}) if m < -1, where alpha_0 = -theta moves the
     q-power by one per step: e^{wt + j theta} sits at q^{k - j}.  Terms
     outside the window are dropped.
-    """
-    return demazure_word(datum, (i,), f)
 
-
-def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter:
-    """D_{i_n} ... D_{i_1} f for word = (i_1, ..., i_n): each demazure_step
-    in turn, on packed terms.
-
-    A term (q, wt) is packed once into the int
+    The steps run on packed terms.  A term (q, wt) is packed once into the int
     q * 2^(r b) + sum_j (wt_j + bound) * 2^(j b), with b bits per weight
     digit, so a string step adds or subtracts the packed alpha_i (for i = 0,
     the packed theta minus one unit of q), and the window test on q is a
@@ -233,9 +228,8 @@ def weyl_character(datum: RootDatum, lam) -> GradedCharacter:
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
     wg = weyl_group(datum)
-    word = wg.reduced_word_finite(wg.w0)
     f = GradedCharacter.monomial(0, lam, 1, (0, 1))
-    return demazure_word(datum, word, f)
+    return demazure_word(datum, wg.w0_word, f)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +243,6 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     translation part of w matters beyond an overall shift: it twists each
     weight space of the cyclic module by its own degree.
     """
-    from . import loopmodel
-
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
@@ -258,8 +250,6 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     if q_max <= q_min:
         return GradedCharacter.zero(window)
     d_ext = -vec_dot(w.translation, lam)
-    blocks = loopmodel.schubert_blocks(
-        datum, w.finite, w.translation, lam, q_max + d_ext
-    )
+    blocks = loopmodel.schubert_blocks(datum, w, lam, q_max + d_ext)
     terms = {(d - d_ext, wt): dim for (d, wt), dim in blocks.items()}
     return GradedCharacter.make(terms, window)

@@ -354,7 +354,7 @@ def qmap_validate(datum, data, data_file):
 def qmap_defect(datum, data, data_file):
     dp = data or data_file
     div = defect_divisor(dp)
-    return {**div.to_json(), "total": list(div.total(dp.rank))}
+    return {**div.to_json(), "total": list(div.total())}
 
 
 @job(qmap, "eval")

@@ -5,11 +5,19 @@ module attached to varpi_k is realized on Lambda^k(K^{n+1}) tensor Laurent
 polynomials in z, with the loop algebra acting in the obvious way and the
 q-grading given by the z-exponent.  Submodules generated by an extremal
 vector under the upper (or lower) triangular current algebra are computed by
-exact integer span closure inside a truncated tensor product; section spaces
-of Richardson varieties are graded intersections of one submodule of each
-kind.  A caller that intersects one upward submodule with many downward ones
-passes richardson_blocks a memo of upward closures and drops it when done;
-this module keeps no closures of its own.
+exact integer span closure inside a truncated tensor product.
+
+The module answers two questions about extremal affine elements
+x = u * t_beta, whose extremal vector sits at z-degree -<beta, lambda>, in
+absolute degrees: schubert_blocks(datum, x, lam, d_max) gives the graded
+dimensions of the upward module of x below d_max, and
+richardson_blocks(datum, xv, xw, lam, spans, reach) those of the
+intersection of the upward module of xw with the downward module of xv.
+Which element stands for which section space, and how sections are
+anchored and weighted, is left to the callers.  A caller that intersects
+one upward module with many downward ones passes richardson_blocks a memo
+of upward closures and drops it when done; this module keeps no closures
+of its own.
 
 Monomial basis: a slot is (subset, z_exp) with subset a sorted tuple encoding
 a wedge basis vector.  The current algebra acts by derivations, so the module
@@ -36,23 +44,12 @@ from __future__ import annotations
 from collections import deque
 from math import gcd
 
-from .rootdata import RootDataError, RootDatum, vec_add
-from .weylgroup import FiniteWeylElement, weyl_group
-
-
-def is_type_a(datum: RootDatum) -> bool:
-    a = datum.cartan.entries
-    r = datum.rank
-    for i in range(r):
-        for j in range(r):
-            expect = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-            if a[i][j] != expect:
-                return False
-    return True
+from .rootdata import RootDataError, RootDatum, root_datum, vec_add, vec_dot
+from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
 
 def require_type_a(datum: RootDatum):
-    if not is_type_a(datum):
+    if datum.cartan != root_datum("A", datum.rank).cartan:
         raise RootDataError(
             "graded character computations use the minuscule loop realization "
             "and are implemented for type A root data only"
@@ -274,76 +271,67 @@ def lowering_ops(rank):
 # extremal seeds and module characters
 # ---------------------------------------------------------------------------
 
-def extremal_monomial(wg, u: FiniteWeylElement, beta, lam):
-    """Sorted monomial of the extremal vector of u * t_beta: for
+def extremal_monomial(wg, x: AffineWeylElement, lam):
+    """Sorted monomial of the extremal vector of x = u * t_beta: for
     lambda = sum m_i varpi_i, m_i equal slots u(1..i) z^{-beta_i}."""
-    perm = permutation_of(wg, u)
-    return tuple(sorted((tuple(sorted(perm[:i])), -beta[i - 1])
+    perm = permutation_of(wg, x.finite)
+    return tuple(sorted((tuple(sorted(perm[:i])), -x.translation[i - 1])
                         for i, m in enumerate(lam, start=1) for _ in range(m)))
 
 
-def schubert_blocks(datum: RootDatum, ufin: FiniteWeylElement, beta, lam, d_max):
+def _upward(datum, x, lam, d_end):
+    """Upward closure of the extremal vector of x in degrees below d_end;
+    empty if the seed degree -<beta, lam> is not below d_end.  The raising
+    operators never lower the degree, so no lower bound is needed."""
+    rank = datum.rank
+    return span_closure(rank, extremal_monomial(weyl_group(datum), x, lam),
+                        raising_ops(rank), lambda d: d < d_end)
+
+
+def schubert_blocks(datum: RootDatum, x: AffineWeylElement, lam, d_max):
     """Graded dimensions {(d, wt): dim} of the submodule generated upward from
-    the extremal vector of ufin * t_beta, in absolute z-degrees < d_max.
+    the extremal vector of x = u * t_beta, in absolute z-degrees < d_max.
 
     Unlike a pure q-shift of the finite part, the translation twists each
     weight space by its own degree, so the closure is run from the translated
     seed directly.  Degrees never drop below the seed degree -<beta, lam>.
     """
     require_type_a(datum)
-    rank = datum.rank
-    d_ext = -sum(b * l for b, l in zip(beta, lam))
-    if sum(lam) == 0:
-        return {(0, (0,) * rank): 1} if d_max > 0 else {}
-    if d_ext >= d_max:
-        return {}
-    wg = weyl_group(datum)
-    seed = extremal_monomial(wg, ufin, tuple(beta), lam)
-    span = span_closure(rank, seed, raising_ops(rank),
-                        lambda d: d_ext <= d < d_max)
-    return span.dims()
+    return _upward(datum, x, lam, d_max).dims()
 
 
-def richardson_blocks(datum: RootDatum, v, w, lam, spans, reach):
+def richardson_blocks(datum: RootDatum, xv: AffineWeylElement,
+                      xw: AffineWeylElement, lam, spans, reach):
     """Graded dimensions {(d, wt): dim} of the intersection of the upward
-    module of w*w0 and the downward module of v*w0, in absolute z-degrees.
+    module of xw and the downward module of xv, in absolute z-degrees.
 
-    The intersection is the full (finite-dimensional) space of the dual of
-    the Richardson section module; no truncation is applied.
+    The intersection is finite-dimensional and computed in full; no
+    truncation is applied.
 
-    spans is a dict that keeps upward closures for later calls with the
-    same top; each is closed at least reach degrees above its seed.
-    The raising operators never lower the degree, so a block of the upward
-    module depends only on the degrees from the seed up to its own, and a
-    wider closure gives every narrower request the same dimensions.
+    spans is a dict that keeps upward closures, keyed by (xw, lam, d_top),
+    for later calls with the same xw; each is closed at least reach degrees
+    above its seed.  The raising operators never lower the degree, so a
+    block of the upward module depends only on the degrees from the seed up
+    to its own, and a wider closure gives every narrower request the same
+    dimensions.
     """
     require_type_a(datum)
-    rank = datum.rank
-    if sum(lam) == 0:
-        return {(0, (0,) * rank): 1}
-    wg = weyl_group(datum)
-    w0aff = wg.affine_from_finite(wg.w0)
-    xw = wg.compose(w, w0aff)
-    xv = wg.compose(v, w0aff)
-    uw, bw = xw.finite, xw.translation
-    uv, bv = xv.finite, xv.translation
-    d_low = -sum(b * l for b, l in zip(bw, lam))
-    d_high = -sum(b * l for b, l in zip(bv, lam))
+    rank, wg = datum.rank, weyl_group(datum)
+    d_low = -vec_dot(xw.translation, lam)
+    d_high = -vec_dot(xv.translation, lam)
     if d_low > d_high:
         return {}
     d_top = max(d_high, d_low + reach)
-    key = (uw, bw, lam, d_top)
+    key = (xw, lam, d_top)
     span_up = spans.get(key)
     if span_up is None:
-        span_up = spans[key] = span_closure(
-            rank, extremal_monomial(wg, uw, bw, lam), raising_ops(rank),
-            lambda d: d_low <= d <= d_top)
+        span_up = spans[key] = _upward(datum, xw, lam, d_top + 1)
     # the downward closure interns into the upward one's table, so their
     # blocks compare, and gives its monomials back when done: the table
     # keeps only what the memoized closure holds, whatever ran before
     table = span_up.table
     n_up = len(table.monos)
-    span_down = span_closure(rank, extremal_monomial(wg, uv, bv, lam),
+    span_down = span_closure(rank, extremal_monomial(wg, xv, lam),
                              lowering_ops(rank), lambda d: d_low <= d <= d_high,
                              table)
     out = {}

@@ -6,7 +6,10 @@ are polynomials in qbar := q^{-1}.  Exponents are anchored so that the
 extremal section term e^{-w w0 lambda} of the base element w sits at
 qbar-degree 0; weights are the (negated) weights of the underlying module.
 With this convention the coefficient table entry at u = w is the single
-monomial of weight -w w0 lambda at degree 0.
+monomial of weight -w w0 lambda at degree 0.  The sections of w are read
+off the loop-model modules of the extremal element w w0, which _extremal,
+the one place that composes with w0, returns; anchoring and negating the
+weights happen here, not in the loop model.
 
 The Richardson section character R(v, u; mu), anchored at u, is exact for
 strictly dominant (or zero) mu.  The twist coefficients a^u_w(lambda) of
@@ -50,7 +53,7 @@ class InconsistencyError(RuntimeError):
 
 def _extremal(datum, w, lam):
     """(w * w0, qbar-degree, weight) of the extremal section e^{-w w0 lam}
-    of w, the degree absolute."""
+    of w, the degree absolute; the one place that composes with w0."""
     wg = weyl_group(datum)
     x = wg.compose(w, wg.affine_from_finite(wg.w0))
     return (x, -sum(b * l for b, l in zip(x.translation, lam)),
@@ -118,8 +121,9 @@ def _richardson(datum, v, top, mu, memo):
     key = (v, top, mu)
     got = memo.characters.get(key)
     if got is None:
-        d_top = _extremal(datum, top, mu)[1]
-        blocks = loopmodel.richardson_blocks(datum, v, top, mu, memo.spans,
+        xv = _extremal(datum, v, mu)[0]
+        xw, d_top, _ = _extremal(datum, top, mu)
+        blocks = loopmodel.richardson_blocks(datum, xv, xw, mu, memo.spans,
                                              memo.depth * sum(mu))
         got = memo.characters[key] = GradedCharacter.make(
             {(d - d_top, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
@@ -136,8 +140,9 @@ def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
     """
     lam = tuple(lam)
     x, d_ext, _ = _extremal(datum, u, lam)
-    blocks = loopmodel.schubert_blocks(datum, x.finite, x.translation, lam,
-                                       qbar_max)
+    # the sections start at d_ext, so a window ending there holds none
+    blocks = (loopmodel.schubert_blocks(datum, x, lam, qbar_max)
+              if d_ext < qbar_max else {})
     return GradedCharacter.make(
         {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
         (min(0, d_ext), qbar_max))
@@ -219,17 +224,16 @@ def _solve(datum, w, lam, candidates, memo):
 
 
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
-                  depth: int, verify_weights=None) -> PieriTable:
+                  depth: int) -> PieriTable:
     """Twist coefficients a^u_w(lambda) for all u within the window.
 
     The coefficients of every u within depth translation steps below w are
     solved from the relation of the module docstring, with mu = 0 for
     strictly dominant lambda and mu = rho otherwise.  The coefficients on
     qbar-degrees [0, hi) are then re-verified against the product identity
-    for the strictly dominant weights in verify_weights (default rho and
-    2*rho), completeness across the explored box is certified by two
-    outermost shells of vanishing coefficients, and only then is the table
-    cut to the window [lo, hi).
+    for the strictly dominant weights rho and 2*rho, completeness across the
+    explored box is certified by two outermost shells of vanishing
+    coefficients, and only then is the table cut to the window [lo, hi).
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -241,10 +245,7 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
     if sum(lam) == 0:
         one = GradedCharacter.one(datum.rank, window)
         return PieriTable(w, lam, window, ((w, one),), 0)
-    if verify_weights is None:
-        verify_weights = (datum.rho, vec_add(datum.rho, datum.rho))
-    coeffs = _coefficients(datum, w, lam, q_hi, depth,
-                           tuple(tuple(mu) for mu in verify_weights))
+    coeffs = _coefficients(datum, w, lam, q_hi, depth)
     cut = ((u, a.truncate(window)) for u, a in coeffs)
     return PieriTable(w, lam, window,
                       tuple((u, a) for u, a in cut if not a.is_zero()),
@@ -252,7 +253,7 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
 
 
 @lru_cache(maxsize=None)
-def _coefficients(datum, w, lam, q_hi, depth, verify_weights):
+def _coefficients(datum, w, lam, q_hi, depth):
     """The nonzero verified coefficients of compute_pieri on [0, q_hi), as
     (u, a^u_w(lam)) pairs in candidate order."""
     window = (0, q_hi)
@@ -262,7 +263,7 @@ def _coefficients(datum, w, lam, q_hi, depth, verify_weights):
         wg = weyl_group(datum)
         shift = wg.translation(w.translation)
         base0 = AffineWeylElement(w.finite, (0,) * datum.rank)
-        inner = _coefficients(datum, base0, lam, q_hi, depth, verify_weights)
+        inner = _coefficients(datum, base0, lam, q_hi, depth)
         coeffs = tuple((wg.compose(u, shift), a) for u, a in inner)
     else:
         if depth < 2:
@@ -290,7 +291,7 @@ def _coefficients(datum, w, lam, q_hi, depth, verify_weights):
             coeffs.append((u, a))
         coeffs = tuple(coeffs)
     # the translated case verifies its own step, not only the finite table
-    for mu in verify_weights:
+    for mu in (datum.rho, vec_add(datum.rho, datum.rho)):
         _verify_table(datum, w, lam, coeffs, mu, q_hi)
     return coeffs
 

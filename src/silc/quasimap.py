@@ -163,24 +163,23 @@ class DPData:
 
 @dataclass(frozen=True)
 class DefectDivisor:
-    finite_points: tuple  # sorted tuple of (irreducible factor string, coweight)
+    # sorted tuple of (irreducible factor string, its degree, coweight)
+    finite_points: tuple
     at_infinity: tuple    # coweight
 
-    def total(self, rank) -> tuple:
+    def total(self) -> tuple:
         """|D| as a coweight; finite factors weighted by their degree."""
-        sympy, z = _sympy()
         out = list(self.at_infinity)
-        for factor, mult in self.finite_points:
-            deg = sympy.Poly(sympy.sympify(factor), z, domain=sympy.QQ).degree()
-            for i in range(rank):
-                out[i] += deg * mult[i]
+        for _, deg, mult in self.finite_points:
+            for i, m in enumerate(mult):
+                out[i] += deg * m
         return tuple(out)
 
     def to_json(self) -> dict:
         return {
             "finite_points": [
                 {"factor": f, "multiplicity": list(m)}
-                for f, m in self.finite_points
+                for f, _, m in self.finite_points
             ],
             "at_infinity": list(self.at_infinity),
         }
@@ -268,10 +267,10 @@ def defect_divisor(data: DPData) -> DefectDivisor:
         g = _component_gcd(data.components[i])
         if g.degree() > 0:
             for factor, mult in g.factor_list()[1]:
-                key = str(factor.as_expr())
+                key = (str(factor.as_expr()), factor.degree())
                 factor_orders.setdefault(key, [0] * rank)[i] += mult
     finite = tuple(sorted(
-        (key, tuple(orders)) for key, orders in factor_orders.items()
+        (*key, tuple(orders)) for key, orders in factor_orders.items()
     ))
     at_inf = tuple(
         data.degrees[i] - data.component_degree(i) for i in range(rank)

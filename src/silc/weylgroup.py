@@ -107,7 +107,7 @@ class WeylGroup:
         self.id_finite = self._intern(ident, ident)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
         self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
-        self._w0 = self._build_w0()
+        self._w0, self.w0_word = self._build_w0()
 
     # -- constructors --------------------------------------------------------
 
@@ -155,13 +155,18 @@ class WeylGroup:
         return self._intern(tuple(zip(*root_cols)), tuple(zip(*coweight_cols)))
 
     def _build_w0(self):
-        """Longest finite element: multiply by left ascents until none is left."""
+        """Longest finite element and a reduced word for it: multiply by the
+        smallest left ascent until none is left.  The indices, in the order
+        taken, are the word; it equals reduced_word_finite(w0)."""
         w = self.id_finite
+        word = []
         while True:
             descents = self._left_descents(w)
             if all(descents):
-                return w
-            w = self._simple_finite[descents.index(False)] * w
+                return w, tuple(word)
+            i = descents.index(False)
+            word.append(i + 1)
+            w = self._simple_finite[i] * w
 
     @property
     def w0(self) -> FiniteWeylElement:

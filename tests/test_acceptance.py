@@ -24,7 +24,6 @@ from subword import Subword
 
 from silc.charring import (
     GradedCharacter,
-    demazure_step,
     demazure_word,
     gch_global_weyl,
     weyl_character,
@@ -98,18 +97,15 @@ def test_twist_table_normalization_and_support(kind, rank, lams):
     """a^w_w = e^{-w w0 lam} at qbar^0 and the support stays below w.
 
     Every table is additionally verified internally against the product
-    identity for two distinct strictly dominant probe weights.
+    identity for the two strictly dominant weights rho and 2 rho.
     """
     datum = root_datum(kind, rank)
     so = si_order(datum)
     wg = so.wg
-    rho = datum.rho
-    probes = (rho, tuple(2 * c for c in rho))
     w0_aff = wg.affine_from_finite(wg.w0)
     for w in so.box(wg.identity, 2):
         for lam in lams:
-            table = compute_pieri(datum, w, lam, (0, 1), 2,
-                                  verify_weights=probes)
+            table = compute_pieri(datum, w, lam, (0, 1), 2)
             base = vec_neg(wg.compose(w, w0_aff).finite.act_weight(lam))
             assert dict(table.coefficient(w).terms) == {(0, base): 1}
             for u in table.support():
@@ -218,8 +214,8 @@ def test_demazure_idempotent_random():
                 terms[(q, wt)] = rng.randint(1, 3)
             f = GradedCharacter.make(terms, (-30, 30))
             i = rng.randint(0, rank)
-            once = demazure_step(datum, i, f)
-            assert demazure_step(datum, i, once) == once
+            once = demazure_word(datum, (i,), f)
+            assert demazure_word(datum, (i,), once) == once
 
 
 def test_weyl_dimensions_match_product_formula():
@@ -250,7 +246,7 @@ def test_degree_conservation_200_random():
         rank = rng.choice((1, 2))
         data = random_dp(rng, rank)
         validate_dp(data)
-        total = defect_divisor(data).total(rank)
+        total = defect_divisor(data).total()
         sat = saturate(data)
         for i in range(rank):
             assert sat.component_degree(i) + total[i] == data.degrees[i]

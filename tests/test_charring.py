@@ -13,7 +13,6 @@ from silc.charring import (
     CharacterError,
     FULL_WINDOW,
     GradedCharacter,
-    demazure_step,
     demazure_word,
     gch_global_weyl,
     weyl_character,
@@ -57,23 +56,23 @@ def test_json_round_trip():
 
 def test_demazure_step_sl2_strings(a1):
     f = mono(0, (1,))
-    out = demazure_step(a1, 1, f)
+    out = demazure_word(a1, (1,), f)
     assert out == mono(0, (1,)) + mono(0, (-1,))
-    assert demazure_step(a1, 1, mono(0, (-1,))).is_zero()
-    assert demazure_step(a1, 1, GradedCharacter.one(1)) == GradedCharacter.one(1)
-    assert demazure_step(a1, 0, GradedCharacter.one(1)) == GradedCharacter.one(1)
+    assert demazure_word(a1, (1,), mono(0, (-1,))).is_zero()
+    assert demazure_word(a1, (1,), GradedCharacter.one(1)) == GradedCharacter.one(1)
+    assert demazure_word(a1, (0,), GradedCharacter.one(1)) == GradedCharacter.one(1)
 
 
 def test_demazure_step_interior_string_negative(a1):
     # <alpha^, -2w> = -2: minus the interior of the string
-    out = demazure_step(a1, 1, mono(0, (-2,)))
+    out = demazure_word(a1, (1,), mono(0, (-2,)))
     assert out == mono(0, (0,), -1)
 
 
 def test_demazure_affine_step_shifts_q(a1):
     # i = 0 string on e^{-w}: m = -<theta^, -w> = 1, adds q^{-1} e^{w}
     f = mono(0, (-1,), 1, (-2, 1))
-    out = demazure_step(a1, 0, f)
+    out = demazure_word(a1, (0,), f)
     assert out.coefficient(0, (-1,)) == 1
     assert out.coefficient(-1, (1,)) == 1
 
@@ -82,7 +81,7 @@ def test_demazure_word_empty_and_index_range(a2):
     f = mono(0, (1, 1))
     assert demazure_word(a2, [], f) == f
     with pytest.raises(CharacterError):
-        demazure_step(a2, 3, f)
+        demazure_word(a2, (3,), f)
 
 
 def test_braid_invariance_a2_example(a2):
@@ -133,8 +132,8 @@ def test_demazure_idempotent_a1(data, i):
     # window wide enough that no string is clipped (identity is exact)
     datum = root_datum("A", 1)
     f = GradedCharacter.make({(q, (m,)): c for q, m, c in data}, (-30, 30))
-    once = demazure_step(datum, i, f)
-    assert demazure_step(datum, i, once) == once
+    once = demazure_word(datum, (i,), f)
+    assert demazure_word(datum, (i,), once) == once
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,12 +149,13 @@ def test_demazure_idempotent_a1(data, i):
 def test_demazure_idempotent_a2(data, i):
     datum = root_datum("A", 2)
     f = GradedCharacter.make({(q, (m, n)): c for q, m, n, c in data}, (-30, 30))
-    once = demazure_step(datum, i, f)
-    assert demazure_step(datum, i, once) == once
+    once = demazure_word(datum, (i,), f)
+    assert demazure_word(datum, (i,), once) == once
 
 
 def _reference_step(datum, i, terms, window):
-    """demazure_step by its docstring, term by term on (q, weight) tuples."""
+    """One Demazure step by the demazure_word docstring, term by term on
+    (q, weight) tuples."""
     q_min, q_max = window
     if i:
         alpha, dq = datum.simple_root_weights[i - 1], 0
@@ -303,7 +303,7 @@ def test_gweyl_demazure_one_step_recursion(a2):
         shorter = wg.affine_from_finite(wg.finite_from_word(word[1:]))
         longer = wg.affine_from_finite(wg.finite_from_word(word))
         lhs = gch_global_weyl(a2, longer, lam, window)
-        rhs = demazure_step(a2, word[0], gch_global_weyl(a2, shorter, lam, window))
+        rhs = demazure_word(a2, (word[0],), gch_global_weyl(a2, shorter, lam, window))
         assert lhs == rhs
 
 

@@ -1,8 +1,12 @@
-"""The loop model stores symmetric tensors: one sorted monomial per multiset."""
+"""The loop model answers two questions about extremal elements x = u * t_beta
+in absolute degrees, and stores symmetric tensors: one sorted monomial per
+multiset."""
 
 import pytest
 
 from silc import loopmodel
+from silc.rootdata import RootDataError
+from silc.semiinf import si_order
 from silc.weylgroup import weyl_group
 
 
@@ -15,7 +19,7 @@ def test_upward_closure_of_w0_is_symmetric(a2, lam, monomials, pivots):
     Storing every ordering of the slots gives 540, 2835 and 540 distinct
     monomials for the same pivots."""
     wg = weyl_group(a2)
-    seed = loopmodel.extremal_monomial(wg, wg.w0, (0, 0), lam)
+    seed = loopmodel.extremal_monomial(wg, wg.affine_from_finite(wg.w0), lam)
     span = loopmodel.span_closure(2, seed, loopmodel.raising_ops(2),
                                   lambda d: 0 <= d < 4)
     rows = [row for block in span.blocks.values() for row in block.values()]
@@ -29,15 +33,50 @@ def test_shared_upward_closure_is_order_independent(a2):
     and give their monomials back: whatever ran before, each intersection
     equals the one from a fresh memo, and the table keeps its size."""
     wg = weyl_group(a2)
-    w, lam = wg.parse("e@0,0"), (2, 1)
-    bottoms = [wg.parse(x) for x in
+    w0 = wg.affine_from_finite(wg.w0)
+    xw, lam = wg.compose(wg.parse("e@0,0"), w0), (2, 1)
+    bottoms = [wg.compose(wg.parse(x), w0) for x in
                ("1,2,1@1,1", "1,2@1,0", "2,1@0,1", "1@1,1", "2@0,0", "e@1,1")]
-    fresh = {v: loopmodel.richardson_blocks(a2, v, w, lam, {}, 6) for v in bottoms}
+    fresh = {xv: loopmodel.richardson_blocks(a2, xv, xw, lam, {}, 6)
+             for xv in bottoms}
     assert all(fresh.values())
     for order in (bottoms, bottoms[::-1]):
         spans, sizes = {}, set()
-        for v in order:
-            assert loopmodel.richardson_blocks(a2, v, w, lam, spans, 6) == fresh[v]
+        for xv in order:
+            assert loopmodel.richardson_blocks(a2, xv, xw, lam, spans, 6) == fresh[xv]
             (span_up,) = spans.values()
             sizes.add((len(span_up.table.monos), len(span_up.table.ids)))
         assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("text,seed_degree", [
+    ("e@0,0", 0), ("1,2@1,0", -2), ("2@-1,1", 2)])
+def test_schubert_blocks_weight_zero_and_empty_window(a2, text, seed_degree):
+    """With lam = 0 the seed is the empty monomial, one vector at degree 0;
+    with d_max at or below the seed degree the span is empty."""
+    wg = weyl_group(a2)
+    x = wg.parse(text)
+    assert loopmodel.schubert_blocks(a2, x, (0, 0), 1) == {(0, (0, 0)): 1}
+    assert loopmodel.schubert_blocks(a2, x, (0, 0), 0) == {}
+    lam = (2, 0)
+    assert loopmodel.schubert_blocks(a2, x, lam, seed_degree) == {}
+    assert loopmodel.schubert_blocks(a2, x, lam, seed_degree + 1) != {}
+
+
+def test_richardson_blocks_weight_zero(a2):
+    """The extremal elements of a comparable pair v <= w."""
+    wg = weyl_group(a2)
+    v, w = wg.parse("1,2@1,1"), wg.parse("e@0,0")
+    assert si_order(a2).si_le(v, w)
+    w0 = wg.affine_from_finite(wg.w0)
+    xv, xw = wg.compose(v, w0), wg.compose(w, w0)
+    assert loopmodel.richardson_blocks(a2, xv, xw, (0, 0), {}, 2) == {(0, (0, 0)): 1}
+
+
+def test_entry_points_require_type_a(b2):
+    wg = weyl_group(b2)
+    x = wg.identity
+    with pytest.raises(RootDataError):
+        loopmodel.schubert_blocks(b2, x, (1, 0), 2)
+    with pytest.raises(RootDataError):
+        loopmodel.richardson_blocks(b2, x, x, (1, 0), {}, 2)

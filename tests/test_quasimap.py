@@ -91,9 +91,9 @@ def test_json_round_trip():
 def test_defect_forced_at_zero():
     data = DPData.make(1, (((0, 1), (0, 0, 1)),), (2,))
     div = defect_divisor(data)
-    assert div.finite_points == (("z", (1,)),)
+    assert div.finite_points == (("z", 1, (1,)),)
     assert div.at_infinity == (0,)
-    assert div.total(1) == (1,)
+    assert div.total() == (1,)
 
 
 def test_coprime_full_degree_has_no_defect():
@@ -134,7 +134,7 @@ def test_degree_conservation_random():
         validate_dp(data)
         div = defect_divisor(data)
         sat = saturate(data)
-        total = div.total(rank)
+        total = div.total()
         for i in range(rank):
             assert sat.component_degree(i) + total[i] == data.degrees[i]
 

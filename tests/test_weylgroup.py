@@ -226,6 +226,12 @@ def test_w0_longest(wg):
         assert all(c <= 0 for c in img)
 
 
+def test_w0_word_is_the_smallest_reduced_word(wg):
+    """The ascents that build w0 spell its lexicographically smallest
+    reduced word."""
+    assert list(wg.w0_word) == wg.reduced_word_finite(wg.w0)
+
+
 # ---------------------------------------------------------------------------
 # interned finite elements; rho has trivial stabilizer, so its image under
 # the oracle's Weyl action identifies an element without using silc
@@ -257,6 +263,7 @@ def test_e8_w0_reduced_word():
     wg = weyl_group(datum)
     word = wg.reduced_word_finite(wg.w0)
     assert len(word) == 120
+    assert list(wg.w0_word) == word
     assert oracle.RootSystem("E", 8).act_word(word, datum.rho) == vec_neg(datum.rho)
 
 
