@@ -11,13 +11,10 @@ The module answers two questions about extremal affine elements
 x = u * t_beta, whose extremal vector sits at z-degree -<beta, lambda>, in
 absolute degrees: schubert_blocks(datum, x, lam, d_max) gives the graded
 dimensions of the upward module of x below d_max, and
-richardson_blocks(datum, xv, xw, lam, spans, reach) those of the
-intersection of the upward module of xw with the downward module of xv.
-Which element stands for which section space, and how sections are
-anchored and weighted, is left to the callers.  A caller that intersects
-one upward module with many downward ones passes richardson_blocks a memo
-of upward closures and drops it when done; this module keeps no closures
-of its own.
+richardson_blocks(datum, xv, xw, lam) those of the intersection of the
+upward module of xw with the downward module of xv.  Which element stands
+for which section space, and how sections are anchored and weighted, is
+left to the callers.  The module keeps no closures between calls.
 
 Monomial basis: a slot is (subset, z_exp) with subset a sorted tuple encoding
 a wedge basis vector.  The current algebra acts by derivations, so the module
@@ -34,9 +31,8 @@ in small independent blocks.
 Vectors are keyed by int ids, not by monomials: a Monomials table interns
 each sorted monomial once, and operators read the slots back through it.  A
 closure owns its table unless it is handed one; richardson_blocks hands the
-downward closure the table of the memoized upward one, so their blocks
-compare, and truncates it afterwards to the upward closure's own monomials.
-No table outlives the closures that hold it.
+downward closure the table of the upward one, so their blocks compare.  No
+table outlives the closures that hold it.
 """
 
 from __future__ import annotations
@@ -108,12 +104,6 @@ class Monomials:
             mid = self.ids[monomial] = len(self.monos)
             self.monos.append(monomial)
         return mid
-
-    def truncate(self, n):
-        """Forget every id from n on."""
-        for monomial in self.monos[n:]:
-            del self.ids[monomial]
-        del self.monos[n:]
 
 
 class BlockSpan:
@@ -301,37 +291,24 @@ def schubert_blocks(datum: RootDatum, x: AffineWeylElement, lam, d_max):
 
 
 def richardson_blocks(datum: RootDatum, xv: AffineWeylElement,
-                      xw: AffineWeylElement, lam, spans, reach):
+                      xw: AffineWeylElement, lam):
     """Graded dimensions {(d, wt): dim} of the intersection of the upward
     module of xw and the downward module of xv, in absolute z-degrees.
 
     The intersection is finite-dimensional and computed in full; no
     truncation is applied.
-
-    spans is a dict that keeps upward closures, keyed by (xw, lam, d_top),
-    for later calls with the same xw; each is closed at least reach degrees
-    above its seed.  The raising operators never lower the degree, so a
-    block of the upward module depends only on the degrees from the seed up
-    to its own, and a wider closure gives every narrower request the same
-    dimensions.
     """
     require_type_a(datum)
-    rank, wg = datum.rank, weyl_group(datum)
+    rank = datum.rank
     d_low = -vec_dot(xw.translation, lam)
     d_high = -vec_dot(xv.translation, lam)
     if d_low > d_high:
         return {}
-    d_top = max(d_high, d_low + reach)
-    key = (xw, lam, d_top)
-    span_up = spans.get(key)
-    if span_up is None:
-        span_up = spans[key] = _upward(datum, xw, lam, d_top + 1)
+    span_up = _upward(datum, xw, lam, d_high + 1)
     # the downward closure interns into the upward one's table, so their
-    # blocks compare, and gives its monomials back when done: the table
-    # keeps only what the memoized closure holds, whatever ran before
+    # blocks compare
     table = span_up.table
-    n_up = len(table.monos)
-    span_down = span_closure(rank, extremal_monomial(wg, xv, lam),
+    span_down = span_closure(rank, extremal_monomial(weyl_group(datum), xv, lam),
                              lowering_ops(rank), lambda d: d_low <= d <= d_high,
                              table)
     out = {}
@@ -352,5 +329,4 @@ def richardson_blocks(datum: RootDatum, xv: AffineWeylElement,
         dim = dim_b - added
         if dim > 0:
             out[key] = dim
-    table.truncate(n_up)
     return out

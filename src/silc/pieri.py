@@ -11,34 +11,37 @@ off the loop-model modules of the extremal element w w0, which _extremal,
 the one place that composes with w0, returns; anchoring and negating the
 weights happen here, not in the loop model.
 
-The Richardson section character R(v, u; mu), anchored at u, is exact for
-strictly dominant (or zero) mu.  The twist coefficients a^u_w(lambda) of
-every dominant lambda solve one relation,
+The twist coefficients a^x_w(lambda) are read off the Pieri-Chevalley
+formula of Kato-Naito-Sagaki (arXiv:1702.02408) in type A, where every
+fundamental weight is minuscule.  Let i* = r+1-i, so varpi_{i*} =
+-w0 varpi_i; varpi_{i*} in weight coordinates and alpha_{i*}^vee in coroot
+coordinates are the same unit tuple.  Then
 
-    R(v, w; lambda+mu) = sum over u in [v, w] of
-                         a^u_w(lambda) * R(v, u; mu) * qbar^{c_u(mu)},
+    a^x_u(varpi_i) = qbar^{<beta_x - beta_u, varpi_{i*}>} e^{y varpi_{i*}}
 
-where c_u(mu) is the extremal mu-degree of u relative to w.  For strictly
-dominant lambda, mu = 0 and the relation is plain inclusion-exclusion.
-Otherwise mu = rho: expanding the (lambda+rho)-twist by the rho-twist gives
-a^v'_w(lambda+rho) = sum over u in [v', w] of a^u_w(lambda) a^v'_u(rho)
-qbar^{c_u(rho)}; sum it over v' in [v, w] and swap the sums.  The diagonal
-term R(v, v; mu) is the monomial e^{-v w0 mu}, so a^v_w(lambda) follows by
-back-substitution from w downward.
+with y the finite part of x, if x = m t_{k alpha_{i*}^vee} with k >= 0 and
+m in SemiInfiniteOrder.nearest_below(u, varpi_{i*}), and 0 otherwise.  Each
+such m is the element below u nearest to it in its coset of the stabilizer
+of varpi_{i*}, unique by the tilted Bruhat theorem (Lenart-Naito-Sagaki-
+Schilling-Shimozono, arXiv:1402.2203).  Twisting by one fundamental weight at a time
+gives every dominant lambda:
 
-Verified coefficients are memoized per datum and normalized table request.
-The work inside one table, its Richardson characters and the upward
-closures of their tops, lives in a memo that is dropped with the table.
+    a^x_w(lambda + varpi_i) = sum over u of
+        a^u_w(lambda) a^x_u(varpi_i) qbar^{<beta_u - beta_w, varpi_{i*}>}.
+
+Every factor is a monomial of nonnegative qbar-degree, so no sum cancels
+and a window [0, hi) cuts every step exactly.  The Richardson section
+character of strictly dominant (or zero) lambda is the one computation of
+sections that does not use the formula: the loop model gives it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import loopmodel
 from .charring import GradedCharacter, FULL_WINDOW, CharacterError
-from .rootdata import RootDatum, vec_add, vec_neg, vec_sub
+from .rootdata import RootDatum, vec_add, vec_neg
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
 
@@ -68,67 +71,32 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
     For strictly dominant (or zero) lambda it is computed exactly as the
     graded dual of the intersection of the upward module of w*w0 with the
     downward module of v*w0.  Otherwise it is the sum of the twist
-    coefficients a^u_w(lambda) over v <= u <= w, solved on that interval
-    alone: each a^u depends only on the elements of [u, w].
+    coefficients a^u_w(lambda) over v <= u <= w.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
-    so = si_order(datum)
-    if not so.si_le(v, w):
+    if not si_order(datum).si_le(v, w):
         return GradedCharacter.zero(window)
     if datum.is_strictly_dominant(lam) or sum(lam) == 0:
-        return _richardson(datum, v, w, lam, _TableMemo(0)).truncate(window)
+        xv = _extremal(datum, v, lam)[0]
+        xw, d_w, _ = _extremal(datum, w, lam)
+        blocks = loopmodel.richardson_blocks(datum, xv, xw, lam)
+        return GradedCharacter.make(
+            {(d - d_w, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
+            window)
     # non-regular twists fall outside the Demazure-intersection description
-    coeffs = _solve(datum, w, lam, so.si_interval(v, w), _TableMemo(_shell(v, w)))
+    coeffs = _twist_coefficients(datum, w, lam, FULL_WINDOW, v)
     return sum(coeffs.values(), GradedCharacter.zero(FULL_WINDOW)).truncate(window)
 
 
 def h0_dimension(datum: RootDatum, v, w, lam) -> int:
     """Dimension of the section space (all coefficients summed).
 
-    Exact: the underlying intersection is finite-dimensional and computed in
-    full.
+    Exact: the loop-model intersection of a strictly dominant twist is
+    finite-dimensional, and the interval [v, w] is finite.
     """
     return smt_character(datum, v, w, lam).total()
-
-
-class _TableMemo:
-    """Work shared by the coefficients of one table or interval, dropped with it.
-
-    characters maps (v, top, mu) to the anchored R(v, top; mu), with top
-    moved to its finite part; spans holds the upward closures of Richardson
-    tops (see loopmodel.richardson_blocks).  Every bottom lies within depth
-    translation steps of its top, so a closure depth * sum(mu) degrees deep
-    serves all of them.
-    """
-
-    def __init__(self, depth):
-        self.depth = depth
-        self.characters = {}
-        self.spans = {}
-
-
-def _richardson(datum, v, top, mu, memo):
-    """R(v, top; mu), the section character of the Richardson variety of
-    v <= top for strictly dominant (or zero) mu, anchored at top, unwindowed.
-
-    Anchored characters are equivariant under right translation, so top is
-    moved to its finite part and one memo entry serves every top of a coset.
-    """
-    v = AffineWeylElement(v.finite, vec_sub(v.translation, top.translation))
-    top = AffineWeylElement(top.finite, (0,) * datum.rank)
-    key = (v, top, mu)
-    got = memo.characters.get(key)
-    if got is None:
-        xv = _extremal(datum, v, mu)[0]
-        xw, d_top, _ = _extremal(datum, top, mu)
-        blocks = loopmodel.richardson_blocks(datum, xv, xw, mu, memo.spans,
-                                             memo.depth * sum(mu))
-        got = memo.characters[key] = GradedCharacter.make(
-            {(d - d_top, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
-            FULL_WINDOW)
-    return got
 
 
 def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
@@ -183,57 +151,48 @@ def _shell(u, w):
     return max(abs(bu - bw) for bu, bw in zip(u.translation, w.translation))
 
 
-def _candidates_below(so, w, depth):
-    """The elements below w at translation distance at most depth, sorted by
-    si-length, then key."""
-    cap = tuple(b + depth for b in w.translation)
-    return [u for level in so.down_set(w, cap)
-            for u in sorted(level, key=AffineWeylElement.key)]
+def _twist_coefficients(datum, w, lam, window, bottom=None):
+    """{x: a^x_w(lam)} for every x, above bottom if one is given, whose
+    coefficient is nonzero on the window, by the formula of the module
+    docstring.
 
-
-def _solve(datum, w, lam, candidates, memo):
-    """a^v_w(lam) for every v in candidates, which list each element after
-    those above it, by back-substitution in the relation of the module
-    docstring.  With mu = 0 the kernel R(v, u; 0) qbar^{c_u(0)} is 1, so
-    neither its product nor the division by the diagonal term is made.
+    Translating x by alpha_{i*}^vee moves it down and raises its degree, so
+    the walk along k stops at the first x that is not above bottom or whose
+    term leaves the window.
     """
+    loopmodel.require_type_a(datum)
     so = si_order(datum)
-    mu = (0,) * datum.rank if datum.is_strictly_dominant(lam) else datum.rho
-    d_w = _extremal(datum, w, mu)[1]
-    out = {}
-    for v in candidates:
-        val = _richardson(datum, v, w, vec_add(lam, mu), memo)
-        for u in so.si_interval(v, w):
-            a_u = out.get(u)  # None at u == v, which is being solved
-            if a_u is None or a_u.is_zero():
-                continue
-            if any(mu):
-                a_u = (a_u * _richardson(datum, v, u, mu, memo)).shift_q(
-                    _extremal(datum, u, mu)[1] - d_w)
-            val = val - a_u
-        if any(mu):
-            # divide by the diagonal term R(v, v; mu) qbar^{c_v} = e^{-v w0 mu} qbar^{c_v}
-            _, d_v, wt_v = _extremal(datum, v, mu)
-            inv = GradedCharacter.monomial(d_w - d_v, vec_neg(wt_v))
-            val = (val.truncate(FULL_WINDOW) * inv).truncate(FULL_WINDOW)
-        if any(q < 0 for (q, _), _ in val.terms):
-            raise InconsistencyError("negative qbar-degree in a twist "
-                                     "coefficient; the explored depth is inconsistent")
-        out[v] = val
-    return out
+    rank = datum.rank
+    coeffs = {w: GradedCharacter.one(rank, window)}
+    for i, m in enumerate(lam, start=1):
+        star = rank - i  # 0-based index of i*
+        # varpi_{i*}, and alpha_{i*}^vee in coroot coordinates
+        unit = tuple(int(j == star) for j in range(rank))
+        for _ in range(m):
+            step = {}
+            for u, a in coeffs.items():
+                for x in so.nearest_below(u, unit):
+                    while bottom is None or so.si_le(bottom, x):
+                        term = a * GradedCharacter.monomial(
+                            x.translation[star] - w.translation[star],
+                            x.finite.act_weight(unit))
+                        if term.is_zero():
+                            break
+                        step[x] = step[x] + term if x in step else term
+                        x = AffineWeylElement(x.finite, vec_add(x.translation, unit))
+            coeffs = step
+    return coeffs
 
 
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
                   depth: int) -> PieriTable:
     """Twist coefficients a^u_w(lambda) for all u within the window.
 
-    The coefficients of every u within depth translation steps below w are
-    solved from the relation of the module docstring, with mu = 0 for
-    strictly dominant lambda and mu = rho otherwise.  The coefficients on
-    qbar-degrees [0, hi) are then re-verified against the product identity
-    for the strictly dominant weights rho and 2*rho, completeness across the
-    explored box is certified by two outermost shells of vanishing
-    coefficients, and only then is the table cut to the window [lo, hi).
+    The coefficients on qbar-degrees [0, hi) follow from the formula of the
+    module docstring.  They are re-verified against the product identity for
+    the strictly dominant weights rho and 2*rho, the two outermost of depth
+    translation shells around w must carry none of them, and only then is
+    the table cut to the window [lo, hi).
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -245,55 +204,31 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
     if sum(lam) == 0:
         one = GradedCharacter.one(datum.rank, window)
         return PieriTable(w, lam, window, ((w, one),), 0)
-    coeffs = _coefficients(datum, w, lam, q_hi, depth)
+    if depth < 2:
+        raise WindowExhaustedError("depth must be at least 2 to certify the window")
+    full = _twist_coefficients(datum, w, lam, (0, q_hi))
+    base = full.get(w, GradedCharacter.zero())
+    expected = GradedCharacter.monomial(0, _extremal(datum, w, lam)[2])
+    if dict(base.terms) != dict(expected.terms):
+        raise InconsistencyError(
+            f"base coefficient {dict(base.terms)} is not the extremal monomial"
+        )
+    so = si_order(datum)
+    coeffs = sorted(full.items(), key=lambda ua: (so.si_length(ua[0]), ua[0].key()))
+    for u, _ in coeffs:
+        # the depth certificate: the two outermost of depth shells around w
+        # carry no support
+        if _shell(u, w) >= depth - 1:
+            raise WindowExhaustedError(
+                f"nonzero coefficient at translation distance {_shell(u, w)} "
+                f"from the base with depth {depth}; increase depth"
+            )
+    for mu in (datum.rho, vec_add(datum.rho, datum.rho)):
+        _verify_table(datum, w, lam, coeffs, mu, q_hi)
     cut = ((u, a.truncate(window)) for u, a in coeffs)
     return PieriTable(w, lam, window,
                       tuple((u, a) for u, a in cut if not a.is_zero()),
                       _extremal(datum, w, lam)[1])
-
-
-@lru_cache(maxsize=None)
-def _coefficients(datum, w, lam, q_hi, depth):
-    """The nonzero verified coefficients of compute_pieri on [0, q_hi), as
-    (u, a^u_w(lam)) pairs in candidate order."""
-    window = (0, q_hi)
-    if any(w.translation):
-        # anchored coefficients are equivariant under right translation, so
-        # compute at the purely finite base and translate the support back
-        wg = weyl_group(datum)
-        shift = wg.translation(w.translation)
-        base0 = AffineWeylElement(w.finite, (0,) * datum.rank)
-        inner = _coefficients(datum, base0, lam, q_hi, depth)
-        coeffs = tuple((wg.compose(u, shift), a) for u, a in inner)
-    else:
-        if depth < 2:
-            raise WindowExhaustedError("depth must be at least 2 to certify the window")
-        candidates = _candidates_below(si_order(datum), w, depth)
-        full = _solve(datum, w, lam, candidates, _TableMemo(depth))
-        base = full[w]
-        expected = GradedCharacter.monomial(0, _extremal(datum, w, lam)[2])
-        if dict(base.terms) != dict(expected.terms):
-            raise InconsistencyError(
-                f"base coefficient {dict(base.terms)} is not the extremal monomial"
-            )
-        coeffs = []
-        for u in candidates:
-            a = full[u].truncate(window)
-            if a.is_zero():
-                continue
-            # completeness certificate: the two outermost explored shells must
-            # carry no support, otherwise coefficients may extend past the box
-            if _shell(u, w) >= depth - 1:
-                raise WindowExhaustedError(
-                    f"nonzero coefficient at translation distance {_shell(u, w)} "
-                    f"from the base with depth {depth}; increase depth"
-                )
-            coeffs.append((u, a))
-        coeffs = tuple(coeffs)
-    # the translated case verifies its own step, not only the finite table
-    for mu in (datum.rho, vec_add(datum.rho, datum.rho)):
-        _verify_table(datum, w, lam, coeffs, mu, q_hi)
-    return coeffs
 
 
 def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):

@@ -42,6 +42,7 @@ class SemiInfiniteOrder:
         self.wg = wg
         self.datum: RootDatum = wg.datum
         self._finite_covers = {}
+        self._nearest = {}
         self._si_cache = {}
 
     # -- length --------------------------------------------------------------
@@ -82,6 +83,34 @@ class SemiInfiniteOrder:
     def _covers(self, v: AffineWeylElement):
         for alpha, y, shift in self._covers_of_finite(v.finite):
             yield alpha, AffineWeylElement(y, vec_add(v.translation, shift))
+
+    def nearest_below(self, u: AffineWeylElement, lam):
+        """For each weight mu of the orbit W lam, the element m below u with
+        m.finite(lam) = mu that the fewest covers reach from u.
+
+        A breadth-first search on finite parts, memoized per (u.finite, lam).
+        All shortest paths of the quantum Bruhat graph between two elements
+        carry the same translation (Postnikov), and the nearest element of
+        each coset of the stabilizer of lam is unique (the tilted Bruhat
+        theorem, arXiv:1402.2203), so the order of the search does not matter.
+        """
+        got = self._nearest.get((u.finite, lam))
+        if got is None:
+            found = {}
+            seen = {u.finite}
+            level = [(u.finite, (0,) * self.datum.rank)]
+            while level:
+                below = []
+                for y, shift in level:
+                    found.setdefault(y.act_weight(lam), (y, shift))
+                    for _, z, step in self._covers_of_finite(y):
+                        if z not in seen:
+                            seen.add(z)
+                            below.append((z, vec_add(shift, step)))
+                level = below
+            got = self._nearest[(u.finite, lam)] = tuple(found.values())
+        return [AffineWeylElement(y, vec_add(u.translation, shift))
+                for y, shift in got]
 
     def si_covers_below(self, v: AffineWeylElement, height_bound: int = 2):
         """All (alpha, s_alpha v) one step below v in the semi-infinite order,
