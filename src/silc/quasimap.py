@@ -4,31 +4,30 @@ saturated evaluation, Schubert membership, and dimension calculators.
 Polynomial components are stored with exact rational coefficients in fixed
 weight bases: SL2 {e1, e2}; SL3 V(w1) = {e1, e2, e3} and V(w2) = {e1^e2,
 e1^e3, e2^e3} with the contraction e1^e2 <-> e3*, e1^e3 <-> -e2*,
-e2^e3 <-> e1*.  Defect points are reported as monic irreducible factor
-strings over the rationals, never as floating-point roots.
+e2^e3 <-> e1*.  A defect point is reported as an irreducible factor over
+the rationals, never as a floating-point root: the primitive integer
+polynomial with a positive leading coefficient, printed as sympy's ``str``
+prints it (``"2*z - 1"``).
+
+A polynomial in z is the tuple of its coefficients, lowest degree first,
+with no trailing zero; ``()`` is zero.  Over Q the coefficients are
+Fractions.  Factoring follows Zassenhaus (von zur Gathen-Gerhard, *Modern
+Computer Algebra*, ch. 14-15): square-free parts by Yun, then each part
+factored mod a small prime by Berlekamp, Hensel-lifted past the Mignotte
+bound, and recombined over Z.  Gcds over Q go through the heuristic
+integer gcd of Char, Geddes and Gonnet.  Nothing depends on randomness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import combinations, zip_longest
+from math import gcd, isqrt, lcm
 
 from .rootdata import RootDatum, solve_unpivoted, vec_dot, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
-
-if TYPE_CHECKING:
-    from sympy import Poly
-
-
-def _sympy():
-    """sympy and the variable z, imported on first use: only the quasi-map
-    polynomial operations need sympy, and importing it takes most of the
-    CLI's start-up time."""
-    import sympy
-
-    return sympy, sympy.Symbol("z")
 
 
 class QuasimapError(ValueError):
@@ -62,35 +61,322 @@ _BASIS_WEIGHTS = {
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise QuasimapError(f"coefficient {x!r} is not an exact rational")
 
 
 def _trim(coeffs):
-    coeffs = tuple(_to_fraction(c) for c in coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-def _poly(coeffs) -> Poly:
-    """Low-degree-first rational coefficient list -> sympy Poly over QQ."""
-    sympy, z = _sympy()
-    expr = sum(
-        (sympy.Rational(c.numerator, c.denominator) * z ** k
-         for k, c in enumerate(coeffs)),
-        sympy.Integer(0),
-    )
-    return sympy.Poly(expr, z, domain=sympy.QQ)
+    return _strip(tuple(_to_fraction(c) for c in coeffs))
 
 
 def _poly_degree(coeffs) -> int:
     return len(coeffs) - 1 if coeffs else -1
+
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic over Q (Fractions) and over Z/m (ints mod m)
+# ---------------------------------------------------------------------------
+
+def _strip(a):
+    end = len(a)
+    while end and not a[end - 1]:
+        end -= 1
+    return tuple(a[:end])
+
+
+def _add(a, b):
+    return _strip(tuple(x + y for x, y in zip_longest(a, b, fillvalue=0)))
+
+
+def _sub(a, b):
+    return _strip(tuple(x - y for x, y in zip_longest(a, b, fillvalue=0)))
+
+
+def _mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _strip(out)
+
+
+def _deriv(a):
+    return tuple(k * c for k, c in enumerate(a) if k)
+
+
+def _mod(a, m):
+    return _strip(tuple(c % m for c in a))
+
+
+def _divmod(a, b, m=None):
+    """Quotient and remainder of a by b != 0 over Q, or over Z/m when m is
+    given (then the leading coefficient of b must be a unit mod m)."""
+    inv = 1 / Fraction(b[-1]) if m is None else pow(b[-1], -1, m)
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        c = r[k + len(b) - 1] * inv
+        if m is not None:
+            c %= m
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    if m is None:
+        return _strip(q), _strip(r)
+    return _mod(q, m), _mod(r, m)
+
+
+def _monic(a, m=None):
+    return _divmod(a, (a[-1],), m)[0] if a else a
+
+
+def _gcd(a, b, m=None):
+    """The monic gcd over Q, or over F_m for a prime m.  Over Q the
+    heuristic gcd goes first: Euclid's remainders over Q grow so fast that
+    degree 100 takes seconds."""
+    if m is None and a and b:
+        g = _heuristic_gcd(_primitive(a), _primitive(b))
+        if g:
+            return _monic(g)
+    while b:
+        a, b = b, _divmod(a, b, m)[1]
+    return _monic(a, m)
+
+
+def _heuristic_gcd(f, g):
+    """The gcd over Z of primitive f and g, read off the integer gcd of
+    their values at a large xi (Char-Geddes-Gonnet; Geddes-Czapor-Labahn,
+    *Algorithms for Computer Algebra*, 7.7): the xi-adic digits of that gcd
+    give a candidate, which is the gcd if it divides f and g.  () when six
+    values of xi all fail."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(6):
+        h = gcd(_value(f, xi), _value(g, xi))
+        digits = []
+        while h:
+            c = h % xi
+            c = c - xi if 2 * c > xi else c
+            digits.append(c)
+            h = (h - c) // xi
+        cand = _primitive(digits)
+        if not _divmod(f, cand)[1] and not _divmod(g, cand)[1]:
+            return cand
+        xi = xi * 73794 // 27011
+    return ()
+
+
+def _value(f, x):
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _gcdex(a, b, p):
+    """(s, t) with s a + t b = 1 over F_p, for coprime a and b;
+    deg s < deg b and deg t < deg a."""
+    r0, r1, s0, s1, t0, t1 = a, b, (1,), (), (), (1,)
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
+        t0, t1 = t1, _mod(_sub(t0, _mul(q, t1)), p)
+    return _divmod(s0, r0, p)[0], _divmod(t0, r0, p)[0]
+
+
+def _squarefree(f):
+    """Yun: the pairs (a, i) with f = lc(f) * prod a**i, each a monic,
+    square-free, of positive degree and coprime to the others."""
+    df = _deriv(f)
+    a = _gcd(f, df)
+    b, c = _divmod(f, a)[0], _divmod(df, a)[0]
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = _sub(c, _deriv(b))
+        a = _gcd(b, d)
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        if len(a) > 1:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _primitive(f):
+    """The primitive integer multiple of f with a positive leading
+    coefficient."""
+    den = lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // g for c in ints)
+
+
+def _berlekamp(f, p):
+    """The monic irreducible factors of a monic square-free f over F_p."""
+    n = len(f) - 1
+    powers = [(1,)]
+    for _ in range((n - 1) * p):
+        powers.append(_divmod((0,) + powers[-1], f, p)[1])
+    # v(z)**p = v(z) mod f for the v = sum v_i z**i with sum_i v_i Q_ij = v_j,
+    # where row i of Q holds z**(i p) mod f
+    rows = [r + (0,) * (n - len(r)) for r in powers[::p]]
+    basis = _kernel([[(rows[i][j] - (i == j)) % p for i in range(n)]
+                     for j in range(n)], p)
+    factors = [f]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        pieces = []
+        for g in factors:
+            left = len(g) - 1
+            for s in range(p):
+                if not left:
+                    break
+                h = _gcd(g, _mod(_sub(v, (s,)), p), p)
+                if len(h) > 1:
+                    pieces.append(h)
+                    left -= len(h) - 1
+        factors = pieces
+    return factors
+
+
+def _kernel(rows, p):
+    """A basis of the null space of a square matrix over F_p."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        piv = next((i for i in range(top, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = pow(rows[top][col], -1, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for i in range(n):
+            if i != top and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = 1
+            for i, col in enumerate(pivots):
+                v[col] = -rows[i][free] % p
+            basis.append(_strip(v))
+    return basis
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g h and s g + t h = 1 from mod m to mod m**2, h monic
+    (von zur Gathen-Gerhard, Algorithm 15.10)."""
+    mm = m * m
+    e = _mod(_sub(f, _mul(g, h)), mm)
+    q, r = _divmod(_mul(s, e), h, mm)
+    g = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
+    h = _mod(_add(h, r), mm)
+    b = _mod(_sub(_add(_mul(s, g), _mul(t, h)), (1,)), mm)
+    c, d = _divmod(_mul(s, b), h, mm)
+    s = _mod(_sub(s, d), mm)
+    t = _mod(_sub(t, _add(_mul(t, b), _mul(c, g))), mm)
+    return g, h, s, t
+
+
+def _hensel_lift(f, us, p, modulus):
+    """Monic lifts mod modulus (a power of p) of the monic factors us of
+    f = lc(f) * prod(us) mod p, lifting one split of us in two at a time."""
+    if len(us) == 1:
+        return [_monic(f, modulus)]
+    k = len(us) // 2
+    g, h = (f[-1],), (1,)
+    for u in us[:k]:
+        g = _mod(_mul(g, u), p)
+    for u in us[k:]:
+        h = _mod(_mul(h, u), p)
+    s, t = _gcdex(g, h, p)
+    m = p
+    while m < modulus:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return (_hensel_lift(_mod(g, modulus), us[:k], p, modulus)
+            + _hensel_lift(_mod(h, modulus), us[k:], p, modulus))
+
+
+def _zassenhaus(f):
+    """The irreducible factors over Z of a square-free primitive integer
+    polynomial f with a positive leading coefficient."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    df = _deriv(f)
+    p = 2
+    while f[-1] % p == 0 or len(_gcd(_mod(f, p), _mod(df, p), p)) > 1:
+        p += 1
+        while any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+            p += 1
+    us = _berlekamp(_monic(_mod(f, p), p), p)
+    if len(us) == 1:
+        return [f]
+    # a factor g of f has |lc(f)/lc(g) * g|_inf <= 2**n |f|_2 lc(f) (Mignotte)
+    bound = 2 ** n * (isqrt(sum(c * c for c in f)) + 1) * f[-1]
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= p
+    lifted = _hensel_lift(f, us, p, modulus)
+    factors, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = (f[-1],)
+            for i in subset:
+                g = _mod(_mul(g, lifted[i]), modulus)
+            g = _primitive([c - modulus if 2 * c > modulus else c for c in g])
+            q, r = _divmod(f, g)
+            if not r:
+                factors.append(g)
+                f = tuple(int(c) for c in q)
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [f]
+
+
+def _factor_list(f):
+    """The pairs (irreducible factor, multiplicity) of f over Q of positive
+    degree, each factor primitive over Z with a positive leading coefficient."""
+    return [(g, i) for a, i in _squarefree(f) for g in _zassenhaus(_primitive(a))]
+
+
+def _expr_str(coeffs) -> str:
+    """The polynomial as sympy's str prints it: terms from the top degree
+    down, except that a positive constant goes first when the one other term
+    is negative (``1 - z**2``, ``1/3 - z/2``)."""
+    terms = [(k, c) for k, c in enumerate(coeffs) if c][::-1]
+    if len(terms) == 2 and terms[1][0] == 0 and terms[1][1] > 0 > terms[0][1]:
+        terms.reverse()
+    out = ""
+    for k, c in terms:
+        mag = Fraction(abs(c))
+        if k == 0:
+            body = str(mag)
+        else:
+            body = "z" if k == 1 else f"z**{k}"
+            if mag.numerator != 1:
+                body = f"{mag.numerator}*{body}"
+            if mag.denominator != 1:
+                body = f"{body}/{mag.denominator}"
+        sign = "-" if c < 0 else "+"
+        out = f"{out} {sign} {body}" if out else sign.strip("+") + body
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,7 +440,13 @@ class DPData:
                 raise QuasimapError(f"component weight {i!r} is outside 1..{rank}")
             if comps[i - 1] is not None:
                 raise QuasimapError(f"component weight {i} is given twice")
-            comps[i - 1] = tuple(tuple(poly) for poly in entry["polys"])
+            polys = entry["polys"]
+            if not isinstance(polys, list) or not all(
+                    isinstance(poly, list) for poly in polys):
+                raise QuasimapError(
+                    f"polys of component weight {i} must be lists of "
+                    f"coefficients, not {polys!r}")
+            comps[i - 1] = tuple(tuple(poly) for poly in polys)
         for i, comp in enumerate(comps, start=1):
             if comp is None:
                 raise QuasimapError(f"component weight {i} is missing")
@@ -185,38 +477,32 @@ class DefectDivisor:
         }
 
 
-def _coeff_tuple(p: Poly):
-    if p.is_zero:
-        return ()
-    return tuple(Fraction(str(c)) for c in reversed(p.all_coeffs()))
-
-
 def wedge(v1, v2):
     """Pluecker coordinates (c12, c13, c23) of two polynomial 3-vectors.
 
     Pairing the wedge against either argument vanishes identically, so this
     is the standard way to manufacture valid rank-2 data.
     """
-    a = [_poly(_trim(c)) for c in v1]
-    b = [_poly(_trim(c)) for c in v2]
+    a = [_trim(c) for c in v1]
+    b = [_trim(c) for c in v2]
     return (
-        _coeff_tuple(a[0] * b[1] - a[1] * b[0]),
-        _coeff_tuple(a[0] * b[2] - a[2] * b[0]),
-        _coeff_tuple(a[1] * b[2] - a[2] * b[1]),
+        _sub(_mul(a[0], b[1]), _mul(a[1], b[0])),
+        _sub(_mul(a[0], b[2]), _mul(a[2], b[0])),
+        _sub(_mul(a[1], b[2]), _mul(a[2], b[1])),
     )
 
 
 def scale_component(vec, factor):
     """Multiply every coordinate polynomial by the given polynomial."""
-    f = _poly(_trim(factor))
-    return tuple(_coeff_tuple(_poly(_trim(c)) * f) for c in vec)
+    f = _trim(factor)
+    return tuple(_mul(_trim(c), f) for c in vec)
 
 
-def _contraction_polynomial(data: DPData) -> Poly:
+def _contraction_polynomial(data: DPData):
     """<u_{w2}(z), u_{w1}(z)> under the fixed contraction signs."""
-    c12, c13, c23 = (_poly(c) for c in data.components[1])
-    u1, u2, u3 = (_poly(c) for c in data.components[0])
-    return c12 * u3 - c13 * u2 + c23 * u1
+    c12, c13, c23 = data.components[1]
+    u1, u2, u3 = data.components[0]
+    return _add(_sub(_mul(c12, u3), _mul(c13, u2)), _mul(c23, u1))
 
 
 def _beta_from_degrees(rank, degrees) -> tuple:
@@ -238,11 +524,10 @@ def validate_dp(data: DPData) -> tuple:
             )
     if data.rank == 2:
         residual = _contraction_polynomial(data)
-        if not residual.is_zero:
-            coeffs = residual.all_coeffs()
+        if residual:
             raise InvalidDPError(
-                f"contraction identity fails: residual {residual.as_expr()}",
-                coefficient=Fraction(str(coeffs[0])),
+                f"contraction identity fails: residual {_expr_str(residual)}",
+                coefficient=residual[-1],
             )
     beta = _beta_from_degrees(data.rank, data.degrees)
     if any(b < 0 for b in beta):
@@ -250,12 +535,11 @@ def validate_dp(data: DPData) -> tuple:
     return beta
 
 
-def _component_gcd(vec) -> Poly:
-    sympy, z = _sympy()
-    g = sympy.Poly(0, z, domain=sympy.QQ)
+def _component_gcd(vec):
+    g = ()
     for coeffs in vec:
-        g = g.gcd(_poly(coeffs))
-    return g.monic()
+        g = _gcd(g, coeffs)
+    return g
 
 
 def defect_divisor(data: DPData) -> DefectDivisor:
@@ -264,11 +548,9 @@ def defect_divisor(data: DPData) -> DefectDivisor:
     rank = data.rank
     factor_orders = {}
     for i in range(rank):
-        g = _component_gcd(data.components[i])
-        if g.degree() > 0:
-            for factor, mult in g.factor_list()[1]:
-                key = (str(factor.as_expr()), factor.degree())
-                factor_orders.setdefault(key, [0] * rank)[i] += mult
+        for factor, mult in _factor_list(_component_gcd(data.components[i])):
+            key = (_expr_str(factor), _poly_degree(factor))
+            factor_orders.setdefault(key, [0] * rank)[i] += mult
     finite = tuple(sorted(
         (*key, tuple(orders)) for key, orders in factor_orders.items()
     ))
@@ -284,7 +566,7 @@ def saturate(data: DPData) -> DPData:
     comps = []
     for i in range(data.rank):
         g = _component_gcd(data.components[i])
-        comps.append(tuple(_coeff_tuple(_poly(coeffs).div(g)[0])
+        comps.append(tuple(_divmod(coeffs, g)[0]
                            for coeffs in data.components[i]))
     return DPData(data.rank, tuple(comps), data.degrees)
 

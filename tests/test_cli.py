@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -191,11 +194,17 @@ DP_WEIGHT_2 = json.dumps({"rank": 1, "degrees": [0], "components": [
         {**json.loads(DP_A1), "components": 2 * json.loads(DP_A1)["components"]})],
     ["order", "le", "--rank", "2", "--w", "1,,2@0,0", "--v", "e@0,0"],
     ["dim", "parabolic", "--rank", "2", "--beta", "0,0", "--w", "1,,"],
+    *[["qmap", "eval", "--rank", "1", "--data", json.dumps(
+        {**json.loads(DP_A1), "components": [{"weight": 1, "polys": polys}]})]
+      for polys in ([["1"], "01"], [[True], ["1"]], [["0"], [False, True]],
+                    [["1/0"], ["1"]])],
 ], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0", "parabolic-index",
         "parabolic-descent", "qmap-data-list", "qmap-weight-2", "qmap-float",
         "empty-translation", "qmap-type-G", "qmap-rank-2", "qmap-degree-float",
         "qmap-degree-string", "qmap-degree-bool", "qmap-weight-twice",
-        "element-empty-letter", "word-empty-letter"])
+        "element-empty-letter", "word-empty-letter", "qmap-poly-string",
+        "qmap-coefficient-true", "qmap-coefficient-bools",
+        "qmap-coefficient-zero-denominator"])
 def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -306,6 +315,38 @@ def test_qmap_validate_reports_invalid_without_failing(runner):
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
     assert payload["valid"] is False and "contraction" in payload["reason"]
+
+
+def test_qmap_defect_prints_primitive_integer_factors(runner):
+    data = json.dumps({"rank": 1, "degrees": [3], "components": [
+        {"weight": 1, "polys": [["-1", "2"], ["1", "-4", "4"]]}]})
+    res = invoke(runner, ["qmap", "defect", "--rank", "1", "--data", data])
+    assert res.exit_code == 0
+    assert res.stdout == ('{"at_infinity":[1],"finite_points":[{"factor":'
+                          '"2*z - 1","multiplicity":[1]}],"total":[2]}\n')
+
+
+def test_qmap_goldens_do_not_import_sympy(tmp_path):
+    """The qmap golden jobs, run in a fresh interpreter, print their goldens
+    and leave sympy unimported."""
+    tests = Path(__file__).resolve().parent
+    names = ["qmap_validate", "qmap_defect", "qmap_eval_inf"]
+    code = (
+        "import sys\n"
+        "from jobspecs import JOBSPECS\n"
+        "from silc.cli import main\n"
+        "for name in sys.argv[1:]:\n"
+        "    main(dict(JOBSPECS)[name] + ['--no-cache'], standalone_mode=False)\n"
+        "if 'sympy' in sys.modules:\n"
+        "    sys.exit('sympy was imported')\n"
+    )
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    res = subprocess.run([sys.executable, "-c", code, *names], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "".join(
+        (tests / "golden" / f"{name}.txt").read_text() for name in names)
 
 
 DP_A1_OTHER = json.dumps({"rank": 1, "degrees": [2], "components": [
