@@ -35,7 +35,11 @@ def canonical_json(obj) -> str:
 @lru_cache(maxsize=None)
 def source_digest() -> str:
     """sha256 of the package's .py sources, so edited code never reads
-    entries written by other code under the same version."""
+    entries written by other code under the same version.
+
+    Every module is hashed, also the ones the running subcommand never
+    imports: a job's result may depend on any module, and this keeps the
+    key from having to know which."""
     h = hashlib.sha256()
     package = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(package)):

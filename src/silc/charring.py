@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import loopmodel
+from .errors import CharacterError
 from .rootdata import RootDatum, vec_add, vec_dot
 from .weylgroup import AffineWeylElement, weyl_group
-
-
-class CharacterError(ValueError):
-    pass
 
 
 FULL_WINDOW = (-(10 ** 9), 10 ** 9)

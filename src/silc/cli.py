@@ -10,6 +10,9 @@ Each subcommand is a compute function ``(datum, **options) -> payload``
 registered with ``job``.  Its options are typed click parameters, parsed and
 checked against the root datum of ``--type``/``--rank`` before anything is
 computed; ``job`` owns the cache key, the cache and the exit codes.
+
+Each compute function imports the modules it calls, so that a process loads
+only what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -20,15 +23,9 @@ import sys
 import click
 
 from . import cache as cachemod
-from .charring import (CharacterError, GradedCharacter, demazure_word,
-                       gch_global_weyl, weyl_character)
-from .pieri import (InconsistencyError, WindowExhaustedError, compute_pieri,
-                    smt_character)
-from .quasimap import (DPData, EmptyRichardsonError, QuasimapError,
-                       defect_divisor, dim_parabolic, dim_richardson, evaluate,
-                       validate_dp)
-from .rootdata import RootDataError, root_datum
-from .semiinf import si_order
+from .errors import (CharacterError, InconsistencyError, QuasimapError,
+                     RootDataError, WindowExhaustedError)
+from .rootdata import root_datum
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
 # the exit-code contract: library errors about the input exit 2; a window or
@@ -90,6 +87,7 @@ def _window(datum, text):
 
 
 def _dp(datum, text):
+    from .quasimap import DPData
     dp = DPData.from_json(json.loads(text))
     if datum.cartan != root_datum("A", dp.rank).cartan:
         raise QuasimapError(
@@ -149,7 +147,7 @@ def _key(datum, value):
         return weyl_group(datum).format(value)
     if isinstance(value, FiniteWeylElement):
         return weyl_group(datum).reduced_word_finite(value)
-    if isinstance(value, DPData):
+    if hasattr(value, "to_json"):  # DPData
         return value.to_json()
     return value
 
@@ -228,6 +226,7 @@ def order():
 @click.option("--w", type=ELEMENT, required=True)
 @click.option("--v", type=ELEMENT, required=True)
 def order_le(datum, w, v):
+    from .semiinf import si_order
     return {"result": si_order(datum).si_le(w, v)}
 
 
@@ -236,6 +235,7 @@ def order_le(datum, w, v):
 @click.option("--height-bound", type=click.IntRange(min=1), default=2,
               show_default=True)
 def order_covers(datum, v, height_bound):
+    from .semiinf import si_order
     wg = weyl_group(datum)
     covers = si_order(datum).si_covers_below(v, height_bound)
     return {"height_bound": height_bound,
@@ -254,6 +254,7 @@ def _interval_csv(payload, datum):
 @click.option("--w", type=ELEMENT, required=True)
 @click.option("--radius", type=int, default=2, show_default=True)
 def order_interval(datum, v, w, radius):
+    from .semiinf import si_order
     wg, so = weyl_group(datum), si_order(datum)
     return {"radius": radius,
             "elements": [{"element": wg.format(x), "si_length": so.si_length(x)}
@@ -272,6 +273,7 @@ def char():
 @job(char, "weyl", _char_csv)
 @click.option("--lam", type=VECTOR, required=True)
 def char_weyl(datum, lam):
+    from .charring import weyl_character
     return weyl_character(datum, lam).to_json()
 
 
@@ -280,6 +282,7 @@ def char_weyl(datum, lam):
 @click.option("--lam", type=VECTOR, required=True)
 @click.option("--window", type=WINDOW, required=True)
 def char_gweyl(datum, w, lam, window):
+    from .charring import gch_global_weyl
     return gch_global_weyl(datum, w, lam, window).to_json()
 
 
@@ -291,6 +294,7 @@ def char_gweyl(datum, w, lam, window):
               help="starting q-power")
 @click.option("--window", type=WINDOW, required=True)
 def char_demazure(datum, word, lam, q, window):
+    from .charring import GradedCharacter, demazure_word
     f = GradedCharacter.monomial(q, lam, 1, window)
     return demazure_word(datum, word, f).to_json()
 
@@ -313,6 +317,7 @@ def _pieri_csv(payload, datum):
 @click.option("--window", type=WINDOW, required=True)
 @click.option("--depth", type=int, default=3, show_default=True)
 def pieri_cmd(datum, w, lam, window, depth):
+    from .pieri import compute_pieri
     return compute_pieri(datum, w, lam, window, depth).to_json(weyl_group(datum))
 
 
@@ -323,6 +328,7 @@ def pieri_cmd(datum, w, lam, window, depth):
 @click.option("--window", type=WINDOW, default=None,
               help="qbar-window for the reported character (default: full)")
 def h0_cmd(datum, v, w, lam, window):
+    from .pieri import smt_character
     full = smt_character(datum, v, w, lam)
     payload = {"dim": full.total()}
     if window is not None:
@@ -342,6 +348,7 @@ def qmap():
 @job(qmap, "validate")
 @data_options
 def qmap_validate(datum, data, data_file):
+    from .quasimap import validate_dp
     try:
         beta = validate_dp(data or data_file)
     except QuasimapError as exc:
@@ -352,6 +359,7 @@ def qmap_validate(datum, data, data_file):
 @job(qmap, "defect")
 @data_options
 def qmap_defect(datum, data, data_file):
+    from .quasimap import defect_divisor
     dp = data or data_file
     div = defect_divisor(dp)
     return {**div.to_json(), "total": list(div.total())}
@@ -362,6 +370,7 @@ def qmap_defect(datum, data, data_file):
 @click.option("--at", type=click.Choice(["0", "inf"]), default="0",
               show_default=True)
 def qmap_eval(datum, data, data_file, at):
+    from .quasimap import evaluate
     coords = evaluate(data or data_file, at_infinity=(at == "inf"))
     return {"at": at, "coords": [[str(c) for c in vec] for vec in coords]}
 
@@ -379,6 +388,7 @@ def dim():
 @click.option("--v", type=ELEMENT, required=True)
 @click.option("--w", type=ELEMENT, required=True)
 def dim_richardson_cmd(datum, v, w):
+    from .quasimap import EmptyRichardsonError, dim_richardson
     try:
         return {"empty": False, "dim": dim_richardson(datum, v, w)}
     except EmptyRichardsonError:
@@ -390,6 +400,7 @@ def dim_richardson_cmd(datum, v, w):
 @click.option("--beta", type=VECTOR, required=True)
 @click.option("--w", type=WORD, required=True, help="finite word, e.g. '1,2' or 'e'")
 def dim_parabolic_cmd(datum, j, beta, w):
+    from .quasimap import dim_parabolic
     return {"dim": dim_parabolic(datum, j, beta, w)}
 
 

@@ -40,18 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import loopmodel
-from .charring import GradedCharacter, FULL_WINDOW, CharacterError
+from .charring import GradedCharacter, FULL_WINDOW
+from .errors import CharacterError, InconsistencyError, WindowExhaustedError
 from .rootdata import RootDatum, vec_add, vec_neg
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
-
-
-class WindowExhaustedError(RuntimeError):
-    """The requested window needs candidates outside the explored depth."""
-
-
-class InconsistencyError(RuntimeError):
-    """The re-verification of the twist identity for a second weight failed."""
 
 
 def _extremal(datum, w, lam):

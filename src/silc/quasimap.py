@@ -25,13 +25,10 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt, lcm
 
+from .errors import QuasimapError
 from .rootdata import RootDatum, solve_unpivoted, vec_dot, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
-
-
-class QuasimapError(ValueError):
-    pass
 
 
 class InvalidDPError(QuasimapError):

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-
-class RootDataError(ValueError):
-    """Invalid root datum or mismatched arguments."""
+from .errors import RootDataError
 
 
 # ---------------------------------------------------------------------------

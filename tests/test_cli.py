@@ -2,12 +2,14 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from jobspecs import JOBSPECS
 
 from silc import loopmodel
 from silc.cli import main
@@ -326,27 +328,113 @@ def test_qmap_defect_prints_primitive_integer_factors(runner):
                           '"2*z - 1","multiplicity":[1]}],"total":[2]}\n')
 
 
-def test_qmap_goldens_do_not_import_sympy(tmp_path):
-    """The qmap golden jobs, run in a fresh interpreter, print their goldens
-    and leave sympy unimported."""
+# the compute modules a job of each golden group loads, beyond the ones
+# `import silc.cli` loads for every job
+GROUP_MODULES = {
+    "order": {"semiinf"},
+    "char": {"charring", "loopmodel"},
+    "pieri": {"pieri", "charring", "loopmodel", "semiinf"},
+    "h0": {"pieri", "charring", "loopmodel", "semiinf"},
+    "qmap": {"quasimap", "semiinf"},
+    "dim": {"quasimap", "semiinf"},
+}
+
+
+@pytest.mark.parametrize("group", list(GROUP_MODULES))
+def test_each_golden_job_imports_only_its_modules(tmp_path, group):
+    """In a fresh interpreter, `import silc.cli` loads no compute module, and
+    the group's golden jobs print their goldens, load only the group's
+    modules and never import sympy."""
     tests = Path(__file__).resolve().parent
-    names = ["qmap_validate", "qmap_defect", "qmap_eval_inf"]
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from jobspecs import JOBSPECS\n"
         "from silc.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('silc.'))\n"
+        "at_import = loaded()\n"
         "for name in sys.argv[1:]:\n"
         "    main(dict(JOBSPECS)[name] + ['--no-cache'], standalone_mode=False)\n"
-        "if 'sympy' in sys.modules:\n"
-        "    sys.exit('sympy was imported')\n"
+        "print(json.dumps([at_import, loaded(), 'sympy' in sys.modules]))\n"
     )
+    names = [name for name, _ in JOBSPECS if name.split("_")[0] == group]
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     res = subprocess.run([sys.executable, "-c", code, *names], cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "".join(
+    *outputs, report = res.stdout.splitlines(keepends=True)
+    assert "".join(outputs) == "".join(
         (tests / "golden" / f"{name}.txt").read_text() for name in names)
+    at_import, after_jobs, sympy_loaded = json.loads(report)
+    base = ["silc.cache", "silc.cli", "silc.errors", "silc.rootdata",
+            "silc.weylgroup"]
+    assert at_import == base
+    assert after_jobs == sorted(base + [f"silc.{m}" for m in GROUP_MODULES[group]])
+    assert not sympy_loaded
+
+
+def test_cache_misses_after_an_edit_to_a_module_the_job_does_not_import(tmp_path):
+    """The cache never serves a result computed by other code, even when
+    the edited module is one the job never loads."""
+    package = tmp_path / "src" / "silc"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "silc", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src"),
+           "SILC_CACHE": str(tmp_path / "cache")}
+    args = [sys.executable, "-m", "silc.cli", "order", "le", "--rank", "1",
+            "--w", "1@0", "--v", "e@0"]
+
+    def run():
+        res = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True,
+                             text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == '{"result":true}\n'
+        return "cached: true" in res.stderr
+
+    assert not run()
+    assert run()
+    with open(package / "quasimap.py", "a", encoding="utf-8") as fh:
+        fh.write("# an edit that order le never imports\n")
+    assert not run()
+
+
+def test_old_exception_names_are_the_contract_classes():
+    from silc import charring, errors, pieri, quasimap, rootdata
+
+    assert rootdata.RootDataError is errors.RootDataError
+    assert charring.CharacterError is errors.CharacterError
+    assert quasimap.QuasimapError is errors.QuasimapError
+    assert pieri.WindowExhaustedError is errors.WindowExhaustedError
+    assert pieri.InconsistencyError is errors.InconsistencyError
+    for cls in (quasimap.InvalidDPError, quasimap.DegreeError,
+                quasimap.EmptyRichardsonError):
+        assert issubclass(cls, errors.QuasimapError)
+
+
+DP_A2_NOT_CONTRACTING = json.dumps({"rank": 2, "degrees": [0, 0], "components": [
+    {"weight": 1, "polys": [["1"], ["0"], ["0"]]},
+    {"weight": 2, "polys": [["0"], ["0"], ["1"]]}]})
+DP_A1_TOO_HIGH = json.dumps({"rank": 1, "degrees": [0], "components": [
+    {"weight": 1, "polys": [["0", "1"], ["1"]]}]})
+
+
+# each subclass of QuasimapError still exits 2, except the empty Richardson
+# variety, which dim richardson reports
+@pytest.mark.parametrize("args, code, text", [
+    (["qmap", "defect", "--rank", "2", "--data", DP_A2_NOT_CONTRACTING], 2,
+     "contraction identity fails"),
+    (["qmap", "eval", "--rank", "1", "--data", DP_A1_TOO_HIGH], 2,
+     "exceeding the target"),
+    (["dim", "parabolic", "--rank", "1", "--beta", "-1", "--w", "e"], 2,
+     "is not a nonnegative coroot sum"),
+    (["dim", "richardson", "--rank", "1", "--v", "e@0", "--w", "1@1"], 0,
+     '{"empty":true}'),
+], ids=["InvalidDPError", "DegreeError", "QuasimapError", "EmptyRichardsonError"])
+def test_quasimap_errors_keep_their_exit_codes(runner, args, code, text):
+    res = runner.invoke(main, args + ["--no-cache"])
+    assert res.exit_code == code, res.output
+    assert text in res.output
 
 
 DP_A1_OTHER = json.dumps({"rank": 1, "degrees": [2], "components": [
