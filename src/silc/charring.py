@@ -237,8 +237,9 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     """Truncated graded character of the Demazure-type submodule attached to w.
 
     Normalization: the cyclic extremal vector sits at q-degree 0.  The
-    translation part of w matters beyond an overall shift: it twists each
-    weight space of the cyclic module by its own degree.
+    translation part of w then drops out: multiplying every varpi_i slot by
+    z^{-beta_i} commutes with every current-algebra operator, so u * t_beta
+    and u give the same normalized character.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):

@@ -28,6 +28,12 @@ the integers and every dimension as in the full tensor product.  All vectors
 are homogeneous in (total z-degree, total weight), so the linear algebra runs
 in small independent blocks.
 
+A closure takes its blocks in an order that every operator strictly raises,
+so no block acts before it has received all its vectors.  Then each block is
+echelonized once, shortest vectors first, and a block spanned by the
+monomials it touches (almost every block of a Demazure-type module) is
+stored as unit rows and acts monomial by monomial.
+
 Vectors are keyed by int ids, not by monomials: a Monomials table interns
 each sorted monomial once, and operators read the slots back through it.  A
 closure owns its table unless it is handed one; richardson_blocks hands the
@@ -37,7 +43,7 @@ table outlives the closures that hold it.
 
 from __future__ import annotations
 
-from collections import deque
+from heapq import heappop, heappush
 from math import gcd
 
 from .rootdata import RootDataError, RootDatum, root_datum, vec_add, vec_dot
@@ -113,7 +119,9 @@ class BlockSpan:
     ids of the Monomials table the span holds; spans whose blocks are
     compared must hold the same table.  A pivot is the largest id of its
     row, so the pivots depend on the order in which the table met the
-    monomials, and the dimensions do not.
+    monomials, and the dimensions do not.  span_closure stores a block
+    whose rank equals the number of monomials its rows touch as unit rows
+    {m: {m: 1}}, which are echelon rows too.
     """
 
     def __init__(self, table):
@@ -175,27 +183,41 @@ def span_closure(rank, seed, ops, d_ok, table=None):
     """Close the span of a sorted seed monomial under the operators, each a
     triple (a, b, k) for E_{ab} z^k acting as a derivation of the symmetric
     tensor algebra; returns a BlockSpan over table (a new Monomials table
-    if None), which gains every monomial the closure meets."""
+    if None), which gains every monomial the closure meets.
+
+    Every operator must move the order key (sigma d, sigma h) of a block
+    strictly up, with one sign sigma for all of them: +1 for raising_ops and
+    -1 for lowering_ops.  Here d is the degree and h the height of the
+    weight; E_{ab} z^k moves them by (k, b - a), since eps_a - eps_b has
+    height b - a in type A.  Blocks are then taken from a heap in this
+    order, so every block has received all its vectors before it acts.
+    """
     span = BlockSpan(Monomials() if table is None else table)
+    blocks = span.blocks
+    insert = span.insert
     monos = span.table.monos
     intern = span.table.intern
-    work = deque()
     key = monomial_data(seed, rank)
-    if d_ok(key[0]):
-        work.append((key, span.insert(key, {intern(seed): 1})))
-    # per-operator caches: the fixed (degree, weight) shift, so block keys
-    # propagate without re-deriving them per monomial, the matrix unit on
-    # each wedge subset, and the action on each monomial id as a list of
-    # (id, coefficient)
+    if not d_ok(key[0]):
+        return span
+    # per-operator caches: the fixed shift of the block key (degree, weight)
+    # and of the order key, the matrix unit on each wedge subset, and the
+    # action on each monomial id of a block that is not full, as a dict
+    # {id: coefficient}
     eps = [subset_weight((i,), rank) for i in range(1, rank + 2)]
+    sigma = 1 if ops and (ops[0][2], ops[0][1] - ops[0][0]) > (0, 0) else -1
     caches = []
     for a, b, k in ops:
+        move = (sigma * k, sigma * (b - a))
+        if move <= (0, 0):
+            raise ValueError("the operators do not all raise or all lower the "
+                             "(degree, height) order")
         shift = tuple(x - y for x, y in zip(eps[a - 1], eps[b - 1]))
-        caches.append((a, b, k, shift, {}, {}))
+        caches.append((a, b, k, shift, move[0], move[1], {}, {}))
 
     def act(mid, a, b, k, units):
         monomial = monos[mid]
-        terms = []
+        terms = {}
         for i, slot in enumerate(monomial):
             if i and slot == monomial[i - 1]:
                 continue  # act once on each distinct slot
@@ -208,30 +230,65 @@ def span_closure(rank, seed, ops, d_ok, table=None):
             sign, new_subset = hit
             new_slot = (new_subset, z + k)
             new_mono = tuple(sorted(monomial[:i] + (new_slot,) + monomial[i + 1:]))
-            terms.append((intern(new_mono), sign * new_mono.count(new_slot)))
+            # slots s != s' give one monomial only if the operator swaps
+            # them, which no E_{ab} z^k does, so each id comes up once
+            terms[intern(new_mono)] = sign * new_mono.count(new_slot)
         return terms
 
-    while work:
-        (d, wt), vec = work.popleft()
-        for a, b, k, shift, units, acted in caches:
+    pending = {key: [{intern(seed): 1}]}
+    heap = [(0, 0, key)]
+    while heap:
+        od, oh, key = heappop(heap)
+        vecs = pending.pop(key)
+        support = set().union(*vecs)
+        n = len(support)
+        full = n == 1
+        if not full:
+            # shortest first keeps the rows sparse; the rank cannot pass n,
+            # and once it reaches n the other vectors lie in the span
+            vecs.sort(key=len)
+            for vec in vecs:
+                if insert(key, vec) is not None and len(blocks[key]) == n:
+                    full = True
+                    break
+        if full:
+            # the block is spanned by its monomials: act on them one by one
+            blocks[key] = {m: {m: 1} for m in support}
+        block = blocks[key]
+        d, wt = key
+        for a, b, k, shift, md, mh, units, acted in caches:
             nd = d + k
             if not d_ok(nd):
                 continue
-            out = {}
-            get = out.get
-            for mid, coeff in vec.items():
-                terms = acted.get(mid)
-                if terms is None:
-                    terms = acted[mid] = act(mid, a, b, k, units)
-                for nid, c in terms:
-                    out[nid] = get(nid, 0) + c * coeff
-            out = {m: c for m, c in out.items() if c}
-            if not out:
+            images = []
+            if full:
+                # each monomial of a full block is acted on once per operator
+                for mid in block:
+                    terms = act(mid, a, b, k, units)
+                    if terms:
+                        images.append(terms)
+            else:
+                for row in block.values():
+                    out = {}
+                    get = out.get
+                    for mid, coeff in row.items():
+                        terms = acted.get(mid)
+                        if terms is None:
+                            terms = acted[mid] = act(mid, a, b, k, units)
+                        for nid, c in terms.items():
+                            out[nid] = get(nid, 0) + c * coeff
+                    out = {m: c for m, c in out.items() if c}
+                    if out:
+                        images.append(out)
+            if not images:
                 continue
             nkey = (nd, vec_add(wt, shift))
-            inserted = span.insert(nkey, out)
-            if inserted is not None:
-                work.append((nkey, inserted))
+            waiting = pending.get(nkey)
+            if waiting is None:
+                pending[nkey] = images
+                heappush(heap, (od + md, oh + mh, nkey))
+            else:
+                waiting.extend(images)
     return span
 
 
@@ -282,9 +339,10 @@ def schubert_blocks(datum: RootDatum, x: AffineWeylElement, lam, d_max):
     """Graded dimensions {(d, wt): dim} of the submodule generated upward from
     the extremal vector of x = u * t_beta, in absolute z-degrees < d_max.
 
-    Unlike a pure q-shift of the finite part, the translation twists each
-    weight space by its own degree, so the closure is run from the translated
-    seed directly.  Degrees never drop below the seed degree -<beta, lam>.
+    The translation multiplies every varpi_i slot by z^{-beta_i}, which
+    commutes with every current-algebra operator, so it only moves the
+    blocks of the finite part u by the seed degree -<beta, lam>; degrees
+    never drop below that seed degree.
     """
     require_type_a(datum)
     return _upward(datum, x, lam, d_max).dims()

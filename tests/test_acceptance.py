@@ -58,7 +58,7 @@ def test_projective_space_section_counts(a1, wg_a1):
     assert time.monotonic() - start < 60
 
 
-@pytest.mark.parametrize("d,m", [(4, 3), (3, 4)])
+@pytest.mark.parametrize("d,m", [(4, 3), (3, 4), (6, 4), (7, 3)])
 def test_section_counts_with_many_equal_slots(a1, wg_a1, d, m):
     """The same closed form where the twist puts m equal slots in the seed."""
     v = wg_a1.element([1], (d,))

@@ -332,14 +332,37 @@ def test_gweyl_monotone_in_word_length(a2):
         prev = cur
 
 
-def test_gweyl_translation_dependence(a1):
-    """The translated cyclic vector generates a smaller normalized module."""
+def test_gweyl_finite_part_dependence(a1):
+    """The cyclic vector of w0 generates a larger normalized module than
+    that of e."""
     wg = weyl_group(a1)
     window = (0, 3)
     full = gch_global_weyl(a1, wg.affine_from_finite(wg.w0), (1,), window)
     shallow = gch_global_weyl(a1, wg.identity, (1,), window)
     assert (full - shallow).nonnegative()
     assert full != shallow
+
+
+@pytest.mark.parametrize("typ,rank,lams,words,betas", [
+    ("A", 1, [(1,), (2,)], [[], [1]], [(1,), (-2,), (3,)]),
+    ("A", 2, [(1, 0), (1, 1)], [[], [1], [2, 1], [1, 2, 1]],
+     [(1, 0), (-1, 2), (2, 1)]),
+])
+def test_gweyl_translation_invariance(typ, rank, lams, words, betas):
+    """Multiplying every varpi_i slot by z^{-beta_i} commutes with every
+    current-algebra operator, so the normalized character of u * t_beta
+    is that of u."""
+    datum = root_datum(typ, rank)
+    wg = weyl_group(datum)
+    window = (0, 3)
+    for lam in lams:
+        for word in words:
+            base = gch_global_weyl(datum, wg.element(word, (0,) * rank), lam,
+                                   window)
+            for beta in betas:
+                x = wg.element(word, beta)
+                assert gch_global_weyl(datum, x, lam, window) == base, (
+                    lam, wg.format(x))
 
 
 def test_gweyl_rejects_non_dominant_and_non_type_a(a1, b2):

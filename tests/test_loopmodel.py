@@ -5,7 +5,7 @@ multiset."""
 import pytest
 
 from silc import loopmodel
-from silc.rootdata import RootDataError
+from silc.rootdata import RootDataError, root_datum, solve_unpivoted, vec_sub
 from silc.semiinf import si_order
 from silc.weylgroup import weyl_group
 
@@ -26,6 +26,29 @@ def test_upward_closure_of_w0_is_symmetric(a2, lam, monomials, pivots):
     seen = {span.table.monos[m] for row in rows for m in row}
     assert all(list(m) == sorted(m) for m in seen)
     assert (len(seen), len(rows)) == (monomials, pivots)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_operators_move_the_block_order_one_way(rank):
+    """span_closure takes blocks in (sigma d, sigma h) order, with h the
+    height of the weight, and reads the move of E_{ab} z^k as (k, b - a).
+    Each raising operator moves a wedge vector strictly up that order and
+    each lowering operator strictly down, so every block is complete before
+    it acts; a closure under both at once is refused."""
+    cartan = root_datum("A", rank).cartan.entries
+    for sigma, ops in ((1, loopmodel.raising_ops(rank)),
+                       (-1, loopmodel.lowering_ops(rank))):
+        for a, b, k in ops:
+            _, image = loopmodel.matrix_unit(a, b, (b,))
+            shift = vec_sub(loopmodel.subset_weight(image, rank),
+                            loopmodel.subset_weight((b,), rank))
+            _, roots = solve_unpivoted(cartan, shift)
+            height = sum(roots)
+            assert height == b - a
+            assert (sigma * k, sigma * height) > (0, 0), (a, b, k)
+    mixed = loopmodel.raising_ops(rank) + loopmodel.lowering_ops(rank)
+    with pytest.raises(ValueError):
+        loopmodel.span_closure(rank, (((1,), 0),), mixed, lambda d: 0 <= d < 2)
 
 
 @pytest.mark.parametrize("text,seed_degree", [

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -21,6 +23,19 @@ def test_section_growth_matches_binomials(monkeypatch, capsys):
         ["1", "1", "4", "4"], ["1", "2", "10", "10"],
         ["2", "1", "6", "6"], ["2", "2", "21", "21"]]
     assert all(row[4] == "ok" for row in rows)
+
+
+def test_section_growth_exits_1_on_a_mismatch(monkeypatch, capsys):
+    import silc.pieri
+
+    monkeypatch.setattr(silc.pieri, "h0_dimension", lambda *args: 5)
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, capsys, "section_growth.py",
+                   "--max-degree", "1", "--max-twist", "2")
+    assert exit_info.value.code == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert rows == [["1", "1", "5", "4", "MISMATCH"],
+                    ["1", "2", "5", "10", "MISMATCH"]]
 
 
 def test_twist_table_sweep_is_translation_invariant(monkeypatch, capsys):
