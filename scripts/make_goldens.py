@@ -15,7 +15,8 @@ import tempfile
 from click.testing import CliRunner
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+# the package from this checkout, installed or not, and the job list
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from jobspecs import JOBSPECS  # noqa: E402
 

@@ -282,7 +282,7 @@ def char_weyl(datum, lam):
 @click.option("--lam", type=VECTOR, required=True)
 @click.option("--window", type=WINDOW, required=True)
 def char_gweyl(datum, w, lam, window):
-    from .charring import gch_global_weyl
+    from .pieri import gch_global_weyl
     return gch_global_weyl(datum, w, lam, window).to_json()
 
 

@@ -7,14 +7,14 @@ q-grading given by the z-exponent.  Submodules generated by an extremal
 vector under the upper (or lower) triangular current algebra are computed by
 exact integer span closure inside a truncated tensor product.
 
-The module answers two questions about extremal affine elements
+The module answers one question about extremal affine elements
 x = u * t_beta, whose extremal vector sits at z-degree -<beta, lambda>, in
 absolute degrees: schubert_blocks(datum, x, lam, d_max) gives the graded
-dimensions of the upward module of x below d_max, and
-richardson_blocks(datum, xv, xw, lam) those of the intersection of the
-upward module of xw with the downward module of xv.  Which element stands
+dimensions of the upward module of x below d_max.  The package computes
+sections from the twist-coefficient formula; this module is the independent
+model that pieri checks the product identity against.  Which element stands
 for which section space, and how sections are anchored and weighted, is
-left to the callers.  The module keeps no closures between calls.
+left to the caller.  The module keeps no closures between calls.
 
 Monomial basis: a slot is (subset, z_exp) with subset a sorted tuple encoding
 a wedge basis vector.  The current algebra acts by derivations, so the module
@@ -34,28 +34,19 @@ echelonized once, shortest vectors first, and a block spanned by the
 monomials it touches (almost every block of a Demazure-type module) is
 stored as unit rows and acts monomial by monomial.
 
-Vectors are keyed by int ids, not by monomials: a Monomials table interns
-each sorted monomial once, and operators read the slots back through it.  A
-closure owns its table unless it is handed one; richardson_blocks hands the
-downward closure the table of the upward one, so their blocks compare.  No
-table outlives the closures that hold it.
+Vectors are keyed by int ids, not by monomials: each closure's Monomials
+table interns each sorted monomial once, and operators read the slots back
+through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from math import gcd
 
-from .rootdata import RootDataError, RootDatum, root_datum, vec_add, vec_dot
+from .rootdata import RootDatum, require_type_a, vec_add
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
-
-
-def require_type_a(datum: RootDatum):
-    if datum.cartan != root_datum("A", datum.rank).cartan:
-        raise RootDataError(
-            "graded character computations use the minuscule loop realization "
-            "and are implemented for type A root data only"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +107,15 @@ class BlockSpan:
     """Echelonized homogeneous subspace, blocked by (degree, weight).
 
     A vector is a dict from monomial ids to nonzero integer coefficients,
-    ids of the Monomials table the span holds; spans whose blocks are
-    compared must hold the same table.  A pivot is the largest id of its
-    row, so the pivots depend on the order in which the table met the
-    monomials, and the dimensions do not.  span_closure stores a block
+    ids of the Monomials table the span holds.  A pivot is the largest id
+    of its row, so the pivots depend on the order in which the table met
+    the monomials, and the dimensions do not.  span_closure stores a block
     whose rank equals the number of monomials its rows touch as unit rows
     {m: {m: 1}}, which are echelon rows too.
     """
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self):
+        self.table = Monomials()
         self.blocks = {}  # (d, wt) -> dict pivot id -> vector
 
     @staticmethod
@@ -179,20 +169,20 @@ def monomial_data(monomial, rank):
     return d, wt
 
 
-def span_closure(rank, seed, ops, d_ok, table=None):
+def span_closure(rank, seed, ops, d_ok):
     """Close the span of a sorted seed monomial under the operators, each a
     triple (a, b, k) for E_{ab} z^k acting as a derivation of the symmetric
-    tensor algebra; returns a BlockSpan over table (a new Monomials table
-    if None), which gains every monomial the closure meets.
+    tensor algebra; returns a BlockSpan whose table holds every monomial the
+    closure meets.
 
     Every operator must move the order key (sigma d, sigma h) of a block
     strictly up, with one sign sigma for all of them: +1 for raising_ops and
-    -1 for lowering_ops.  Here d is the degree and h the height of the
+    -1 for lowering operators.  Here d is the degree and h the height of the
     weight; E_{ab} z^k moves them by (k, b - a), since eps_a - eps_b has
     height b - a in type A.  Blocks are then taken from a heap in this
     order, so every block has received all its vectors before it acts.
     """
-    span = BlockSpan(Monomials() if table is None else table)
+    span = BlockSpan()
     blocks = span.blocks
     insert = span.insert
     monos = span.table.monos
@@ -229,10 +219,14 @@ def span_closure(rank, seed, ops, d_ok, table=None):
                 continue
             sign, new_subset = hit
             new_slot = (new_subset, z + k)
-            new_mono = tuple(sorted(monomial[:i] + (new_slot,) + monomial[i + 1:]))
+            # the rest stays sorted: insert new_slot after the smaller slots
+            # and before the slots equal to it, which it is counted with
+            rest = monomial[:i] + monomial[i + 1:]
+            j = bisect_left(rest, new_slot)
+            mult = bisect_right(rest, new_slot, j) - j + 1
             # slots s != s' give one monomial only if the operator swaps
             # them, which no E_{ab} z^k does, so each id comes up once
-            terms[intern(new_mono)] = sign * new_mono.count(new_slot)
+            terms[intern(rest[:j] + (new_slot,) + rest[j:])] = sign * mult
         return terms
 
     pending = {key: [{intern(seed): 1}]}
@@ -308,12 +302,6 @@ def raising_ops(rank):
     return [(i, i + 1, 0) for i in range(1, n1)] + [(n1, 1, 1)]
 
 
-def lowering_ops(rank):
-    """Generators of the opposite Iwahori current algebra (degrees 0 and -1)."""
-    n1 = rank + 1
-    return [(i + 1, i, 0) for i in range(1, n1)] + [(1, n1, -1)]
-
-
 # ---------------------------------------------------------------------------
 # extremal seeds and module characters
 # ---------------------------------------------------------------------------
@@ -326,15 +314,6 @@ def extremal_monomial(wg, x: AffineWeylElement, lam):
                         for i, m in enumerate(lam, start=1) for _ in range(m)))
 
 
-def _upward(datum, x, lam, d_end):
-    """Upward closure of the extremal vector of x in degrees below d_end;
-    empty if the seed degree -<beta, lam> is not below d_end.  The raising
-    operators never lower the degree, so no lower bound is needed."""
-    rank = datum.rank
-    return span_closure(rank, extremal_monomial(weyl_group(datum), x, lam),
-                        raising_ops(rank), lambda d: d < d_end)
-
-
 def schubert_blocks(datum: RootDatum, x: AffineWeylElement, lam, d_max):
     """Graded dimensions {(d, wt): dim} of the submodule generated upward from
     the extremal vector of x = u * t_beta, in absolute z-degrees < d_max.
@@ -342,49 +321,10 @@ def schubert_blocks(datum: RootDatum, x: AffineWeylElement, lam, d_max):
     The translation multiplies every varpi_i slot by z^{-beta_i}, which
     commutes with every current-algebra operator, so it only moves the
     blocks of the finite part u by the seed degree -<beta, lam>; degrees
-    never drop below that seed degree.
-    """
-    require_type_a(datum)
-    return _upward(datum, x, lam, d_max).dims()
-
-
-def richardson_blocks(datum: RootDatum, xv: AffineWeylElement,
-                      xw: AffineWeylElement, lam):
-    """Graded dimensions {(d, wt): dim} of the intersection of the upward
-    module of xw and the downward module of xv, in absolute z-degrees.
-
-    The intersection is finite-dimensional and computed in full; no
-    truncation is applied.
+    never drop below that seed degree, so the span is empty if d_max is not
+    above it, and no lower bound is needed.
     """
     require_type_a(datum)
     rank = datum.rank
-    d_low = -vec_dot(xw.translation, lam)
-    d_high = -vec_dot(xv.translation, lam)
-    if d_low > d_high:
-        return {}
-    span_up = _upward(datum, xw, lam, d_high + 1)
-    # the downward closure interns into the upward one's table, so their
-    # blocks compare
-    table = span_up.table
-    span_down = span_closure(rank, extremal_monomial(weyl_group(datum), xv, lam),
-                             lowering_ops(rank), lambda d: d_low <= d <= d_high,
-                             table)
-    out = {}
-    keys = set(span_up.blocks) & set(span_down.blocks)
-    for key in keys:
-        block_a = span_up.blocks[key]
-        block_b = span_down.blocks[key]
-        dim_a, dim_b = len(block_a), len(block_b)
-        if dim_a == 0 or dim_b == 0:
-            continue
-        # dim(A ∩ B) = dim A + dim B - dim(A + B)
-        stack = BlockSpan(table)
-        stack.blocks[key] = dict(block_a)
-        added = 0
-        for vec in block_b.values():
-            if stack.insert(key, vec) is not None:
-                added += 1
-        dim = dim_b - added
-        if dim > 0:
-            out[key] = dim
-    return out
+    return span_closure(rank, extremal_monomial(weyl_group(datum), x, lam),
+                        raising_ops(rank), lambda d: d < d_max).dims()

@@ -6,10 +6,10 @@ are polynomials in qbar := q^{-1}.  Exponents are anchored so that the
 extremal section term e^{-w w0 lambda} of the base element w sits at
 qbar-degree 0; weights are the (negated) weights of the underlying module.
 With this convention the coefficient table entry at u = w is the single
-monomial of weight -w w0 lambda at degree 0.  The sections of w are read
-off the loop-model modules of the extremal element w w0, which _extremal,
-the one place that composes with w0, returns; anchoring and negating the
-weights happen here, not in the loop model.
+monomial of weight -w w0 lambda at degree 0.  The sections of w are dual to
+the module of the extremal element w w0, which _extremal, the one place
+that composes with w0, returns; anchoring and negating the weights happen
+here, not in the loop model.
 
 The twist coefficients a^x_w(lambda) are read off the Pieri-Chevalley
 formula of Kato-Naito-Sagaki (arXiv:1702.02408) in type A, where every
@@ -30,9 +30,19 @@ gives every dominant lambda:
         a^u_w(lambda) a^x_u(varpi_i) qbar^{<beta_u - beta_w, varpi_{i*}>}.
 
 Every factor is a monomial of nonnegative qbar-degree, so no sum cancels
-and a window [0, hi) cuts every step exactly.  The Richardson section
-character of strictly dominant (or zero) lambda is the one computation of
-sections that does not use the formula: the loop model gives it directly.
+and a window [0, hi) cuts every step exactly.
+
+Every section character is a sum of twist coefficients.  Higher cohomology
+vanishes for nef twists, so the sections of the untwisted structure sheaf
+of every Richardson variety are the constants, and the product identity of
+_verify_table at mu = 0 reads
+
+    R(v, w; lambda) = sum over v <= u <= w of a^u_w(lambda)
+
+for the Richardson sections, and the same sum over all u <= w for the
+sections on the full orbit closure of w, finite at each qbar-degree because
+each step of the formula raises it.  The loop model computes sections only
+to check that identity for strictly dominant mu.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from dataclasses import dataclass
 from . import loopmodel
 from .charring import GradedCharacter, FULL_WINDOW
 from .errors import CharacterError, InconsistencyError, WindowExhaustedError
-from .rootdata import RootDatum, vec_add, vec_neg
+from .rootdata import RootDatum, require_type_a, vec_add, vec_neg
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
 
@@ -59,26 +69,14 @@ def _extremal(datum, w, lam):
 def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
                   lam, window=FULL_WINDOW) -> GradedCharacter:
     """Graded character of the sections of the lambda-twist on the Richardson
-    variety cut out by v (bottom) and w (top).
-
-    For strictly dominant (or zero) lambda it is computed exactly as the
-    graded dual of the intersection of the upward module of w*w0 with the
-    downward module of v*w0.  Otherwise it is the sum of the twist
-    coefficients a^u_w(lambda) over v <= u <= w.
+    variety cut out by v (bottom) and w (top): the twist coefficients
+    a^u_w(lambda) summed over v <= u <= w.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
     if not si_order(datum).si_le(v, w):
         return GradedCharacter.zero(window)
-    if datum.is_strictly_dominant(lam) or sum(lam) == 0:
-        xv = _extremal(datum, v, lam)[0]
-        xw, d_w, _ = _extremal(datum, w, lam)
-        blocks = loopmodel.richardson_blocks(datum, xv, xw, lam)
-        return GradedCharacter.make(
-            {(d - d_w, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
-            window)
-    # non-regular twists fall outside the Demazure-intersection description
     coeffs = _twist_coefficients(datum, w, lam, FULL_WINDOW, v)
     return sum(coeffs.values(), GradedCharacter.zero(FULL_WINDOW)).truncate(window)
 
@@ -86,27 +84,32 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
 def h0_dimension(datum: RootDatum, v, w, lam) -> int:
     """Dimension of the section space (all coefficients summed).
 
-    Exact: the loop-model intersection of a strictly dominant twist is
-    finite-dimensional, and the interval [v, w] is finite.
+    Exact: the interval [v, w] is finite, and so is each coefficient.
     """
     return smt_character(datum, v, w, lam).total()
 
 
-def schubert_section_character(datum: RootDatum, u: AffineWeylElement, lam,
-                               qbar_max: int) -> GradedCharacter:
-    """Sections of the lambda-twist on the full orbit closure of u, truncated.
+def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> GradedCharacter:
+    """Truncated graded character of the Demazure-type submodule attached to w.
 
-    Absolute qbar-exponents: term (d' + d_ext, -wt) for each normalized
-    module term (d', wt) of the global Weyl character of u*w0.
+    Normalization: the cyclic extremal vector sits at q-degree 0.  The module
+    is dual to the sections on the full orbit closure of u = w w0 (and
+    u w0 = w), so it is the sum of the coefficients a^x_u(lambda) over all x,
+    weights negated.  The translation part of w drops out: translating u
+    translates every x with it and leaves each coefficient as it is.
     """
     lam = tuple(lam)
-    x, d_ext, _ = _extremal(datum, u, lam)
-    # the sections start at d_ext, so a window ending there holds none
-    blocks = (loopmodel.schubert_blocks(datum, x, lam, qbar_max)
-              if d_ext < qbar_max else {})
+    if not datum.is_dominant(lam):
+        raise CharacterError(f"weight {lam} is not dominant")
+    q_min, q_max = window
+    if q_max <= q_min:
+        return GradedCharacter.zero(window)
+    # the coefficients start from 1 at degree 0, so they are built from 0
+    # and only then cut to the window; with q_max <= 0 there are none
+    coeffs = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, (0, q_max))
+    sections = sum(coeffs.values(), GradedCharacter.zero((0, q_max)))
     return GradedCharacter.make(
-        {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()},
-        (min(0, d_ext), qbar_max))
+        {(q, vec_neg(wt)): c for (q, wt), c in sections.terms}, window)
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
     the walk along k stops at the first x that is not above bottom or whose
     term leaves the window.
     """
-    loopmodel.require_type_a(datum)
+    require_type_a(datum)
     so = si_order(datum)
     rank = datum.rank
     coeffs = {w: GradedCharacter.one(rank, window)}
@@ -224,9 +227,21 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
                       _extremal(datum, w, lam)[1])
 
 
+def _loop_sections(datum, u, lam, qbar_max):
+    """Sections of the lambda-twist on the full orbit closure of u below
+    qbar_max, in absolute degrees, from the loop model: the upward module of
+    u w0 with its weights negated.  It must not go through the formula,
+    which _verify_table checks against it."""
+    x = _extremal(datum, u, lam)[0]
+    blocks = loopmodel.schubert_blocks(datum, x, lam, qbar_max)
+    return GradedCharacter.make(
+        {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()}, FULL_WINDOW)
+
+
 def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
     """Check the product identity for the twist by mu on qbar-degrees
-    [0, q_height), given every nonzero coefficient a^u_w(lam) there.
+    [0, q_height), given every nonzero coefficient a^u_w(lam) there, with
+    the sections on both sides from the loop model.
 
     Coefficient terms at qbar >= q_height cannot reach the check window,
     because the sections of every u below w start no lower than those of w.
@@ -239,14 +254,14 @@ def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
     abs_hi = abs_lo + q_height
     check_window = (abs_lo, abs_hi)
 
-    lhs = schubert_section_character(datum, w, lam_mu, abs_hi).truncate(check_window)
+    lhs = _loop_sections(datum, w, lam_mu, abs_hi).truncate(check_window)
     rhs = GradedCharacter.zero(check_window)
     # the anchor shift can be negative, in which case products that land in
     # the check window draw on section degrees above abs_hi
     sec_hi = abs_hi - min(d_w_lam, 0)
     for u, a in coeffs:
         a_abs = a.truncate(FULL_WINDOW).shift_q(d_w_lam)
-        sec_u = schubert_section_character(datum, u, mu, sec_hi).truncate(FULL_WINDOW)
+        sec_u = _loop_sections(datum, u, mu, sec_hi)
         rhs = rhs + (a_abs * sec_u).truncate(check_window)
     diff = lhs - rhs
     if not diff.is_zero():

@@ -333,3 +333,13 @@ def root_datum(kind: str, rank: int) -> RootDatum:
     if rank > MAX_RANK:
         raise RootDataError(f"rank {rank} is above the maximum {MAX_RANK}")
     return RootDatum(CartanMatrix(_builtin_cartan(kind, rank)))
+
+
+def require_type_a(datum: RootDatum):
+    """Twist coefficients and the loop model need every fundamental weight
+    minuscule, which is what type A gives."""
+    if datum.cartan != root_datum("A", datum.rank).cartan:
+        raise RootDataError(
+            "section characters and twist coefficients use minuscule "
+            "fundamental weights and are implemented for type A root data only"
+        )

@@ -22,14 +22,9 @@ from qlayer import q_layer
 from qm_random import random_dp
 from subword import Subword
 
-from silc.charring import (
-    GradedCharacter,
-    demazure_word,
-    gch_global_weyl,
-    weyl_character,
-)
+from silc.charring import GradedCharacter, demazure_word, weyl_character
 from silc.cli import main
-from silc.pieri import compute_pieri, h0_dimension, smt_character
+from silc.pieri import compute_pieri, gch_global_weyl, h0_dimension, smt_character
 from silc.quasimap import (
     DPData,
     InvalidDPError,

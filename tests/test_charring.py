@@ -14,9 +14,9 @@ from silc.charring import (
     FULL_WINDOW,
     GradedCharacter,
     demazure_word,
-    gch_global_weyl,
     weyl_character,
 )
+from silc.pieri import gch_global_weyl
 from silc.rootdata import root_datum, vec_add
 from silc.weylgroup import weyl_group
 
@@ -265,8 +265,8 @@ def test_gweyl_a1_standard_rep_times_polynomial_ring(a1):
 @pytest.mark.parametrize("lam,window", [
     ((1, 0), (0, 4)), ((0, 1), (0, 4)), ((1, 1), (0, 4)), ((2, 0), (0, 4)),
     ((1, 0, 0), (0, 3)), ((0, 1, 0), (0, 3)), ((1, 0, 1), (0, 3)),
-    # repeated fundamental weights, where the symmetric-tensor multiplicities
-    # of the loop model matter
+    # repeated fundamental weights, where the formula twists by one
+    # fundamental weight several times
     ((3,), (0, 6)), ((4,), (0, 6)),
     ((2, 1), (0, 4)), ((3, 0), (0, 4)), ((2, 2), (0, 4)),
     ((2, 0, 1), (0, 3)),

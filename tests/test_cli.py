@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from jobspecs import JOBSPECS
 
-from silc import loopmodel
+from silc import pieri
 from silc.cli import main
 
 
@@ -41,9 +41,9 @@ def test_h0_example(runner):
 
 def test_h0_window_computes_the_character_once(runner, monkeypatch):
     calls = []
-    blocks = loopmodel.richardson_blocks
-    monkeypatch.setattr(loopmodel, "richardson_blocks",
-                        lambda *args: calls.append(args) or blocks(*args))
+    coefficients = pieri._twist_coefficients
+    monkeypatch.setattr(pieri, "_twist_coefficients",
+                        lambda *args: calls.append(args) or coefficients(*args))
     res = invoke(runner, ["h0", "--rank", "1", "--v", "1@1", "--w", "e@0",
                           "--lam", "1", "--window", "0:100", "--no-cache"])
     assert res.exit_code == 0
@@ -332,7 +332,7 @@ def test_qmap_defect_prints_primitive_integer_factors(runner):
 # `import silc.cli` loads for every job
 GROUP_MODULES = {
     "order": {"semiinf"},
-    "char": {"charring", "loopmodel"},
+    "char": {"charring", "loopmodel", "pieri", "semiinf"},
     "pieri": {"pieri", "charring", "loopmodel", "semiinf"},
     "h0": {"pieri", "charring", "loopmodel", "semiinf"},
     "qmap": {"quasimap", "semiinf"},

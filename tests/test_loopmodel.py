@@ -1,7 +1,9 @@
-"""The loop model answers two questions about extremal elements x = u * t_beta
-in absolute degrees, and stores symmetric tensors: one sorted monomial per
-multiset."""
+"""The loop model gives the upward module of an extremal element
+x = u * t_beta in absolute degrees, and stores symmetric tensors: one sorted
+monomial per multiset.  loopref adds the downward module and the
+intersection that the Richardson sections of the tests come from."""
 
+import loopref
 import pytest
 
 from silc import loopmodel
@@ -37,7 +39,7 @@ def test_operators_move_the_block_order_one_way(rank):
     it acts; a closure under both at once is refused."""
     cartan = root_datum("A", rank).cartan.entries
     for sigma, ops in ((1, loopmodel.raising_ops(rank)),
-                       (-1, loopmodel.lowering_ops(rank))):
+                       (-1, loopref.lowering_ops(rank))):
         for a, b, k in ops:
             _, image = loopmodel.matrix_unit(a, b, (b,))
             shift = vec_sub(loopmodel.subset_weight(image, rank),
@@ -46,7 +48,7 @@ def test_operators_move_the_block_order_one_way(rank):
             height = sum(roots)
             assert height == b - a
             assert (sigma * k, sigma * height) > (0, 0), (a, b, k)
-    mixed = loopmodel.raising_ops(rank) + loopmodel.lowering_ops(rank)
+    mixed = loopmodel.raising_ops(rank) + loopref.lowering_ops(rank)
     with pytest.raises(ValueError):
         loopmodel.span_closure(rank, (((1,), 0),), mixed, lambda d: 0 <= d < 2)
 
@@ -72,7 +74,7 @@ def test_richardson_blocks_weight_zero(a2):
     assert si_order(a2).si_le(v, w)
     w0 = wg.affine_from_finite(wg.w0)
     xv, xw = wg.compose(v, w0), wg.compose(w, w0)
-    assert loopmodel.richardson_blocks(a2, xv, xw, (0, 0)) == {(0, (0, 0)): 1}
+    assert loopref.richardson_blocks(a2, xv, xw, (0, 0)) == {(0, (0, 0)): 1}
 
 
 def test_entry_points_require_type_a(b2):
@@ -81,4 +83,4 @@ def test_entry_points_require_type_a(b2):
     with pytest.raises(RootDataError):
         loopmodel.schubert_blocks(b2, x, (1, 0), 2)
     with pytest.raises(RootDataError):
-        loopmodel.richardson_blocks(b2, x, x, (1, 0))
+        loopref.richardson_blocks(b2, x, x, (1, 0))

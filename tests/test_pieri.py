@@ -1,22 +1,21 @@
 """Twist-coefficient tables and Richardson section characters."""
 
 import gc
+import random
 import time
 
+import loopref
+import oracle
 import pytest
 from qlayer import q_layer
 
 from silc import loopmodel, pieri
-from silc.charring import (
-    CharacterError,
-    GradedCharacter,
-    gch_global_weyl,
-)
+from silc.charring import CharacterError, GradedCharacter
 from silc.pieri import (
     WindowExhaustedError,
     compute_pieri,
+    gch_global_weyl,
     h0_dimension,
-    schubert_section_character,
     smt_character,
 )
 from silc.rootdata import root_datum, vec_neg
@@ -294,9 +293,8 @@ def test_exhaustion_matches_global_module(a1, wg_a1):
 def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra):
     """Sections are the interval sum of the coefficients of the verified,
     depth-certified table.  For strictly dominant lambda the sections come
-    from the loop model and the coefficients from the closed form, so the
-    two sides are computed independently; (1,0) sums the closed form on the
-    interval itself."""
+    from the loop model of loopref, so the two sides are computed
+    independently; (1,0) sums the closed form on the interval itself."""
     datum = root_datum("A", rank)
     wg, so = weyl_group(datum), si_order(datum)
     e = wg.identity
@@ -306,7 +304,10 @@ def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra
         for u, a in table.coeffs:
             if so.si_le(v, u):
                 expect = expect + a
-        got = smt_character(datum, v, e, lam, window)
+        if datum.is_strictly_dominant(lam):
+            got = loopref.richardson_character(datum, v, e, lam, window)
+        else:
+            got = smt_character(datum, v, e, lam, window)
         assert dict(got.terms) == dict(expect.terms), wg.format(v)
 
 
@@ -327,9 +328,88 @@ def test_nonregular_sections_commute_with_the_diagram_flip(a2, wg_a2, lam, dim):
 # ---------------------------------------------------------------------------
 
 def test_schubert_sections_match_global_weyl_dual(a1, wg_a1):
+    """The loop-model sections that verification reads are dual to the
+    global Weyl module of the formula."""
     lam = (1,)
-    sec = schubert_section_character(a1, wg_a1.identity, lam, 3)
+    sec = pieri._loop_sections(a1, wg_a1.identity, lam, 3)
     full = gch_global_weyl(a1, wg_a1.affine_from_finite(wg_a1.w0), lam, (0, 3))
     for k in range(3):
         assert q_layer(sec, k) == {vec_neg(wt): c
                                    for wt, c in q_layer(full, k).items()}
+
+
+# ---------------------------------------------------------------------------
+# the formula against the loop model
+# ---------------------------------------------------------------------------
+
+def _finite_words(rank):
+    """A reduced word for every element of the finite Weyl group of A_rank."""
+    return list(oracle.AffineWeyl(oracle.RootSystem("A", rank)).finite_words.values())
+
+
+@pytest.mark.parametrize("rank,lams,windows", [
+    (1, [(1,), (2,), (3,)], [(0, 4), (-2, 3), (2, 4)]),
+    (2, [(1, 0), (0, 1), (1, 1), (2, 1)], [(0, 3), (-1, 2), (1, 3)]),
+    (3, [(1, 0, 0), (0, 1, 0), (1, 0, 1)], [(0, 2), (-1, 1), (1, 2)]),
+], ids=["A1", "A2", "A3"])
+def test_global_weyl_formula_matches_loop_model(rank, lams, windows):
+    """Every finite part at three translations, on windows that start at,
+    below and above degree 0."""
+    datum = root_datum("A", rank)
+    wg = weyl_group(datum)
+    hi = max(w[1] for w in windows)
+    betas = [(0,) * rank, tuple(range(1, rank + 1)), (-1,) + (0,) * (rank - 1)]
+    for lam in lams:
+        for word in _finite_words(rank):
+            for beta in betas:
+                w = wg.element(word, beta)
+                loop = loopref.global_weyl_character(datum, w, lam, (0, hi))
+                for window in windows:
+                    got = gch_global_weyl(datum, w, lam, window)
+                    assert got == loop.truncate(window), (lam, wg.format(w), window)
+
+
+@pytest.mark.parametrize("rank,pairs,top", [(1, 12, 2), (2, 12, 2), (3, 8, 1)],
+                         ids=["A1", "A2", "A3"])
+def test_richardson_formula_matches_loop_model(rank, pairs, top):
+    """Random comparable pairs v <= w and strictly dominant twists with
+    every coefficient at most top; A3 keeps to rho, as its larger twists
+    take the loop model up to seconds."""
+    datum = root_datum("A", rank)
+    wg, so = weyl_group(datum), si_order(datum)
+    rng = random.Random(1702 + rank)
+    words = _finite_words(rank)
+    done = 0
+    while done < pairs:
+        beta = tuple(rng.randint(-1, 1) for _ in range(rank))
+        gamma = tuple(rng.randint(0, 1) for _ in range(rank))
+        w = wg.element(rng.choice(words), beta)
+        v = wg.element(rng.choice(words), tuple(b + g for b, g in zip(beta, gamma)))
+        if not so.si_le(v, w):
+            continue
+        lam = tuple(rng.randint(1, top) for _ in range(rank))
+        got = smt_character(datum, v, w, lam)
+        assert got == loopref.richardson_character(datum, v, w, lam), (
+            wg.format(v), wg.format(w), lam)
+        done += 1
+
+
+@pytest.mark.parametrize("v_text,lam,dim", [
+    ("2@1,1,1", (1, 1, 1), 128),
+    ("2@1,1,1", (2, 1, 1), 323),
+    ("2@1,1,1", (1, 2, 1), 426),
+    ("1,2,1,3,2,1@0,0,0", (1, 1, 1), 64),
+])
+def test_a3_richardson_sections_match_loop_model(a3, v_text, lam, dim):
+    wg = weyl_group(a3)
+    v, e = wg.parse(v_text), wg.identity
+    got = smt_character(a3, v, e, lam)
+    assert got == loopref.richardson_character(a3, v, e, lam)
+    assert got.total() == dim
+
+
+def test_a3_sections_beyond_the_loop_model(a3):
+    """2 rho on [2@1,1,1, e]: out of the loop model's reach, a sum of
+    twist coefficients like every other."""
+    wg = weyl_group(a3)
+    assert h0_dimension(a3, wg.parse("2@1,1,1"), wg.identity, (2, 2, 2)) == 2274
