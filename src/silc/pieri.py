@@ -101,11 +101,12 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
+    require_type_a(datum)
     q_min, q_max = window
-    if q_max <= q_min:
-        return GradedCharacter.zero(window)
     # the coefficients start from 1 at degree 0, so they are built from 0
     # and only then cut to the window; with q_max <= 0 there are none
+    if q_max <= max(q_min, 0):
+        return GradedCharacter.zero(window)
     coeffs = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, (0, q_max))
     sections = sum(coeffs.values(), GradedCharacter.zero((0, q_max)))
     return GradedCharacter.make(

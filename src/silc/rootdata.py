@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import RootDataError
 
@@ -43,7 +44,7 @@ def vec_scale(c, a):
 def vec_dot(a, b):
     if len(a) != len(b):
         raise RootDataError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def mat_vec(m, v):

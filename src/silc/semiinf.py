@@ -42,6 +42,7 @@ class SemiInfiniteOrder:
         self.wg = wg
         self.datum: RootDatum = wg.datum
         self._finite_covers = {}
+        self._reflections = None
         self._nearest = {}
         self._si_cache = {}
 
@@ -63,11 +64,15 @@ class SemiInfiniteOrder:
         got = self._finite_covers.get(u)
         if got is None:
             wg = self.wg
+            if self._reflections is None:
+                self._reflections = tuple(
+                    (alpha, wg.reflection_by_root(alpha))
+                    for alpha in self.datum.positive_roots())
             lu = wg.length_finite(u)
             zero = (0,) * self.datum.rank
             got = []
-            for alpha in self.datum.positive_roots():
-                y = u * wg.reflection_by_root(alpha)
+            for alpha, s_alpha in self._reflections:
+                y = u * s_alpha
                 ly = wg.length_finite(y)
                 root = u.act_root(alpha.coords)
                 coroot = u.act_coweight(alpha.coroot)
@@ -88,25 +93,30 @@ class SemiInfiniteOrder:
         """For each weight mu of the orbit W lam, the element m below u with
         m.finite(lam) = mu that the fewest covers reach from u.
 
-        A breadth-first search on finite parts, memoized per (u.finite, lam).
-        All shortest paths of the quantum Bruhat graph between two elements
-        carry the same translation (Postnikov), and the nearest element of
-        each coset of the stabilizer of lam is unique (the tilted Bruhat
-        theorem, arXiv:1402.2203), so the order of the search does not matter.
+        A breadth-first search on finite parts, memoized per (u.finite, lam),
+        that goes on only from the first element it meets in each coset of
+        the stabilizer of lam, so it makes one step from each of |W lam|
+        elements, not from all of W.  That the nearest elements are reached
+        through one another is an observation, not a cited theorem:
+        tests/test_semiinf.py checks it against the search through all of W.
+        The nearest element of each coset is unique (the tilted Bruhat
+        theorem, arXiv:1402.2203), and all shortest paths of the quantum
+        Bruhat graph between two elements carry the same translation
+        (Postnikov), so the order of the search does not matter.
         """
         got = self._nearest.get((u.finite, lam))
         if got is None:
-            found = {}
-            seen = {u.finite}
-            level = [(u.finite, (0,) * self.datum.rank)]
+            start = (u.finite, (0,) * self.datum.rank)
+            found = {u.finite.act_weight(lam): start}
+            level = [start]
             while level:
                 below = []
                 for y, shift in level:
-                    found.setdefault(y.act_weight(lam), (y, shift))
                     for _, z, step in self._covers_of_finite(y):
-                        if z not in seen:
-                            seen.add(z)
-                            below.append((z, vec_add(shift, step)))
+                        mu = z.act_weight(lam)
+                        if mu not in found:
+                            found[mu] = (z, vec_add(shift, step))
+                            below.append(found[mu])
                 level = below
             got = self._nearest[(u.finite, lam)] = tuple(found.values())
         return [AffineWeylElement(y, vec_add(u.translation, shift))

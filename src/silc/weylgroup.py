@@ -31,36 +31,53 @@ class FiniteWeylElement:
 
     root_mat: action on the simple-root basis (columns = images of alpha_j).
     coweight_mat: action on the simple-coroot basis.
-    inversions: 0/1 for each of the group's positive roots, 1 where the
-    element sends it to a negative root; the length is their sum.
+    The length, the number of positive roots sent to negative ones, is
+    counted when first asked for.
     """
 
-    __slots__ = ("_group", "root_mat", "coweight_mat", "inversions",
-                 "_inverse", "_products")
+    __slots__ = ("_group", "root_mat", "coweight_mat", "_length",
+                 "_inverse", "_products", "_reflection")
 
     def __init__(self, group: "WeylGroup", root_mat, coweight_mat):
         self._group = group
         self.root_mat = root_mat
         self.coweight_mat = coweight_mat
-        # u(alpha) is negative iff its height is; column sums of root_mat
-        # are the heights of the u(alpha_j)
-        heights = tuple(map(sum, zip(*root_mat)))
-        self.inversions = tuple(int(vec_dot(heights, rc) < 0)
-                                for rc in group._pos_roots)
+        self._length = None
         self._inverse = self
         self._products = {}
+        # (beta, <alpha_j, beta^vee>_j, beta^vee, <beta, alpha_j^vee>_j)
+        # when this is the reflection s_beta, set by reflection_by_root
+        self._reflection = None
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         got = self._products.get(other)
         if got is None:
             xi, yi = self._inverse, other._inverse
-            got = self._products[other] = self._group._intern(
-                mat_mul(self.root_mat, other.root_mat),
-                mat_mul(self.coweight_mat, other.coweight_mat),
-                (mat_mul(yi.root_mat, xi.root_mat),
-                 mat_mul(yi.coweight_mat, xi.coweight_mat)),
-            )
+            if other._reflection is None:
+                mats = (mat_mul(self.root_mat, other.root_mat),
+                        mat_mul(self.coweight_mat, other.coweight_mat),
+                        (mat_mul(yi.root_mat, xi.root_mat),
+                         mat_mul(yi.coweight_mat, xi.coweight_mat)))
+            else:
+                # s_beta = 1 - beta <., beta^vee>, so x s_beta and its
+                # inverse s_beta x^{-1} are rank-one updates of x, x^{-1}
+                b, c, bv, wt = other._reflection
+                mats = (_minus_outer(self.root_mat, mat_vec(self.root_mat, b), c),
+                        _minus_outer(self.coweight_mat, mat_vec(self.coweight_mat, bv), wt),
+                        (_minus_outer(xi.root_mat, b, mat_vec(tuple(zip(*xi.root_mat)), c)),
+                         _minus_outer(xi.coweight_mat, bv,
+                                      mat_vec(tuple(zip(*xi.coweight_mat)), wt))))
+            got = self._products[other] = self._group._intern(*mats)
         return got
+
+    def length(self) -> int:
+        if self._length is None:
+            # u(alpha) is negative iff its height is; column sums of
+            # root_mat are the heights of the u(alpha_j)
+            heights = tuple(map(sum, zip(*self.root_mat)))
+            self._length = sum(vec_dot(heights, rc) < 0
+                               for rc in self._group._pos_roots)
+        return self._length
 
     def inverse(self) -> "FiniteWeylElement":
         return self._inverse
@@ -77,6 +94,12 @@ class FiniteWeylElement:
 
     def __repr__(self):
         return f"FiniteWeylElement(root_mat={self.root_mat})"
+
+
+def _minus_outer(m, col, row):
+    """m - col row^T."""
+    return tuple(tuple(x - a * y for x, y in zip(m_row, row))
+                 for m_row, a in zip(m, col))
 
 
 @dataclass(frozen=True)
@@ -143,16 +166,20 @@ class WeylGroup:
         wt = d.root_to_weight(root.coords)
         root_cols = []
         coweight_cols = []
+        pairings = []
         for j in range(r):
             rc = [int(j == k) for k in range(r)]
             p = root.coroot  # <gamma^vee, alpha_j>
             pj = sum(p[k] * d.cartan.entries[k][j] for k in range(r))
+            pairings.append(pj)
             rc = tuple(rc[k] - pj * root.coords[k] for k in range(r))
             root_cols.append(rc)
             cc = [int(j == k) for k in range(r)]
             cc = tuple(cc[k] - wt[j] * root.coroot[k] for k in range(r))
             coweight_cols.append(cc)
-        return self._intern(tuple(zip(*root_cols)), tuple(zip(*coweight_cols)))
+        got = self._intern(tuple(zip(*root_cols)), tuple(zip(*coweight_cols)))
+        got._reflection = (tuple(root.coords), tuple(pairings), tuple(root.coroot), wt)
+        return got
 
     def _build_w0(self):
         """Longest finite element and a reduced word for it: multiply by the
@@ -186,7 +213,7 @@ class WeylGroup:
     # -- lengths -------------------------------------------------------------
 
     def length_finite(self, u: FiniteWeylElement) -> int:
-        return sum(u.inversions)
+        return u.length()
 
     # -- reduced words -------------------------------------------------------
 

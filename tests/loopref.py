@@ -13,6 +13,7 @@ sections for the tests:
 Both are anchored and weighted as silc.pieri anchors and weights them.
 """
 
+from silc import pieri
 from silc.charring import FULL_WINDOW, GradedCharacter
 from silc.loopmodel import BlockSpan, extremal_monomial, raising_ops, \
     schubert_blocks, span_closure
@@ -61,18 +62,11 @@ def richardson_blocks(datum, xv, xw, lam):
     return out
 
 
-def _extremal(wg, w, lam):
-    """w w0 and the absolute degree of its extremal vector."""
-    x = wg.compose(w, wg.affine_from_finite(wg.w0))
-    return x, -vec_dot(x.translation, lam)
-
-
 def richardson_character(datum, v, w, lam, window=FULL_WINDOW):
     """smt_character(datum, v, w, lam, window) for v <= w and a strictly
     dominant (or zero) lam, from the loop model."""
-    wg = weyl_group(datum)
-    xv, _ = _extremal(wg, v, lam)
-    xw, d_w = _extremal(wg, w, lam)
+    xv, _ = pieri._extremal(datum, v, lam)[:2]
+    xw, d_w = pieri._extremal(datum, w, lam)[:2]
     blocks = richardson_blocks(datum, xv, xw, lam)
     return GradedCharacter.make(
         {(d - d_w, vec_neg(wt)): dim for (d, wt), dim in blocks.items()}, window)

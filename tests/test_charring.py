@@ -281,6 +281,19 @@ def test_gweyl_w0_matches_q_whittaker(lam, window):
     assert dict(got.terms) == {k: c for k, c in full.items() if k[0] >= lo}
 
 
+def test_gweyl_window_below_degree_zero_is_zero(a2):
+    wg = weyl_group(a2)
+    got = gch_global_weyl(a2, wg.identity, (1, 0), (-1, 0))
+    assert got == GradedCharacter.zero((-1, 0))
+
+
+def test_charring_still_exports_gch_global_weyl():
+    """perfbench/worker.py imports gch_global_weyl from silc.charring."""
+    import silc.charring
+    import silc.pieri
+    assert silc.charring.gch_global_weyl is silc.pieri.gch_global_weyl
+
+
 def test_gweyl_trivial_weight(a2):
     wg = weyl_group(a2)
     got = gch_global_weyl(a2, wg.identity, (0, 0), (0, 3))

@@ -192,3 +192,40 @@ def test_covers_are_complete_on_box(kind):
                 if so.si_length(x) == target and sub.si_le(x, v):
                     below.add(x)
         assert {x for _, x in so.si_covers_below(v, 1)} == below, wg.format(v)
+
+
+def _search_through_all_of_w(so, u):
+    """Every finite part reached from u, in breadth-first order, each with
+    the first element met that carries it."""
+    order = [u]
+    seen = {u.finite}
+    for y in order:
+        for _, z in so.si_covers_below(y):
+            if z.finite not in seen:
+                seen.add(z.finite)
+                order.append(z)
+    return order
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                       ("B", 2), ("G", 2), ("C", 3)])
+def test_nearest_below_matches_the_search_through_all_of_w(kind, rank):
+    """nearest_below goes on only from the nearest element of each coset it
+    has met; it returns what the search through all of W returns, for every
+    finite base, each fundamental weight, rho and the sum of the outer
+    fundamental weights."""
+    so = si_order(root_datum(kind, rank))
+    wg = so.wg
+    lams = {tuple(int(i == k) for i in range(rank)) for k in range(rank)}
+    lams |= {(1,) * rank, tuple(int(i in (0, rank - 1)) for i in range(rank))}
+    for level in so.down_set(wg.identity, (0,) * rank):
+        for x in level:
+            u = AffineWeylElement(x.finite, (1,) * rank)
+            order = _search_through_all_of_w(so, u)
+            for lam in sorted(lams):
+                want = {}
+                for y in order:
+                    want.setdefault(y.finite.act_weight(lam), y)
+                got = so.nearest_below(u, lam)
+                assert len(got) == len(want)
+                assert {m.finite.act_weight(lam): m for m in got} == want

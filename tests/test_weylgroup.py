@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from subword import Subword
 
-from silc.rootdata import root_datum, vec_neg
-from silc.weylgroup import AffineWeylElement, weyl_group
+from silc.rootdata import mat_identity, mat_mul, root_datum, vec_neg
+from silc.weylgroup import AffineWeylElement, WeylGroup, weyl_group
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
 
@@ -343,6 +343,32 @@ def _all_finite(wg):
                     nxt.append(c)
         frontier = nxt
     return seen
+
+
+@pytest.mark.parametrize("kind,rank", ALL_TYPES + [("C", 3)])
+def test_products_by_reflections_match_matrix_products(kind, rank):
+    """u * s_beta is a rank-one update of u's matrices, and its inverse one
+    of u's inverse's.  On a fresh group built by every reflection, so that
+    elements are first made that way, both equal the matrix products."""
+    wg = WeylGroup(root_datum(kind, rank))
+    reflections = [wg.reflection_by_root(beta) for beta in wg.datum.positive_roots()]
+    ident = mat_identity(rank)
+    frontier = [wg.id_finite]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for s in reflections:
+                x = u * s
+                assert x.root_mat == mat_mul(u.root_mat, s.root_mat)
+                assert x.coweight_mat == mat_mul(u.coweight_mat, s.coweight_mat)
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    for x in seen:
+        assert mat_mul(x.root_mat, x.inverse().root_mat) == ident
+        assert mat_mul(x.coweight_mat, x.inverse().coweight_mat) == ident
 
 
 def test_serialization_roundtrip(wg):
