@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .rootdata import RootDatum, vec_add, vec_dot, vec_neg
+from .rootdata import RootDatum, vec_add, vec_dot
 from .weylgroup import AffineWeylElement, WeylGroup, weyl_group
 
 
@@ -38,13 +38,35 @@ def _translation_le(a, b):
 
 
 class SemiInfiniteOrder:
+    """The semi-infinite order of one root datum: si-length, covers, order,
+    down-sets and intervals.
+
+    Three memos keep what the walks reuse, each keyed by finite Weyl group
+    elements, because the covers below u*t_beta and the shape of everything
+    below it do not depend on beta (right translation equivariance):
+
+    - ``_finite_covers``: finite part u -> the edges below every u*t_beta,
+      as (positive root alpha, u*s_alpha, translation shift).  At most |W|
+      keys; an entry holds at most one edge per positive root.
+    - ``_nearest``: (finite part u, weight lam) -> the element nearest to
+      u*t_0 in each coset of the stabilizer of lam.  At most |W| keys for
+      each weight asked; the library asks only fundamental weights, so at
+      most rank*|W| in all.  An entry holds |W lam| elements.
+    - ``_below``: finite part v -> (cap, levels), where levels[k] holds the
+      elements k si-length steps below v*t_0 whose translations are <= cap.
+      At most |W| keys.  An entry holds the capped region down to the
+      deepest level a query has asked for, so its size is set by the cap,
+      the coordinatewise max of the translation differences si_le has been
+      asked about below v, and by the largest si-length difference asked.
+    """
+
     def __init__(self, wg: WeylGroup):
         self.wg = wg
         self.datum: RootDatum = wg.datum
         self._finite_covers = {}
         self._reflections = None
         self._nearest = {}
-        self._si_cache = {}
+        self._below = {}
 
     # -- length --------------------------------------------------------------
 
@@ -57,7 +79,9 @@ class SemiInfiniteOrder:
     # -- covers --------------------------------------------------------------
 
     def _covers_of_finite(self, u):
-        """(affine root, y, translation shift) for each edge below u*t_beta.
+        """(positive root alpha, y = u*s_alpha, translation shift) for each
+        edge below u*t_beta: the shift is 0 on a Bruhat edge and alpha^vee on
+        a quantum edge.
 
         The edges do not depend on beta, so they are computed once per u.
         """
@@ -74,20 +98,17 @@ class SemiInfiniteOrder:
             for alpha, s_alpha in self._reflections:
                 y = u * s_alpha
                 ly = wg.length_finite(y)
-                root = u.act_root(alpha.coords)
-                coroot = u.act_coweight(alpha.coroot)
                 if ly == lu + 1:
-                    if sum(root) < 0:
-                        root, coroot = vec_neg(root), vec_neg(coroot)
-                    got.append((AffineRoot(root, coroot, 0), y, zero))
+                    got.append((alpha, y, zero))
                 elif ly == lu + 1 - 2 * sum(alpha.coroot):
-                    got.append((AffineRoot(root, coroot, 1), y, alpha.coroot))
+                    got.append((alpha, y, alpha.coroot))
             self._finite_covers[u] = got
         return got
 
     def _covers(self, v: AffineWeylElement):
-        for alpha, y, shift in self._covers_of_finite(v.finite):
-            yield alpha, AffineWeylElement(y, vec_add(v.translation, shift))
+        """The elements one cover below v."""
+        for _, y, shift in self._covers_of_finite(v.finite):
+            yield AffineWeylElement(y, vec_add(v.translation, shift))
 
     def nearest_below(self, u: AffineWeylElement, lam):
         """For each weight mu of the orbit W lam, the element m below u with
@@ -128,10 +149,26 @@ class SemiInfiniteOrder:
 
         Every covering root has delta coefficient 0 or 1, so the list is
         complete for any height_bound >= 1; the bound is only validated.
+        A Bruhat edge u -> u*s_alpha has u(alpha) > 0 and reports the root
+        u(alpha); a quantum edge has u(alpha) < 0 and reports u(alpha) + delta.
         """
         if height_bound < 1:
             raise ValueError("height_bound must be >= 1")
-        return sorted(self._covers(v), key=lambda pair: pair[1].key())
+        u = v.finite
+        out = [(AffineRoot(u.act_root(alpha.coords), u.act_coweight(alpha.coroot),
+                           int(any(shift))),
+                AffineWeylElement(y, vec_add(v.translation, shift)))
+               for alpha, y, shift in self._covers_of_finite(u)]
+        return sorted(out, key=lambda pair: pair[1].key())
+
+    def _walk(self, levels, cap, steps):
+        """Extend levels in place by the level below the last: the elements
+        one cover below it whose translations are <= cap coordinatewise.
+        Stops at steps + 1 levels (never, when steps is None) or after an
+        empty level."""
+        while (steps is None or len(levels) <= steps) and levels[-1]:
+            levels.append({x for v in levels[-1] for x in self._covers(v)
+                           if _translation_le(x.translation, cap)})
 
     def down_set(self, top: AffineWeylElement, cap, steps=None):
         """The elements below top whose translations are <= cap coordinatewise,
@@ -143,12 +180,9 @@ class SemiInfiniteOrder:
         nothing is missed, and the walk ends because that region is finite.
         """
         levels = [{top}]
-        while steps is None or len(levels) <= steps:
-            level = {x for v in levels[-1] for _, x in self._covers(v)
-                     if _translation_le(x.translation, cap)}
-            if not level:
-                break
-            levels.append(level)
+        self._walk(levels, cap, steps)
+        if not levels[-1]:
+            levels.pop()
         return levels
 
     # -- order ---------------------------------------------------------------
@@ -160,15 +194,19 @@ class SemiInfiniteOrder:
         steps = self.si_length(w) - self.si_length(v)
         if steps <= 0 or not _translation_le(v.translation, w.translation):
             return False
-        # right translation equivariance: compare w t_{-beta_v} against the
-        # purely finite part of v, which keeps the cache small
+        # right translation equivariance: look for w t_{-beta_v} below the
+        # purely finite part of v, in the one capped region kept for it
         diff = tuple(a - b for a, b in zip(w.translation, v.translation))
-        w = AffineWeylElement(w.finite, diff)
-        v = AffineWeylElement(v.finite, (0,) * self.datum.rank)
-        got = self._si_cache.get((w, v))
-        if got is None:
-            got = self._si_cache[(w, v)] = w in self.down_set(v, diff, steps)[-1]
-        return got
+        got = self._below.get(v.finite)
+        if got is None or not _translation_le(diff, got[0]):
+            # levels walked under a narrower cap miss elements: widen it to
+            # the coordinatewise max and walk again from the top
+            cap = diff if got is None else tuple(map(max, diff, got[0]))
+            top = AffineWeylElement(v.finite, (0,) * self.datum.rank)
+            got = self._below[v.finite] = (cap, [{top}])
+        cap, levels = got
+        self._walk(levels, cap, steps)
+        return steps < len(levels) and AffineWeylElement(w.finite, diff) in levels[steps]
 
     # -- boxes and intervals -----------------------------------------------------
 
@@ -202,7 +240,7 @@ class SemiInfiniteOrder:
         out = [v]
         for level in reversed(levels[:-1]):
             above = {u for u in level
-                     if any(x in above for _, x in self._covers(u))}
+                     if any(x in above for x in self._covers(u))}
             out.extend(above)
         out.sort(key=lambda u: (self.si_length(u), u.key()))
         return out

@@ -1,14 +1,15 @@
 """Semi-infinite order against the fixed-deep-translation subword oracle."""
 
 import itertools
+import random
 
 import pytest
 
 from subword import Subword
 
 from silc.rootdata import Root, root_datum, vec_scale
-from silc.semiinf import si_order
-from silc.weylgroup import AffineWeylElement
+from silc.semiinf import SemiInfiniteOrder, si_order
+from silc.weylgroup import AffineWeylElement, weyl_group
 
 
 def finite_elements(wg, sub):
@@ -52,6 +53,38 @@ def test_si_le_matches_oracle_on_box(kind, rank, radius):
     for x in box:
         for y in box:
             assert so.si_le(x, y) == sub.si_le(x, y), (x, y)
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "G"])
+def test_si_le_matches_oracle_in_every_query_order(kind):
+    """si_le against the subword oracle on 300 seeded pairs (w, v) of a
+    radius-1 box, v at its corner or its centre and beta_v <= beta_w: the
+    pairs si_le answers from the region kept below v's finite part, their
+    translation differences covering [0, 2]^2.  (Each v costs the oracle one deep reduced
+    word, so v takes two translations, not nine.)  Each order of the
+    queries starts from an empty memo: ascending translation differences
+    widen the cap query by query, descending ones never widen it, shuffled
+    ones at random."""
+    d = root_datum(kind, 2)
+    sub = Subword(kind, 2)
+    box = si_order(d).box(weyl_group(d).identity, 1)
+    pairs = [(w, v) for w in box for v in box
+             if v.translation in ((-1, -1), (0, 0))
+             and all(a <= b for a, b in zip(v.translation, w.translation))]
+    rng = random.Random(17)
+    pairs = rng.sample(pairs, 300)
+    want = {pair: sub.si_le(*pair) for pair in pairs}
+
+    def diff(pair):
+        w, v = pair
+        return tuple(a - b for a, b in zip(w.translation, v.translation))
+
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    for order in (sorted(pairs, key=diff), sorted(pairs, key=diff, reverse=True),
+                  shuffled):
+        so = SemiInfiniteOrder(weyl_group(d))
+        assert [so.si_le(w, v) for w, v in order] == [want[p] for p in order]
 
 
 def test_translation_equivariance(so_a1):
