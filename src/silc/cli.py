@@ -83,6 +83,8 @@ def _window(datum, text):
         lo, hi = (int(t) for t in text.split(":"))
     except ValueError:
         raise ValueError(f"window must look like 0:4, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"window {text!r} is reversed: lo:hi needs lo <= hi")
     return lo, hi
 
 

@@ -2,7 +2,7 @@
 
 w <=_si v means that w lies deeper than v.  The order is the transitive
 closure of the semi-infinite Bruhat graph, whose edges below u*t_beta are
-read off the quantum Bruhat graph of the finite part u (Brenti-Fomin-
+read off the quantum Bruhat graph (QBG) of the finite part u (Brenti-Fomin-
 Postnikov; Ishii-Naito-Sagaki, arXiv:1402.3884, section 2).  For each
 positive root alpha let y = u*s_alpha:
 
@@ -10,13 +10,27 @@ positive root alpha let y = u*s_alpha:
 - if l(y) = l(u) + 1 - 2<rho, alpha^vee>, then y*t_{beta + alpha^vee} is a
   cover (a quantum edge).
 
-Either way the si-length grows by one.  Translations only gain positive
-coroots on the way down, so the elements between two given ones lie in a
-finite region, and order, intervals and down-sets are walks through it.
+Either way the si-length grows by one.  A QBG path weighs the sum of the
+coroots of its quantum edges.  All shortest paths from v to w weigh the
+same, wt(v => w), and every other path weighs that plus an element of
+Q^vee_+ (Postnikov, arXiv:math/0410147).  Hence
+
+    w*t_beta <=_si v*t_gamma  iff  beta - gamma - wt(v => w) lies in Q^vee_+.
+
+Only if: a chain from v*t_gamma down to w*t_beta projects to a QBG path
+from v to w of weight beta - gamma, and Postnikov bounds that weight below.
+If: a shortest path reaches w*t_{gamma + wt(v => w)}; and at every y the
+2-cycle y -> y*s_i -> y is one Bruhat and one quantum edge, since
+1 - 2<rho, alpha_i^vee> = -1, so it adds alpha_i^vee, and any element of
+Q^vee_+ can be appended this way.
+
+Intervals and down-sets lie in a finite region, since translations only
+gain positive coroots on the way down, and are walks through it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -33,31 +47,24 @@ class AffineRoot:
     delta_coeff: int
 
 
-def _translation_le(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 class SemiInfiniteOrder:
     """The semi-infinite order of one root datum: si-length, covers, order,
     down-sets and intervals.
 
-    Three memos keep what the walks reuse, each keyed by finite Weyl group
+    Three memos keep what the searches reuse, each keyed by finite Weyl group
     elements, because the covers below u*t_beta and the shape of everything
     below it do not depend on beta (right translation equivariance):
 
-    - ``_finite_covers``: finite part u -> the edges below every u*t_beta,
-      as (positive root alpha, u*s_alpha, translation shift).  At most |W|
-      keys; an entry holds at most one edge per positive root.
+    - ``_finite_covers``: (finite part u, up) -> the edges below (above,
+      with up) every u*t_beta, as (positive root alpha, u*s_alpha,
+      translation shift).  At most 2|W| keys; an entry holds at most one
+      edge per positive root.
     - ``_nearest``: (finite part u, weight lam) -> the element nearest to
       u*t_0 in each coset of the stabilizer of lam.  At most |W| keys for
       each weight asked; the library asks only fundamental weights, so at
       most rank*|W| in all.  An entry holds |W lam| elements.
-    - ``_below``: finite part v -> (cap, levels), where levels[k] holds the
-      elements k si-length steps below v*t_0 whose translations are <= cap.
-      At most |W| keys.  An entry holds the capped region down to the
-      deepest level a query has asked for, so its size is set by the cap,
-      the coordinatewise max of the translation differences si_le has been
-      asked about below v, and by the largest si-length difference asked.
+    - ``_weights``: finite part w -> ({v: wt(v => w)}, queue) of the search
+      up from w.  At most |W| keys, each with at most |W| weights.
     """
 
     def __init__(self, wg: WeylGroup):
@@ -66,7 +73,7 @@ class SemiInfiniteOrder:
         self._finite_covers = {}
         self._reflections = None
         self._nearest = {}
-        self._below = {}
+        self._weights = {}
 
     # -- length --------------------------------------------------------------
 
@@ -78,31 +85,33 @@ class SemiInfiniteOrder:
 
     # -- covers --------------------------------------------------------------
 
-    def _covers_of_finite(self, u):
+    def _covers_of_finite(self, u, up=False):
         """(positive root alpha, y = u*s_alpha, translation shift) for each
         edge below u*t_beta: the shift is 0 on a Bruhat edge and alpha^vee on
-        a quantum edge.
+        a quantum edge.  With up, each edge from some y*t_{beta - shift} down
+        to u*t_beta instead: the length conditions with their signs swapped.
 
-        The edges do not depend on beta, so they are computed once per u.
+        The edges do not depend on beta, so they are computed once per (u, up).
         """
-        got = self._finite_covers.get(u)
+        got = self._finite_covers.get((u, up))
         if got is None:
             wg = self.wg
             if self._reflections is None:
                 self._reflections = tuple(
                     (alpha, wg.reflection_by_root(alpha))
                     for alpha in self.datum.positive_roots())
+            sign = -1 if up else 1
             lu = wg.length_finite(u)
             zero = (0,) * self.datum.rank
             got = []
             for alpha, s_alpha in self._reflections:
                 y = u * s_alpha
-                ly = wg.length_finite(y)
-                if ly == lu + 1:
+                step = sign * (wg.length_finite(y) - lu)
+                if step == 1:
                     got.append((alpha, y, zero))
-                elif ly == lu + 1 - 2 * sum(alpha.coroot):
+                elif step == 1 - 2 * sum(alpha.coroot):
                     got.append((alpha, y, alpha.coroot))
-            self._finite_covers[u] = got
+            self._finite_covers[(u, up)] = got
         return got
 
     def _covers(self, v: AffineWeylElement):
@@ -161,15 +170,6 @@ class SemiInfiniteOrder:
                for alpha, y, shift in self._covers_of_finite(u)]
         return sorted(out, key=lambda pair: pair[1].key())
 
-    def _walk(self, levels, cap, steps):
-        """Extend levels in place by the level below the last: the elements
-        one cover below it whose translations are <= cap coordinatewise.
-        Stops at steps + 1 levels (never, when steps is None) or after an
-        empty level."""
-        while (steps is None or len(levels) <= steps) and levels[-1]:
-            levels.append({x for v in levels[-1] for x in self._covers(v)
-                           if _translation_le(x.translation, cap)})
-
     def down_set(self, top: AffineWeylElement, cap, steps=None):
         """The elements below top whose translations are <= cap coordinatewise,
         as levels: level k holds those k si-length steps below top, for k up
@@ -180,33 +180,34 @@ class SemiInfiniteOrder:
         nothing is missed, and the walk ends because that region is finite.
         """
         levels = [{top}]
-        self._walk(levels, cap, steps)
+        while (steps is None or len(levels) <= steps) and levels[-1]:
+            levels.append({x for v in levels[-1] for x in self._covers(v)
+                           if all(a <= b for a, b in zip(x.translation, cap))})
         if not levels[-1]:
             levels.pop()
         return levels
 
     # -- order ---------------------------------------------------------------
 
+    def _weight(self, v, w):
+        """wt(v => w), by a breadth-first search up from w (its first path to v
+        is a shortest one), kept per w and taken only as far as v."""
+        search = self._weights.get(w)
+        if search is None:
+            search = self._weights[w] = ({w: (0,) * self.datum.rank}, deque([w]))
+        got, queue = search
+        while v not in got:
+            y = queue.popleft()
+            for _, x, shift in self._covers_of_finite(y, up=True):
+                if x not in got:
+                    got[x] = vec_add(got[y], shift)
+                    queue.append(x)
+        return got[v]
+
     def si_le(self, w: AffineWeylElement, v: AffineWeylElement) -> bool:
-        """True iff w <=_si v (w deeper than or equal to v)."""
-        if w == v:
-            return True
-        steps = self.si_length(w) - self.si_length(v)
-        if steps <= 0 or not _translation_le(v.translation, w.translation):
-            return False
-        # right translation equivariance: look for w t_{-beta_v} below the
-        # purely finite part of v, in the one capped region kept for it
-        diff = tuple(a - b for a, b in zip(w.translation, v.translation))
-        got = self._below.get(v.finite)
-        if got is None or not _translation_le(diff, got[0]):
-            # levels walked under a narrower cap miss elements: widen it to
-            # the coordinatewise max and walk again from the top
-            cap = diff if got is None else tuple(map(max, diff, got[0]))
-            top = AffineWeylElement(v.finite, (0,) * self.datum.rank)
-            got = self._below[v.finite] = (cap, [{top}])
-        cap, levels = got
-        self._walk(levels, cap, steps)
-        return steps < len(levels) and AffineWeylElement(w.finite, diff) in levels[steps]
+        """True iff w <=_si v (w deeper or equal), by the module's criterion."""
+        least = self._weight(v.finite, w.finite)
+        return all(a - b >= c for a, b, c in zip(w.translation, v.translation, least))
 
     # -- boxes and intervals -----------------------------------------------------
 
@@ -229,12 +230,9 @@ class SemiInfiniteOrder:
         Returns [] if v and w are incomparable.  The interval is complete;
         radius is accepted for compatibility and does not limit it.
         """
-        steps = self.si_length(v) - self.si_length(w)
-        if steps < 0 or not _translation_le(w.translation, v.translation):
+        if not self.si_le(v, w):
             return []
-        levels = self.down_set(w, v.translation, steps)
-        if v not in levels[-1]:
-            return []
+        levels = self.down_set(w, v.translation, self.si_length(v) - self.si_length(w))
         # sweep back up, keeping the elements with a cover above v
         above = {v}
         out = [v]

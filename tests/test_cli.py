@@ -80,6 +80,35 @@ def test_unknown_type_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("cmd", [
+    ["char", "gweyl", "--rank", "1", "--w", "1@0", "--lam", "1"],
+    ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1", "--depth", "3"],
+    ["h0", "--rank", "1", "--v", "1@1", "--w", "e@0", "--lam", "1"],
+], ids=["char gweyl", "pieri", "h0"])
+def test_reversed_window_usage_error(runner, cmd):
+    res = invoke(runner, cmd + ["--window", "3:1", "--no-cache"])
+    assert res.exit_code == 2
+    assert "3:1" in res.output
+
+
+@pytest.mark.parametrize("args,out", [
+    (["dim", "richardson", "--v", "1,2@1000000,1000000", "--w", "e@0,0"],
+     '{"dim":4000002,"empty":false}\n'),
+    (["order", "le", "--w", "1,2@1000000,1000000", "--v", "e@0,0"],
+     '{"result":true}\n'),
+])
+def test_far_apart_pair_answers_at_once(tmp_path, args, out):
+    """The order compares translations without walking between them, so a
+    pair a million coroots apart takes as long as a near one."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-m", "silc.cli", *args, "--rank", "2",
+                          "--no-cache"], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=20,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == out
+
+
 @pytest.mark.parametrize("rank", [-1, 0, 17])
 def test_rank_out_of_range_usage_error(runner, rank):
     lam = ",".join(["1"] + ["0"] * (rank - 1))

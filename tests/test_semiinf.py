@@ -59,12 +59,12 @@ def test_si_le_matches_oracle_on_box(kind, rank, radius):
 def test_si_le_matches_oracle_in_every_query_order(kind):
     """si_le against the subword oracle on 300 seeded pairs (w, v) of a
     radius-1 box, v at its corner or its centre and beta_v <= beta_w: the
-    pairs si_le answers from the region kept below v's finite part, their
+    pairs whose answer the translations alone do not settle, their
     translation differences covering [0, 2]^2.  (Each v costs the oracle one deep reduced
     word, so v takes two translations, not nine.)  Each order of the
-    queries starts from an empty memo: ascending translation differences
-    widen the cap query by query, descending ones never widen it, shuffled
-    ones at random."""
+    queries starts from an empty memo, so no answer depends on the searches
+    run before it: ascending translation differences, descending ones, and
+    shuffled ones."""
     d = root_datum(kind, 2)
     sub = Subword(kind, 2)
     box = si_order(d).box(weyl_group(d).identity, 1)
@@ -85,6 +85,63 @@ def test_si_le_matches_oracle_in_every_query_order(kind):
                   shuffled):
         so = SemiInfiniteOrder(weyl_group(d))
         assert [so.si_le(w, v) for w, v in order] == [want[p] for p in order]
+
+
+@pytest.mark.parametrize("kind", ["A", "C"])
+def test_si_le_matches_oracle_at_rank_3(kind):
+    """si_le against the subword oracle on 200 seeded rank-3 pairs (w, v)
+    with beta_v <= beta_w, v one of four elements with translations in
+    [0, 1]^3 and beta_w - beta_v in [0, 1]^3.  (Each v costs the oracle one
+    deep reduced word, so there are only four.)"""
+    so = si_order(root_datum(kind, 3))
+    sub = Subword(kind, 3)
+    finite = [x.finite for x in so.box(so.wg.identity, 0)]
+    rng = random.Random(3)
+    tops = [AffineWeylElement(u, tuple(rng.randrange(2) for _ in range(3)))
+            for u in rng.sample(finite, 4)]
+    for _ in range(200):
+        v = rng.choice(tops)
+        w = AffineWeylElement(rng.choice(finite),
+                              tuple(b + rng.randrange(2) for b in v.translation))
+        assert so.si_le(w, v) == sub.si_le(w, v), (so.wg.format(w), so.wg.format(v))
+
+
+@pytest.mark.parametrize("kind,rank,order", [("A", 1, 2), ("A", 2, 6), ("A", 3, 24),
+                                             ("B", 2, 8), ("C", 3, 48), ("G", 2, 12)])
+def test_path_weights_exceed_the_shortest_by_positive_coroots(kind, rank, order):
+    """The lemma si_le rests on (Postnikov), for every pair of finite parts
+    v, w: the paths of the quantum Bruhat graph from v to w, enumerated
+    edge by edge, carry exactly the weight wt(v => w) of the breadth-first
+    search when shortest (of length d), and that weight plus an element of
+    Q^vee_+ when of length d + 1 or d + 2.  Once every pair is asked, each
+    kept search holds one weight for each element of W."""
+    so = SemiInfiniteOrder(weyl_group(root_datum(kind, rank)))
+    zero = (0,) * rank
+    finite = [x.finite for x in so.box(so.wg.identity, 0)]
+    assert len(finite) == order
+    edges = {u: [(x.finite, x.translation)
+                 for _, x in so.si_covers_below(AffineWeylElement(u, zero))]
+             for u in finite}
+    for v in finite:
+        # paths[k]: endpoint -> the weights of the paths of length k from v
+        paths = [{v: {zero}}]
+        dist = {v: 0}
+        while len(dist) < order or len(paths) <= max(dist.values()) + 2:
+            step = {}
+            for y, weights in paths[-1].items():
+                for z, shift in edges[y]:
+                    step.setdefault(z, set()).update(
+                        tuple(a + b for a, b in zip(wt, shift)) for wt in weights)
+            for z in step:
+                dist.setdefault(z, len(paths))
+            paths.append(step)
+        for w in finite:
+            least = so._weight(v, w)
+            d = dist[w]
+            assert paths[d][w] == {least}, (v, w)
+            for wt in paths[d + 1].get(w, set()) | paths[d + 2].get(w, set()):
+                assert all(a >= b for a, b in zip(wt, least)), (v, w, wt)
+    assert all(len(got) == order for got, _ in so._weights.values())
 
 
 def test_translation_equivariance(so_a1):
