@@ -21,4 +21,5 @@ class WindowExhaustedError(RuntimeError):
 
 
 class InconsistencyError(RuntimeError):
-    """The re-verification of the twist identity for a second weight failed."""
+    """A twist table contradicts an identity it must satisfy, such as the
+    normalization of its base coefficient."""

@@ -8,8 +8,7 @@ qbar-degree 0; weights are the (negated) weights of the underlying module.
 With this convention the coefficient table entry at u = w is the single
 monomial of weight -w w0 lambda at degree 0.  The sections of w are dual to
 the module of the extremal element w w0, which _extremal, the one place
-that composes with w0, returns; anchoring and negating the weights happen
-here, not in the loop model.
+that composes with w0, returns.
 
 The twist coefficients a^x_w(lambda) are read off the Pieri-Chevalley
 formula of Kato-Naito-Sagaki (arXiv:1702.02408) in type A, where every
@@ -34,22 +33,26 @@ and a window [0, hi) cuts every step exactly.
 
 Every section character is a sum of twist coefficients.  Higher cohomology
 vanishes for nef twists, so the sections of the untwisted structure sheaf
-of every Richardson variety are the constants, and the product identity of
-_verify_table at mu = 0 reads
+of every Richardson variety are the constants, and the product identity
+
+    R(v, w; lambda + mu) = sum over v <= u <= w of
+        a^u_w(lambda) R(v, u; mu)
+
+at mu = 0 reads
 
     R(v, w; lambda) = sum over v <= u <= w of a^u_w(lambda)
 
 for the Richardson sections, and the same sum over all u <= w for the
 sections on the full orbit closure of w, finite at each qbar-degree because
-each step of the formula raises it.  The loop model computes sections only
-to check that identity for strictly dominant mu.
+each step of the formula raises it.  The package computes no section
+character any other way; the tests check the identity for strictly
+dominant mu against an independent loop model of the modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import loopmodel
 from .charring import GradedCharacter, FULL_WINDOW
 from .errors import CharacterError, InconsistencyError, WindowExhaustedError
 from .rootdata import RootDatum, require_type_a, vec_add, vec_neg
@@ -186,10 +189,9 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
     """Twist coefficients a^u_w(lambda) for all u within the window.
 
     The coefficients on qbar-degrees [0, hi) follow from the formula of the
-    module docstring.  They are re-verified against the product identity for
-    the strictly dominant weights rho and 2*rho, the two outermost of depth
-    translation shells around w must carry none of them, and only then is
-    the table cut to the window [lo, hi).
+    module docstring.  The base coefficient must be the extremal monomial,
+    the two outermost of depth translation shells around w must carry none
+    of them, and only then is the table cut to the window [lo, hi).
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
@@ -205,7 +207,8 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
         raise WindowExhaustedError("depth must be at least 2 to certify the window")
     full = _twist_coefficients(datum, w, lam, (0, q_hi))
     base = full.get(w, GradedCharacter.zero())
-    expected = GradedCharacter.monomial(0, _extremal(datum, w, lam)[2])
+    _, anchor, extremal_weight = _extremal(datum, w, lam)
+    expected = GradedCharacter.monomial(0, extremal_weight)
     if dict(base.terms) != dict(expected.terms):
         raise InconsistencyError(
             f"base coefficient {dict(base.terms)} is not the extremal monomial"
@@ -220,53 +223,7 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
                 f"nonzero coefficient at translation distance {_shell(u, w)} "
                 f"from the base with depth {depth}; increase depth"
             )
-    for mu in (datum.rho, vec_add(datum.rho, datum.rho)):
-        _verify_table(datum, w, lam, coeffs, mu, q_hi)
     cut = ((u, a.truncate(window)) for u, a in coeffs)
     return PieriTable(w, lam, window,
-                      tuple((u, a) for u, a in cut if not a.is_zero()),
-                      _extremal(datum, w, lam)[1])
+                      tuple((u, a) for u, a in cut if not a.is_zero()), anchor)
 
-
-def _loop_sections(datum, u, lam, qbar_max):
-    """Sections of the lambda-twist on the full orbit closure of u below
-    qbar_max, in absolute degrees, from the loop model: the upward module of
-    u w0 with its weights negated.  It must not go through the formula,
-    which _verify_table checks against it."""
-    x = _extremal(datum, u, lam)[0]
-    blocks = loopmodel.schubert_blocks(datum, x, lam, qbar_max)
-    return GradedCharacter.make(
-        {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()}, FULL_WINDOW)
-
-
-def _verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
-    """Check the product identity for the twist by mu on qbar-degrees
-    [0, q_height), given every nonzero coefficient a^u_w(lam) there, with
-    the sections on both sides from the loop model.
-
-    Coefficient terms at qbar >= q_height cannot reach the check window,
-    because the sections of every u below w start no lower than those of w.
-    """
-    if not datum.is_strictly_dominant(mu):
-        raise CharacterError(f"verification weight {mu} must be strictly dominant")
-    lam_mu = vec_add(lam, mu)
-    d_w_lam = _extremal(datum, w, lam)[1]
-    abs_lo = _extremal(datum, w, lam_mu)[1]
-    abs_hi = abs_lo + q_height
-    check_window = (abs_lo, abs_hi)
-
-    lhs = _loop_sections(datum, w, lam_mu, abs_hi).truncate(check_window)
-    rhs = GradedCharacter.zero(check_window)
-    # the anchor shift can be negative, in which case products that land in
-    # the check window draw on section degrees above abs_hi
-    sec_hi = abs_hi - min(d_w_lam, 0)
-    for u, a in coeffs:
-        a_abs = a.truncate(FULL_WINDOW).shift_q(d_w_lam)
-        sec_u = _loop_sections(datum, u, mu, sec_hi)
-        rhs = rhs + (a_abs * sec_u).truncate(check_window)
-    diff = lhs - rhs
-    if not diff.is_zero():
-        raise InconsistencyError(
-            f"twist identity failed for verification weight {mu}: "
-            f"residual {diff.terms[:5]}..."
-        )

@@ -337,8 +337,8 @@ def root_datum(kind: str, rank: int) -> RootDatum:
 
 
 def require_type_a(datum: RootDatum):
-    """Twist coefficients and the loop model need every fundamental weight
-    minuscule, which is what type A gives."""
+    """Twist coefficients need every fundamental weight minuscule, which is
+    what type A gives."""
     if datum.cartan != root_datum("A", datum.rank).cartan:
         raise RootDataError(
             "section characters and twist coefficients use minuscule "

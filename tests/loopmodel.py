@@ -10,11 +10,13 @@ exact integer span closure inside a truncated tensor product.
 The module answers one question about extremal affine elements
 x = u * t_beta, whose extremal vector sits at z-degree -<beta, lambda>, in
 absolute degrees: schubert_blocks(datum, x, lam, d_max) gives the graded
-dimensions of the upward module of x below d_max.  The package computes
-sections from the twist-coefficient formula; this module is the independent
-model that pieri checks the product identity against.  Which element stands
-for which section space, and how sections are anchored and weighted, is
-left to the caller.  The module keeps no closures between calls.
+dimensions of the upward module of x below d_max.  silc computes every
+section character from the twist-coefficient formula; this module is the
+independent model the tests check it against, through the product identity
+of loopref.verify_table and the section characters of loopref.  Which
+element stands for which section space, and how sections are anchored and
+weighted, is left to the caller.  The module keeps no closures between
+calls.
 
 Monomial basis: a slot is (subset, z_exp) with subset a sorted tuple encoding
 a wedge basis vector.  The current algebra acts by derivations, so the module
@@ -45,8 +47,8 @@ from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from math import gcd
 
-from .rootdata import RootDatum, require_type_a, vec_add
-from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
+from silc.rootdata import RootDatum, require_type_a, vec_add
+from silc.weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,88 @@
 """The loop-model sections that the tests compare the formula with.
 
 silc computes every section character from the twist-coefficient formula
-and runs the loop model only inside the product-identity check of
-compute_pieri.  This module keeps the loop model's own description of
-sections for the tests:
+and runs no second model.  This module keeps the loop model's own
+description of sections for the tests:
 
+- the sections of the lambda-twist on the full orbit closure of u are the
+  graded dual of the upward module of u w0 (loop_sections);
 - the Richardson sections of a strictly dominant (or zero) twist on v <= w
   are the graded dual of the intersection of the upward module of w w0
   with the downward module of v w0;
 - the global Weyl module of w is the upward module of w.
 
-Both are anchored and weighted as silc.pieri anchors and weights them.
+All are anchored and weighted as silc.pieri anchors and weights them.
+verify_table checks a twist table against the product identity with the
+sections on both sides from the loop model, and verified_pieri is
+compute_pieri followed by that check for rho and 2 rho.
 """
 
-from silc import pieri
 from silc.charring import FULL_WINDOW, GradedCharacter
-from silc.loopmodel import BlockSpan, extremal_monomial, raising_ops, \
-    schubert_blocks, span_closure
-from silc.rootdata import require_type_a, vec_dot, vec_neg
+from silc.errors import CharacterError, InconsistencyError
+from silc.pieri import _extremal, compute_pieri
+from silc.rootdata import RootDatum, require_type_a, vec_add, vec_dot, vec_neg
 from silc.weylgroup import weyl_group
+
+from loopmodel import BlockSpan, extremal_monomial, raising_ops, \
+    schubert_blocks, span_closure
+
+
+def loop_sections(datum, u, lam, qbar_max):
+    """Sections of the lambda-twist on the full orbit closure of u below
+    qbar_max, in absolute degrees, from the loop model: the upward module of
+    u w0 with its weights negated.  It must not go through the formula,
+    which verify_table checks against it."""
+    x = _extremal(datum, u, lam)[0]
+    blocks = schubert_blocks(datum, x, lam, qbar_max)
+    return GradedCharacter.make(
+        {(d, vec_neg(wt)): dim for (d, wt), dim in blocks.items()}, FULL_WINDOW)
+
+
+def verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
+    """Check the product identity for the twist by mu on qbar-degrees
+    [0, q_height), given every nonzero coefficient a^u_w(lam) there, with
+    the sections on both sides from the loop model.
+
+    Coefficient terms at qbar >= q_height cannot reach the check window,
+    because the sections of every u below w start no lower than those of w.
+    """
+    if not datum.is_strictly_dominant(mu):
+        raise CharacterError(f"verification weight {mu} must be strictly dominant")
+    lam_mu = vec_add(lam, mu)
+    d_w_lam = _extremal(datum, w, lam)[1]
+    abs_lo = _extremal(datum, w, lam_mu)[1]
+    abs_hi = abs_lo + q_height
+    check_window = (abs_lo, abs_hi)
+
+    lhs = loop_sections(datum, w, lam_mu, abs_hi).truncate(check_window)
+    rhs = GradedCharacter.zero(check_window)
+    # the anchor shift can be negative, in which case products that land in
+    # the check window draw on section degrees above abs_hi
+    sec_hi = abs_hi - min(d_w_lam, 0)
+    for u, a in coeffs:
+        a_abs = a.truncate(FULL_WINDOW).shift_q(d_w_lam)
+        sec_u = loop_sections(datum, u, mu, sec_hi)
+        rhs = rhs + (a_abs * sec_u).truncate(check_window)
+    diff = lhs - rhs
+    if not diff.is_zero():
+        raise InconsistencyError(
+            f"twist identity failed for verification weight {mu}: "
+            f"residual {diff.terms[:5]}..."
+        )
+
+
+def verified_pieri(datum, w, lam, window, depth):
+    """compute_pieri(datum, w, lam, window, depth), with the table for
+    qbar-degrees [0, hi) checked against the product identity for rho and
+    2 rho before it is returned."""
+    table = compute_pieri(datum, w, lam, window, depth)
+    if sum(lam):
+        q_hi = window[1]
+        # a window above degree 0 cuts terms the identity needs
+        full = table if window[0] <= 0 else compute_pieri(datum, w, lam, (0, q_hi), depth)
+        for mu in (datum.rho, vec_add(datum.rho, datum.rho)):
+            verify_table(datum, w, tuple(lam), full.coeffs, mu, q_hi)
+    return table
 
 
 def lowering_ops(rank):
@@ -65,8 +129,8 @@ def richardson_blocks(datum, xv, xw, lam):
 def richardson_character(datum, v, w, lam, window=FULL_WINDOW):
     """smt_character(datum, v, w, lam, window) for v <= w and a strictly
     dominant (or zero) lam, from the loop model."""
-    xv, _ = pieri._extremal(datum, v, lam)[:2]
-    xw, d_w = pieri._extremal(datum, w, lam)[:2]
+    xv, _ = _extremal(datum, v, lam)[:2]
+    xw, d_w = _extremal(datum, w, lam)[:2]
     blocks = richardson_blocks(datum, xv, xw, lam)
     return GradedCharacter.make(
         {(d - d_w, vec_neg(wt)): dim for (d, wt), dim in blocks.items()}, window)

@@ -18,13 +18,14 @@ from click.testing import CliRunner
 
 import oracle
 from jobspecs import JOBSPECS
+from loopref import verified_pieri
 from qlayer import q_layer
 from qm_random import random_dp
 from subword import Subword
 
 from silc.charring import GradedCharacter, demazure_word, weyl_character
 from silc.cli import main
-from silc.pieri import compute_pieri, gch_global_weyl, h0_dimension, smt_character
+from silc.pieri import gch_global_weyl, h0_dimension, smt_character
 from silc.quasimap import (
     DPData,
     InvalidDPError,
@@ -91,8 +92,9 @@ def test_graded_sections_match_symmetric_algebra(a1, wg_a1):
 def test_twist_table_normalization_and_support(kind, rank, lams):
     """a^w_w = e^{-w w0 lam} at qbar^0 and the support stays below w.
 
-    Every table is additionally verified internally against the product
-    identity for the two strictly dominant weights rho and 2 rho.
+    Every table is additionally verified against the product identity for
+    the two strictly dominant weights rho and 2 rho, with sections from the
+    loop model of the tests.
     """
     datum = root_datum(kind, rank)
     so = si_order(datum)
@@ -100,7 +102,7 @@ def test_twist_table_normalization_and_support(kind, rank, lams):
     w0_aff = wg.affine_from_finite(wg.w0)
     for w in so.box(wg.identity, 2):
         for lam in lams:
-            table = compute_pieri(datum, w, lam, (0, 1), 2)
+            table = verified_pieri(datum, w, lam, (0, 1), 2)
             base = vec_neg(wg.compose(w, w0_aff).finite.act_weight(lam))
             assert dict(table.coefficient(w).terms) == {(0, base): 1}
             for u in table.support():

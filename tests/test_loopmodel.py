@@ -3,10 +3,10 @@ x = u * t_beta in absolute degrees, and stores symmetric tensors: one sorted
 monomial per multiset.  loopref adds the downward module and the
 intersection that the Richardson sections of the tests come from."""
 
+import loopmodel
 import loopref
 import pytest
 
-from silc import loopmodel
 from silc.rootdata import RootDataError, root_datum, solve_unpivoted, vec_sub
 from silc.semiinf import si_order
 from silc.weylgroup import weyl_group

@@ -4,13 +4,16 @@ import gc
 import random
 import time
 
+import loopmodel
 import loopref
 import oracle
 import pytest
+from jobspecs import JOBSPECS
+from loopref import verified_pieri, verify_table
 from qlayer import q_layer
 
-from silc import loopmodel, pieri
 from silc.charring import CharacterError, GradedCharacter
+from silc.errors import InconsistencyError
 from silc.pieri import (
     WindowExhaustedError,
     compute_pieri,
@@ -48,21 +51,21 @@ def test_zero_weight_table_is_trivial(a1, wg_a1):
 ])
 def test_base_entry_is_extremal_monomial_a1(a1, wg_a1, word, beta, lam):
     w = wg_a1.element(word, beta)
-    table = compute_pieri(a1, w, lam, (0, 2), 3)
+    table = verified_pieri(a1, w, lam, (0, 2), 3)
     a = table.coefficient(w)
     assert dict(a.terms) == {(0, base_weight(wg_a1, w, lam)): 1}
 
 
 def test_base_entry_is_extremal_monomial_a2_degenerate(a2, wg_a2):
     w = wg_a2.identity
-    table = compute_pieri(a2, w, (1, 0), (0, 1), 2)
+    table = verified_pieri(a2, w, (1, 0), (0, 1), 2)
     a = table.coefficient(w)
     assert dict(a.terms) == {(0, base_weight(wg_a2, w, (1, 0))): 1}
 
 
 def test_support_lies_below_base(a1, wg_a1, so_a1):
     w = wg_a1.identity
-    table = compute_pieri(a1, w, (1,), (0, 3), 4)
+    table = verified_pieri(a1, w, (1,), (0, 3), 4)
     assert table.support()
     for u in table.support():
         assert so_a1.si_le(u, w)
@@ -70,7 +73,7 @@ def test_support_lies_below_base(a1, wg_a1, so_a1):
 
 def test_a1_standard_twist_table(a1, wg_a1):
     """a^u_e(w) = qbar^k e^{+/-w} on u = e t_k, s1 t_k."""
-    table = compute_pieri(a1, wg_a1.identity, (1,), (0, 3), 4)
+    table = verified_pieri(a1, wg_a1.identity, (1,), (0, 3), 4)
     expect = {}
     for k in range(3):
         expect[wg_a1.element([], (k,)).key()] = {(k, (1,)): 1}
@@ -81,7 +84,7 @@ def test_a1_standard_twist_table(a1, wg_a1):
 
 def test_a1_ell4_section_count_below_translation(a1, wg_a1, so_a1):
     """Summing a^u_e(w) over u above w0 t_{alpha^} counts the 4 sections."""
-    table = compute_pieri(a1, wg_a1.identity, (1,), (0, 4), 5)
+    table = verified_pieri(a1, wg_a1.identity, (1,), (0, 4), 5)
     v = wg_a1.element([1], (1,))
     total = sum(
         a.total() for u, a in table.coeffs if so_a1.si_le(v, u)
@@ -92,7 +95,7 @@ def test_a1_ell4_section_count_below_translation(a1, wg_a1, so_a1):
 def test_a3_first_fundamental_table(a3):
     """The orbit of varpi_3 walked down from e, each weight once at qbar 0."""
     wg = weyl_group(a3)
-    table = compute_pieri(a3, wg.identity, (1, 0, 0), (0, 1), 2)
+    table = verified_pieri(a3, wg.identity, (1, 0, 0), (0, 1), 2)
     got = {wg.format(u): dict(a.terms) for u, a in table.coeffs}
     assert got == {
         "e@0,0,0": {(0, (0, 0, 1)): 1},
@@ -106,14 +109,14 @@ def test_depth_beyond_the_support_changes_nothing(a2, wg_a2):
     """A deep certificate costs no more than a shallow one: the depth only
     bounds the support, it is not explored."""
     start = time.perf_counter()
-    deep = compute_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 40)
+    deep = verified_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 40)
     assert time.perf_counter() - start < 10
-    assert deep == compute_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 2)
+    assert deep == verified_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 2)
 
 
 def test_a2_degenerate_twist_table(a2, wg_a2):
     """lam = first fundamental weight: support only on the parabolic cosets."""
-    table = compute_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 2)
+    table = verified_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 2)
     got = {wg_a2.format(u): dict(a.terms) for u, a in table.coeffs}
     assert got == {
         "e@0,0": {(0, (0, 1)): 1},
@@ -127,8 +130,8 @@ def test_a2_degenerate_twist_table(a2, wg_a2):
 def test_window_above_zero_cuts_the_full_table(a1, wg_a1, w_text, lam):
     """The window only cuts the table: verification still sees degree 0."""
     w = wg_a1.parse(w_text)
-    full = compute_pieri(a1, w, lam, (0, 3), 4)
-    cut = compute_pieri(a1, w, lam, (1, 3), 4)
+    full = verified_pieri(a1, w, lam, (0, 3), 4)
+    cut = verified_pieri(a1, w, lam, (1, 3), 4)
     expect = [(u, a.truncate((1, 3))) for u, a in full.coeffs
               if not a.truncate((1, 3)).is_zero()]
     assert expect and list(cut.coeffs) == expect
@@ -148,7 +151,7 @@ def test_a2_tables_commute_with_the_diagram_flip(a2, wg_a2, lam):
     weight and its flip are built in mirrored orders; each table must be the
     flip of the table of the flipped weight."""
     def table(weight):
-        t = compute_pieri(a2, wg_a2.identity, weight, (0, 1), 2)
+        t = verified_pieri(a2, wg_a2.identity, weight, (0, 1), 2)
         return {wg_a2.format(u): dict(a.terms) for u, a in t.coeffs}
 
     flipped = {wg_a2.parse(_flip(u)): {(q, wt[::-1]): c
@@ -159,8 +162,8 @@ def test_a2_tables_commute_with_the_diagram_flip(a2, wg_a2, lam):
 
 
 def test_table_closes_each_richardson_top_once(a2, wg_a2, monkeypatch):
-    """A table closes only the modules of its verification, and no
-    BlockSpan outlives it."""
+    """Verifying a table closes only the modules of the product identity,
+    and no BlockSpan outlives the check."""
     calls = []
     closure = loopmodel.span_closure
 
@@ -169,8 +172,11 @@ def test_table_closes_each_richardson_top_once(a2, wg_a2, monkeypatch):
         return closure(*args)
 
     monkeypatch.setattr(loopmodel, "span_closure", counted)
-    table = compute_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 2)
-    assert len(table.support()) == 3
+    w, lam = wg_a2.identity, (1, 0)
+    table = compute_pieri(a2, w, lam, (0, 1), 2)
+    assert len(table.support()) == 3 and not calls
+    for mu in (a2.rho, tuple(2 * m for m in a2.rho)):
+        verify_table(a2, w, lam, table.coeffs, mu, 1)
     # for each of rho and 2 rho, the sections of the base and of the three
     # supported elements
     assert len(calls) <= 8
@@ -179,8 +185,8 @@ def test_table_closes_each_richardson_top_once(a2, wg_a2, monkeypatch):
 
 
 def test_translation_equivariance_of_tables(a1, wg_a1):
-    base = compute_pieri(a1, wg_a1.identity, (1,), (0, 2), 3)
-    shifted = compute_pieri(a1, wg_a1.translation((2,)), (1,), (0, 2), 3)
+    base = verified_pieri(a1, wg_a1.identity, (1,), (0, 2), 3)
+    shifted = verified_pieri(a1, wg_a1.translation((2,)), (1,), (0, 2), 3)
     t = wg_a1.translation((2,))
     expect = {wg_a1.compose(u, t).key(): dict(a.terms) for u, a in base.coeffs}
     got = {u.key(): dict(a.terms) for u, a in shifted.coeffs}
@@ -190,7 +196,60 @@ def test_translation_equivariance_of_tables(a1, wg_a1):
 def test_verification_accepts_extra_strictly_dominant_weight(a1, wg_a1):
     table = compute_pieri(a1, wg_a1.identity, (1,), (0, 2), 3)
     assert table.support()
-    pieri._verify_table(a1, wg_a1.identity, (1,), table.coeffs, (3,), 2)
+    verify_table(a1, wg_a1.identity, (1,), table.coeffs, (3,), 2)
+
+
+@pytest.mark.parametrize("mu", [(0, 1), (1, 0), (0, 0)])
+def test_verification_refuses_a_weight_that_is_not_strictly_dominant(a2, wg_a2, mu):
+    table = compute_pieri(a2, wg_a2.identity, (1, 1), (0, 1), 2)
+    with pytest.raises(CharacterError):
+        verify_table(a2, wg_a2.identity, (1, 1), table.coeffs, mu, 1)
+
+
+@pytest.mark.parametrize("change", ["drop", "bump"])
+def test_verification_rejects_a_changed_table(a2, wg_a2, change):
+    """Dropping one supported u, or adding 1 to one term of one
+    coefficient, breaks the product identity for rho."""
+    w, lam = wg_a2.identity, (1, 1)
+    coeffs = list(compute_pieri(a2, w, lam, (0, 1), 2).coeffs)
+    verify_table(a2, w, lam, coeffs, a2.rho, 1)
+    # the last entry is w0, the bottom of the support, not the base
+    u, a = coeffs.pop()
+    assert u != w
+    if change == "bump":
+        (q, wt), _ = a.terms[0]
+        coeffs.append((u, a + GradedCharacter.monomial(q, wt)))
+    with pytest.raises(InconsistencyError):
+        verify_table(a2, w, lam, coeffs, a2.rho, 1)
+
+
+def _job_table(args):
+    """(rank, w, lam, window, depth) of a `silc pieri` job."""
+    opts = dict(zip(args[1::2], args[2::2]))
+    return (int(opts["--rank"]), opts["--w"],
+            tuple(int(x) for x in opts["--lam"].split(",")),
+            tuple(int(x) for x in opts["--window"].split(":")),
+            int(opts["--depth"]))
+
+
+# the tables of the pieri-tables benchmark workload (its A1 bases are
+# e@k for a seeded k in 1..3) and of the pieri golden jobs
+CHECKED_TABLES = [
+    *(pytest.param(2, "e@0,0", lam, (0, 1), 2, id=f"bench-A2-{lam}")
+      for lam in [(1, 0), (1, 1)]),
+    *(pytest.param(1, f"e@{k}", (m,), (0, 2), 3, id=f"bench-A1-e@{k}-({m})")
+      for k in (1, 2, 3) for m in (1, 2, 3)),
+    *(pytest.param(*_job_table(args), id=name)
+      for name, args in JOBSPECS if args[0] == "pieri"),
+]
+
+
+@pytest.mark.parametrize("rank,w_text,lam,window,depth", CHECKED_TABLES)
+def test_benchmark_and_golden_tables_satisfy_the_product_identity(
+        rank, w_text, lam, window, depth):
+    datum = root_datum("A", rank)
+    w = weyl_group(datum).parse(w_text)
+    assert verified_pieri(datum, w, lam, window, depth).support()
 
 
 def test_rejections(a1, wg_a1):
@@ -298,7 +357,7 @@ def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra
     datum = root_datum("A", rank)
     wg, so = weyl_group(datum), si_order(datum)
     e = wg.identity
-    table = compute_pieri(datum, e, lam, window, depth)
+    table = verified_pieri(datum, e, lam, window, depth)
     for v in list(table.support()) + [wg.parse(x) for x in extra]:
         expect = GradedCharacter.zero(window)
         for u, a in table.coeffs:
@@ -331,7 +390,7 @@ def test_schubert_sections_match_global_weyl_dual(a1, wg_a1):
     """The loop-model sections that verification reads are dual to the
     global Weyl module of the formula."""
     lam = (1,)
-    sec = pieri._loop_sections(a1, wg_a1.identity, lam, 3)
+    sec = loopref.loop_sections(a1, wg_a1.identity, lam, 3)
     full = gch_global_weyl(a1, wg_a1.affine_from_finite(wg_a1.w0), lam, (0, 3))
     for k in range(3):
         assert q_layer(sec, k) == {vec_neg(wt): c

@@ -39,6 +39,11 @@ def test_section_growth_exits_1_on_a_mismatch(monkeypatch, capsys):
 
 
 def test_twist_table_sweep_is_translation_invariant(monkeypatch, capsys):
+    """Each table of the sweep also passes the product identity."""
+    import silc.pieri
+    from loopref import verified_pieri
+
+    monkeypatch.setattr(silc.pieri, "compute_pieri", verified_pieri)
     lines = run_script(monkeypatch, capsys, "twist_table_sweep.py",
                        "--rank", "1", "--lam", "1", "--radius", "1")
     assert lines[0] == "A1 lam=(1,) window=(0,2) depth=3: 6 elements"
