@@ -25,7 +25,6 @@ class SweepConfig:
     lam: tuple = (1, 1)
     radius: int = 1
     q_hi: int = 2
-    depth: int = 3
 
 
 def run(cfg: SweepConfig):
@@ -33,11 +32,11 @@ def run(cfg: SweepConfig):
     so = si_order(datum)
     wg = so.wg
     box = so.box(wg.identity, cfg.radius)
-    print(f"{cfg.kind}{cfg.rank} lam={cfg.lam} window=(0,{cfg.q_hi}) "
-          f"depth={cfg.depth}: {len(box)} elements")
+    print(f"{cfg.kind}{cfg.rank} lam={cfg.lam} window=(0,{cfg.q_hi}): "
+          f"{len(box)} elements")
     print(f"{'w':>14} {'#support':>8} {'mass':>6}  anchored a^w_w")
     for w in box:
-        table = compute_pieri(datum, w, cfg.lam, (0, cfg.q_hi), cfg.depth)
+        table = compute_pieri(datum, w, cfg.lam, (0, cfg.q_hi))
         mass = sum(a.total() for _, a in table.coeffs)
         base = table.coefficient(w)
         print(f"{wg.format(w):>14} {len(table.support()):>8} {mass:>6}  "
@@ -52,11 +51,10 @@ def main():
                         help="comma-separated fundamental-weight coordinates")
     parser.add_argument("--radius", type=int, default=1)
     parser.add_argument("--q-hi", type=int, default=2)
-    parser.add_argument("--depth", type=int, default=3)
     args = parser.parse_args()
     lam = tuple(int(t) for t in args.lam.split(","))
     run(SweepConfig(kind=args.kind, rank=args.rank, lam=lam,
-                    radius=args.radius, q_hi=args.q_hi, depth=args.depth))
+                    radius=args.radius, q_hi=args.q_hi))
 
 
 if __name__ == "__main__":

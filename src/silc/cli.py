@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage/validation error, 3 computation error (with a
-machine-readable error object on stdout).  Results are deterministic for a
-fixed command line and code version; the cache (SILC_CACHE, default
-.silc-cache) only short-circuits the computation and never changes the bytes
-written to stdout ("cached" status goes to stderr).
+Exit codes: 0 success, 2 usage/validation error, 3 a failed cross-check
+(with a machine-readable error object on stdout).  Results are
+deterministic for a fixed command line and code version; the cache
+(SILC_CACHE, default .silc-cache) only short-circuits the computation and
+never changes the bytes written to stdout ("cached" status goes to stderr).
 
 Each subcommand is a compute function ``(datum, **options) -> payload``
 registered with ``job``.  Its options are typed click parameters, parsed and
@@ -24,14 +24,14 @@ import click
 
 from . import cache as cachemod
 from .errors import (CharacterError, InconsistencyError, QuasimapError,
-                     RootDataError, WindowExhaustedError)
+                     RootDataError)
 from .rootdata import root_datum
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
-# the exit-code contract: library errors about the input exit 2; a window or
-# depth that cannot be certified, or a failed cross-check, exits 3
+# the exit-code contract: library errors about the input exit 2; a failed
+# cross-check exits 3
 USAGE_ERRORS = (CharacterError, QuasimapError, RootDataError)
-COMPUTATION_ERRORS = (WindowExhaustedError, InconsistencyError)
+COMPUTATION_ERRORS = (InconsistencyError,)
 # what parsing option text can raise: bad numbers, JSON, shapes and files
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError) + USAGE_ERRORS
 
@@ -317,7 +317,7 @@ def _pieri_csv(payload, datum):
 @click.option("--w", type=ELEMENT, required=True)
 @click.option("--lam", type=VECTOR, required=True)
 @click.option("--window", type=WINDOW, required=True)
-@click.option("--depth", type=int, default=3, show_default=True)
+@click.option("--depth", type=int, default=3, help="accepted, changes nothing")
 def pieri_cmd(datum, w, lam, window, depth):
     from .pieri import compute_pieri
     return compute_pieri(datum, w, lam, window, depth).to_json(weyl_group(datum))

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charring import GradedCharacter, FULL_WINDOW
-from .errors import CharacterError, InconsistencyError, WindowExhaustedError
+from .errors import CharacterError, InconsistencyError
 from .rootdata import RootDatum, require_type_a, vec_add, vec_neg
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
@@ -105,13 +105,10 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
     require_type_a(datum)
-    q_min, q_max = window
-    # the coefficients start from 1 at degree 0, so they are built from 0
-    # and only then cut to the window; with q_max <= 0 there are none
-    if q_max <= max(q_min, 0):
-        return GradedCharacter.zero(window)
-    coeffs = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, (0, q_max))
-    sections = sum(coeffs.values(), GradedCharacter.zero((0, q_max)))
+    # built from degree 0, where the coefficients start, then cut to the window
+    built = (0, max(window[1], 1))
+    coeffs = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, built)
+    sections = sum(coeffs.values(), GradedCharacter.zero(built))
     return GradedCharacter.make(
         {(q, vec_neg(wt)): c for (q, wt), c in sections.terms}, window)
 
@@ -121,7 +118,7 @@ class PieriTable:
     base: AffineWeylElement
     weight: tuple
     window: tuple
-    coeffs: tuple  # tuple of (AffineWeylElement u, GradedCharacter a^u)
+    coeffs: tuple  # tuple of (AffineWeylElement u, nonzero GradedCharacter a^u)
     anchor_degree: int  # absolute qbar-degree subtracted from all exponents
 
     def coefficient(self, u: AffineWeylElement) -> GradedCharacter:
@@ -131,7 +128,7 @@ class PieriTable:
         return GradedCharacter.zero(self.window)
 
     def support(self):
-        return tuple(x for x, a in self.coeffs if not a.is_zero())
+        return tuple(x for x, _ in self.coeffs)
 
     def to_json(self, wg) -> dict:
         return {
@@ -139,16 +136,9 @@ class PieriTable:
             "weight": list(self.weight),
             "window": list(self.window),
             "anchor_degree": self.anchor_degree,
-            "coeffs": [
-                {"u": wg.to_json(u), "a": a.to_json()}
-                for u, a in self.coeffs
-                if not a.is_zero()
-            ],
+            "coeffs": [{"u": wg.to_json(u), "a": a.to_json()}
+                       for u, a in self.coeffs],
         }
-
-
-def _shell(u, w):
-    return max(abs(bu - bw) for bu, bw in zip(u.translation, w.translation))
 
 
 def _twist_coefficients(datum, w, lam, window, bottom=None):
@@ -158,9 +148,11 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
 
     Translating x by alpha_{i*}^vee moves it down and raises its degree, so
     the walk along k stops at the first x that is not above bottom or whose
-    term leaves the window.
+    term leaves the window.  The zero twist takes no step, so it is answered
+    in every type.
     """
-    require_type_a(datum)
+    if any(lam):
+        require_type_a(datum)
     so = si_order(datum)
     rank = datum.rank
     coeffs = {w: GradedCharacter.one(rank, window)}
@@ -185,45 +177,27 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
 
 
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
-                  depth: int) -> PieriTable:
+                  depth=None) -> PieriTable:
     """Twist coefficients a^u_w(lambda) for all u within the window.
 
-    The coefficients on qbar-degrees [0, hi) follow from the formula of the
-    module docstring.  The base coefficient must be the extremal monomial,
-    the two outermost of depth translation shells around w must carry none
-    of them, and only then is the table cut to the window [lo, hi).
+    The formula of the module docstring walks every coset until its term
+    leaves qbar-degrees [0, max(hi, 1)), so the table built there is
+    complete.  Its base coefficient must be the extremal monomial; then it
+    is cut to the window [lo, hi).  depth is accepted and changes nothing.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
     window = tuple(window)
-    q_hi = window[1]
-    if q_hi <= 0:
-        raise WindowExhaustedError("window excludes the base coefficient at degree 0")
-    if sum(lam) == 0:
-        one = GradedCharacter.one(datum.rank, window)
-        return PieriTable(w, lam, window, ((w, one),), 0)
-    if depth < 2:
-        raise WindowExhaustedError("depth must be at least 2 to certify the window")
-    full = _twist_coefficients(datum, w, lam, (0, q_hi))
-    base = full.get(w, GradedCharacter.zero())
+    built = (0, max(window[1], 1))
+    full = _twist_coefficients(datum, w, lam, built)
     _, anchor, extremal_weight = _extremal(datum, w, lam)
-    expected = GradedCharacter.monomial(0, extremal_weight)
-    if dict(base.terms) != dict(expected.terms):
+    base = full.get(w, GradedCharacter.zero(built))
+    if base != GradedCharacter.monomial(0, extremal_weight, 1, built):
         raise InconsistencyError(
-            f"base coefficient {dict(base.terms)} is not the extremal monomial"
-        )
+            f"base coefficient {dict(base.terms)} is not the extremal monomial")
     so = si_order(datum)
     coeffs = sorted(full.items(), key=lambda ua: (so.si_length(ua[0]), ua[0].key()))
-    for u, _ in coeffs:
-        # the depth certificate: the two outermost of depth shells around w
-        # carry no support
-        if _shell(u, w) >= depth - 1:
-            raise WindowExhaustedError(
-                f"nonzero coefficient at translation distance {_shell(u, w)} "
-                f"from the base with depth {depth}; increase depth"
-            )
     cut = ((u, a.truncate(window)) for u, a in coeffs)
     return PieriTable(w, lam, window,
                       tuple((u, a) for u, a in cut if not a.is_zero()), anchor)
-

@@ -14,7 +14,8 @@ description of sections for the tests:
 All are anchored and weighted as silc.pieri anchors and weights them.
 verify_table checks a twist table against the product identity with the
 sections on both sides from the loop model, and verified_pieri is
-compute_pieri followed by that check for rho and 2 rho.
+compute_pieri followed by that check for rho, on a window high enough to
+see every entry of the table (rho_height), and for 2 rho.
 """
 
 from silc.charring import FULL_WINDOW, GradedCharacter
@@ -71,17 +72,30 @@ def verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
         )
 
 
-def verified_pieri(datum, w, lam, window, depth):
-    """compute_pieri(datum, w, lam, window, depth), with the table for
-    qbar-degrees [0, hi) checked against the product identity for rho and
-    2 rho before it is returned."""
+def rho_height(datum, w, table):
+    """The height H of the check window [0, H) on which the product identity
+    for rho sees every entry of table: at least its hi, and above
+    q + d_u(rho) - d_w(rho) for each entry a^u whose lowest qbar-degree is
+    q, as the sections of u for rho start d_u(rho) - d_w(rho) above those
+    of w."""
+    d_w = _extremal(datum, w, datum.rho)[1]
+    return max([table.window[1]] + [
+        1 + a.terms[0][0][0] + _extremal(datum, u, datum.rho)[1] - d_w
+        for u, a in table.coeffs])
+
+
+def verified_pieri(datum, w, lam, window, depth=None):
+    """compute_pieri(datum, w, lam, window), checked against the product
+    identity for rho on [0, rho_height), where it sees every entry, and for
+    2 rho on [0, hi), before it is returned.  The check windows start at
+    degree 0, so the tables they check are built from 0."""
     table = compute_pieri(datum, w, lam, window, depth)
-    if sum(lam):
-        q_hi = window[1]
-        # a window above degree 0 cuts terms the identity needs
-        full = table if window[0] <= 0 else compute_pieri(datum, w, lam, (0, q_hi), depth)
-        for mu in (datum.rho, vec_add(datum.rho, datum.rho)):
-            verify_table(datum, w, tuple(lam), full.coeffs, mu, q_hi)
+    q_hi = window[1]
+    if sum(lam) and q_hi > 0:
+        height = rho_height(datum, w, table)
+        for mu, h in ((datum.rho, height), (vec_add(datum.rho, datum.rho), q_hi)):
+            full = compute_pieri(datum, w, lam, (0, h))
+            verify_table(datum, w, tuple(lam), full.coeffs, mu, h)
     return table
 
 

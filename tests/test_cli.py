@@ -62,12 +62,38 @@ def test_malformed_coordinates_usage_error(runner):
     assert res.exit_code == 2
 
 
-def test_computation_error_exit_code(runner):
-    res = invoke(runner, ["pieri", "--rank", "1", "--w", "e@0",
-                          "--lam", "1", "--window", "0:4", "--depth", "2"])
+def test_computation_error_exit_code(runner, monkeypatch):
+    """A base coefficient that is not the extremal monomial exits 3."""
+    coefficients = pieri._twist_coefficients
+
+    def doubled_base(datum, w, *args):
+        coeffs = coefficients(datum, w, *args)
+        coeffs[w] = coeffs[w] + coeffs[w]
+        return coeffs
+
+    monkeypatch.setattr(pieri, "_twist_coefficients", doubled_base)
+    res = invoke(runner, ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1",
+                          "--window", "0:2", "--no-cache"])
     assert res.exit_code == 3
     payload = json.loads(res.stdout)
-    assert payload["error"]["type"] == "WindowExhaustedError"
+    assert payload["error"]["type"] == "InconsistencyError"
+
+
+@pytest.mark.parametrize("window", ["-2:0", "0:0"])
+def test_window_below_degree_zero_gives_an_empty_table(runner, window):
+    res = invoke(runner, ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1",
+                          "--window", window, "--no-cache"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["coeffs"] == []
+
+
+def test_depth_changes_no_byte(runner):
+    out = [invoke(runner, ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1",
+                           "--window", "0:4", "--depth", depth, "--no-cache"])
+           for depth in ("2", "5")]
+    assert [res.exit_code for res in out] == [0, 0]
+    assert out[0].stdout_bytes == out[1].stdout_bytes
+    assert json.loads(out[0].stdout)["coeffs"]
 
 
 def test_non_dominant_weight_usage_error(runner):
@@ -111,8 +137,8 @@ def test_far_apart_pair_answers_at_once(tmp_path, args, out):
 
 
 def test_a4_fundamental_table_runs_in_a_small_address_space(tmp_path):
-    """The A4 varpi_1 table is the closed form and its certificates: it
-    needs no module closure, so it fits in 1 GB of address space."""
+    """The A4 varpi_1 table is the closed form cut to its window: it needs
+    no module closure, so it fits in 1 GB of address space."""
     src = Path(__file__).resolve().parents[1] / "src"
     cap = 1 << 30
 
@@ -298,7 +324,7 @@ CONTRACT = {
         "malformed": ["--lam", "one"],
         "type": ["--type", "B", "--rank", "2", "--w", "e@0,0", "--lam", "1,1",
                  "--window", "0:1", "--depth", "2"],
-        "range": ["--depth", "-1"],
+        "range": ["--lam", "-1"],
         "inverted": ["--window", "2:0"]}),
     "h0": (["--rank", "1", "--v", "1@1", "--w", "e@0", "--lam", "1"], {
         "malformed": ["--window", "x"],
@@ -453,7 +479,6 @@ def test_old_exception_names_are_the_contract_classes():
     assert rootdata.RootDataError is errors.RootDataError
     assert charring.CharacterError is errors.CharacterError
     assert quasimap.QuasimapError is errors.QuasimapError
-    assert pieri.WindowExhaustedError is errors.WindowExhaustedError
     assert pieri.InconsistencyError is errors.InconsistencyError
     for cls in (quasimap.InvalidDPError, quasimap.DegreeError,
                 quasimap.EmptyRichardsonError):

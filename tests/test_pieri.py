@@ -9,13 +9,12 @@ import loopref
 import oracle
 import pytest
 from jobspecs import JOBSPECS
-from loopref import verified_pieri, verify_table
+from loopref import rho_height, verified_pieri, verify_table
 from qlayer import q_layer
 
 from silc.charring import CharacterError, GradedCharacter
 from silc.errors import InconsistencyError
 from silc.pieri import (
-    WindowExhaustedError,
     compute_pieri,
     gch_global_weyl,
     h0_dimension,
@@ -106,8 +105,8 @@ def test_a3_first_fundamental_table(a3):
 
 
 def test_depth_beyond_the_support_changes_nothing(a2, wg_a2):
-    """A deep certificate costs no more than a shallow one: the depth only
-    bounds the support, it is not explored."""
+    """A depth of 40 costs no more than a depth of 2: depth is accepted and
+    changes nothing."""
     start = time.perf_counter()
     deep = verified_pieri(a2, wg_a2.identity, (1, 0), (0, 1), 40)
     assert time.perf_counter() - start < 10
@@ -223,6 +222,39 @@ def test_verification_rejects_a_changed_table(a2, wg_a2, change):
         verify_table(a2, w, lam, coeffs, a2.rho, 1)
 
 
+# (rank, bases, weights, windows) of the tables whose every entry the check
+# for rho must see
+DROPPED_TABLES = [
+    (1, ["e@0", "1@0", "e@2", "1@1"], [(1,), (2,), (3,)], [(0, 2), (0, 3), (0, 4)]),
+    (2, ["e@0,0", "1@0,0", "2,1@1,0"], [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)]),
+]
+
+
+@pytest.mark.parametrize("rank,bases,lams,windows", DROPPED_TABLES, ids=["A1", "A2"])
+def test_rho_check_sees_every_entry(rank, bases, lams, windows):
+    """Dropping any one reported entry breaks the product identity for rho
+    on [0, rho_height): the check window reaches the sections of every u,
+    also those on the outer translation shells, which start above hi."""
+    datum = root_datum("A", rank)
+    wg = weyl_group(datum)
+    missed = []
+    for w_text in bases:
+        w = wg.parse(w_text)
+        for lam in lams:
+            for window in windows:
+                table = compute_pieri(datum, w, lam, window)
+                height = rho_height(datum, w, table)
+                full = compute_pieri(datum, w, lam, (0, height)).coeffs
+                for u in table.support():
+                    kept = [(x, a) for x, a in full if x != u]
+                    try:
+                        verify_table(datum, w, lam, kept, datum.rho, height)
+                    except InconsistencyError:
+                        continue
+                    missed.append((w_text, lam, window, wg.format(u)))
+    assert not missed
+
+
 def _job_table(args):
     """(rank, w, lam, window, depth) of a `silc pieri` job."""
     opts = dict(zip(args[1::2], args[2::2]))
@@ -255,17 +287,18 @@ def test_benchmark_and_golden_tables_satisfy_the_product_identity(
 def test_rejections(a1, wg_a1):
     with pytest.raises(CharacterError):
         compute_pieri(a1, wg_a1.identity, (-1,), (0, 2), 2)
-    with pytest.raises(WindowExhaustedError):
-        compute_pieri(a1, wg_a1.identity, (1,), (0, 0), 2)
-    with pytest.raises(WindowExhaustedError):
-        compute_pieri(a1, wg_a1.identity, (1,), (0, 2), 1)
 
 
-def test_depth_too_small_for_wide_window(a1, wg_a1):
-    # window reaches qbar^3 terms at translation distance 3; depth 3 leaves
-    # no empty certificate shells, so the computation must refuse
-    with pytest.raises(WindowExhaustedError):
-        compute_pieri(a1, wg_a1.identity, (1,), (0, 4), 3)
+@pytest.mark.parametrize("rank,lam,window", [(1, (1,), (0, 4)), (2, (1, 1), (0, 2))],
+                         ids=["A1-(1)-0:4", "A2-(1,1)-0:2"])
+def test_every_depth_gives_the_same_table(rank, lam, window):
+    """The table is complete on its window, so depth changes nothing."""
+    datum = root_datum("A", rank)
+    w = weyl_group(datum).identity
+    table = verified_pieri(datum, w, lam, window)
+    assert table.support()
+    for depth in range(9):
+        assert compute_pieri(datum, w, lam, window, depth) == table
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +383,10 @@ def test_exhaustion_matches_global_module(a1, wg_a1):
     (3, (1, 1, 1), (0, 1), 2, ["2@1,1,1", "1,2,3,1,2,1@0,0,0"]),
 ], ids=["A1-(2)", "A2-(1,0)", "A2-(1,1)", "A2-(2,1)", "A3-(1,1,1)"])
 def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra):
-    """Sections are the interval sum of the coefficients of the verified,
-    depth-certified table.  For strictly dominant lambda the sections come
-    from the loop model of loopref, so the two sides are computed
-    independently; (1,0) sums the closed form on the interval itself."""
+    """Sections are the interval sum of the coefficients of the verified
+    table.  For strictly dominant lambda the sections come from the loop
+    model of loopref, so the two sides are computed independently; (1,0)
+    sums the closed form on the interval itself."""
     datum = root_datum("A", rank)
     wg, so = weyl_group(datum), si_order(datum)
     e = wg.identity

@@ -46,7 +46,7 @@ def test_twist_table_sweep_is_translation_invariant(monkeypatch, capsys):
     monkeypatch.setattr(silc.pieri, "compute_pieri", verified_pieri)
     lines = run_script(monkeypatch, capsys, "twist_table_sweep.py",
                        "--rank", "1", "--lam", "1", "--radius", "1")
-    assert lines[0] == "A1 lam=(1,) window=(0,2) depth=3: 6 elements"
+    assert lines[0] == "A1 lam=(1,) window=(0,2): 6 elements"
     rows = [line.split(None, 3) for line in lines[2:]]
     assert [row[0] for row in rows] == ["1@-1", "e@-1", "1@0", "e@0", "1@1", "e@1"]
     # support and mass per finite part, the same at every translation
