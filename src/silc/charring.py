@@ -5,10 +5,11 @@ together with a half-open truncation window [q_min, q_max) on the q-exponent.
 The q-grading tracks the loop rotation; weights are in fundamental-weight
 coordinates.
 
-Demazure operators run in one kernel, demazure_word, on packed terms: each
-(q, weight) becomes one int with the weight in fixed-width digits below q,
-so a string step is an int subtraction; the terms are unpacked into a
-GradedCharacter once, at the end of the word.
+Demazure operators (demazure_word) and twist steps (pieri) run on packed
+terms (_Packing): each (q, weight) becomes one int with the weight in
+fixed-width digits below q, so a string step or a product with a monomial
+is an int addition; the terms are unpacked into a GradedCharacter once, at
+the end.
 """
 
 from __future__ import annotations
@@ -123,6 +124,45 @@ class GradedCharacter:
         return GradedCharacter.make(terms, tuple(obj["window"]))
 
 
+class _Packing:
+    """Packed terms of rank r whose weight coordinates lie in [-bound, bound].
+
+    A term (q, wt) is the int q * 2^(r b) + sum_j (wt_j + bound) * 2^(j b),
+    with b bits per weight digit.  Every digit lies in [0, 2 bound], so
+    digits never carry into each other, and adding packed weights (offset 0)
+    adds the weights as long as the sum stays within the bound.  q, the top
+    digit, is unbounded and may be negative; a window test on q is a
+    comparison of the packed term with the packed degrees.
+    """
+
+    def __init__(self, rank, bound):
+        self.bound = bound
+        self.bits = (2 * bound + 1).bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.shifts = [j * self.bits for j in range(rank)]
+        self.q_shift = rank * self.bits
+
+    def degree(self, q) -> int:
+        """q in the top digit and zeros below: a packed degree shift, or a
+        window end to compare packed terms with."""
+        return q << self.q_shift
+
+    def weight(self, vec, offset=0) -> int:
+        """vec in the weight digits, each raised by offset."""
+        return sum((c + offset) << s for c, s in zip(vec, self.shifts))
+
+    def pack(self, f: GradedCharacter) -> dict:
+        return {(q << self.q_shift) + self.weight(wt, self.bound): c
+                for (q, wt), c in f.terms}
+
+    def unpack(self, terms, window) -> GradedCharacter:
+        q_shift, mask, bound, shifts = self.q_shift, self.mask, self.bound, self.shifts
+        return GradedCharacter.make(
+            {(x >> q_shift, tuple(((x >> s) & mask) - bound for s in shifts)): c
+             for x, c in terms.items()},
+            window)
+
+
 # ---------------------------------------------------------------------------
 # Demazure operators
 # ---------------------------------------------------------------------------
@@ -140,11 +180,10 @@ def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter
     q-power by one per step: e^{wt + j theta} sits at q^{k - j}.  Terms
     outside the window are dropped.
 
-    The steps run on packed terms.  A term (q, wt) is packed once into the int
-    q * 2^(r b) + sum_j (wt_j + bound) * 2^(j b), with b bits per weight
-    digit, so a string step adds or subtracts the packed alpha_i (for i = 0,
-    the packed theta minus one unit of q), and the window test on q is a
-    comparison with q_min * 2^(r b) and q_max * 2^(r b).
+    The steps run on packed terms (_Packing), so a string step adds or
+    subtracts the packed alpha_i (for i = 0, the packed theta minus one unit
+    of q), and the window test on q is a comparison with the packed q_min
+    and q_max.
     """
     r = datum.rank
     word = tuple(word)
@@ -163,20 +202,13 @@ def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter
     coroots = [rt.coroot for rt in datum.positive_roots()]
     bound = max((abs(vec_dot(cv, wt)) for (_, wt), _c in f.terms
                  for cv in coroots), default=0)
-    bits = (2 * bound + 1).bit_length()
-    mask = (1 << bits) - 1
-    shifts = [j * bits for j in range(r)]
-    q_shift = r * bits
-
-    def packed(vec, offset=0):
-        return sum((c + offset) << s for c, s in zip(vec, shifts))
-
-    alphas = [packed(a) for a in datum.simple_root_weights]
-    theta_step = packed(datum.root_to_weight(datum.theta.coords)) - (1 << q_shift)
+    pk = _Packing(r, bound)
+    mask, shifts = pk.mask, pk.shifts
+    alphas = [pk.weight(a) for a in datum.simple_root_weights]
+    theta_step = pk.weight(datum.root_to_weight(datum.theta.coords)) - pk.degree(1)
     theta_covec = [(c, s) for c, s in zip(datum.theta.coroot, shifts) if c]
-    q_min, q_max = f.window
-    lo, hi = q_min << q_shift, q_max << q_shift
-    terms = {(q << q_shift) + packed(wt, bound): c for (q, wt), c in f.terms}
+    lo, hi = pk.degree(f.window[0]), pk.degree(f.window[1])
+    terms = pk.pack(f)
     for i in word:
         out = {}
         get = out.get
@@ -212,10 +244,7 @@ def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter
                         if lo <= x < hi:
                             out[x] = get(x, 0) + c
         terms = out
-    return GradedCharacter.make(
-        {(x >> q_shift, tuple(((x >> s) & mask) - bound for s in shifts)): c
-         for x, c in terms.items()},
-        f.window)
+    return pk.unpack(terms, f.window)
 
 
 def weyl_character(datum: RootDatum, lam) -> GradedCharacter:

@@ -317,10 +317,11 @@ def _pieri_csv(payload, datum):
 @click.option("--w", type=ELEMENT, required=True)
 @click.option("--lam", type=VECTOR, required=True)
 @click.option("--window", type=WINDOW, required=True)
-@click.option("--depth", type=int, default=3, help="accepted, changes nothing")
-def pieri_cmd(datum, w, lam, window, depth):
+@click.option("--depth", type=int, default=3, expose_value=False,
+              help="accepted, changes nothing (and is not in the cache key)")
+def pieri_cmd(datum, w, lam, window):
     from .pieri import compute_pieri
-    return compute_pieri(datum, w, lam, window, depth).to_json(weyl_group(datum))
+    return compute_pieri(datum, w, lam, window).to_json(weyl_group(datum))
 
 
 @job(main, "h0")

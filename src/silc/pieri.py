@@ -31,6 +31,13 @@ gives every dominant lambda:
 Every factor is a monomial of nonnegative qbar-degree, so no sum cancels
 and a window [0, hi) cuts every step exactly.
 
+The steps run on packed terms (charring._Packing): a term (qbar, weight)
+is one int with the weight in fixed-width digits below qbar, so a product
+with a monomial is one int addition and a window test, and each x adds its
+terms into one dict.  The weights of a^x_w(lambda) are sums of |lambda|
+minuscule weights of type A, so every coordinate lies in [-|lambda|,
+|lambda|] and digits of that width never carry.
+
 Every section character is a sum of twist coefficients.  Higher cohomology
 vanishes for nef twists, so the sections of the untwisted structure sheaf
 of every Richardson variety are the constants, and the product identity
@@ -53,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charring import GradedCharacter, FULL_WINDOW
+from .charring import FULL_WINDOW, GradedCharacter, _Packing
 from .errors import CharacterError, InconsistencyError
 from .rootdata import RootDatum, require_type_a, vec_add, vec_neg
 from .semiinf import si_order
@@ -81,7 +88,17 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
     if not si_order(datum).si_le(v, w):
         return GradedCharacter.zero(window)
     coeffs = _twist_coefficients(datum, w, lam, FULL_WINDOW, v)
-    return sum(coeffs.values(), GradedCharacter.zero(FULL_WINDOW)).truncate(window)
+    return GradedCharacter.make(_summed(coeffs), window)
+
+
+def _summed(coeffs):
+    """The terms of the sum of the characters coeffs.values(), added in one
+    dict: {(q, weight): c}."""
+    out = {}
+    for a in coeffs.values():
+        for k, c in a.terms:
+            out[k] = out.get(k, 0) + c
+    return out
 
 
 def h0_dimension(datum: RootDatum, v, w, lam) -> int:
@@ -108,9 +125,8 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     # built from degree 0, where the coefficients start, then cut to the window
     built = (0, max(window[1], 1))
     coeffs = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, built)
-    sections = sum(coeffs.values(), GradedCharacter.zero(built))
     return GradedCharacter.make(
-        {(q, vec_neg(wt)): c for (q, wt), c in sections.terms}, window)
+        {(q, vec_neg(wt)): c for (q, wt), c in _summed(coeffs).items()}, window)
 
 
 @dataclass(frozen=True)
@@ -150,12 +166,18 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
     the walk along k stops at the first x that is not above bottom or whose
     term leaves the window.  The zero twist takes no step, so it is answered
     in every type.
+
+    Each step adds packed terms into one dict per x, with weight digits
+    bounded by |lam| (module docstring), and each coefficient becomes a
+    GradedCharacter once, at the end.
     """
     if any(lam):
         require_type_a(datum)
     so = si_order(datum)
     rank = datum.rank
-    coeffs = {w: GradedCharacter.one(rank, window)}
+    pk = _Packing(rank, sum(lam))
+    lo, hi = pk.degree(window[0]), pk.degree(window[1])
+    coeffs = {w: pk.pack(GradedCharacter.one(rank, window))}
     for i, m in enumerate(lam, start=1):
         star = rank - i  # 0-based index of i*
         # varpi_{i*}, and alpha_{i*}^vee in coroot coordinates
@@ -164,16 +186,26 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
             step = {}
             for u, a in coeffs.items():
                 for x in so.nearest_below(u, unit):
+                    # a^x_u(varpi_i) qbar^{<beta_u - beta_w, varpi_{i*}>}, packed:
+                    # qbar^{<beta_x - beta_w, varpi_{i*}>} e^{y varpi_{i*}},
+                    # one degree higher at each translation along the ray
+                    s = (pk.degree(x.translation[star] - w.translation[star])
+                         + pk.weight(x.finite.act_weight(unit)))
                     while bottom is None or so.si_le(bottom, x):
-                        term = a * GradedCharacter.monomial(
-                            x.translation[star] - w.translation[star],
-                            x.finite.act_weight(unit))
-                        if term.is_zero():
+                        term = {j: c for k, c in a.items() if lo <= (j := k + s) < hi}
+                        if not term:
                             break
-                        step[x] = step[x] + term if x in step else term
+                        acc = step.get(x)
+                        if acc is None:
+                            step[x] = term
+                        else:
+                            get = acc.get
+                            for k, c in term.items():
+                                acc[k] = get(k, 0) + c
                         x = AffineWeylElement(x.finite, vec_add(x.translation, unit))
+                        s += pk.degree(1)
             coeffs = step
-    return coeffs
+    return {x: pk.unpack(a, window) for x, a in coeffs.items()}
 
 
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,

@@ -94,6 +94,10 @@ def test_depth_changes_no_byte(runner):
     assert [res.exit_code for res in out] == [0, 0]
     assert out[0].stdout_bytes == out[1].stdout_bytes
     assert json.loads(out[0].stdout)["coeffs"]
+    # still parsed as an integer, though it reaches neither compute nor key
+    res = invoke(runner, ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1",
+                          "--window", "0:4", "--depth", "deep", "--no-cache"])
+    assert res.exit_code == 2
 
 
 def test_non_dominant_weight_usage_error(runner):
@@ -534,6 +538,10 @@ VARIED = {
 }
 
 
+# options that change no byte of the payload and stay out of the cache key
+UNKEYED = {"pieri": {"--depth"}}
+
+
 @pytest.mark.parametrize("cmd", list(CONTRACT))
 def test_cache_key_includes_parameters(runner, tmp_path, cmd):
     command = main
@@ -546,4 +554,5 @@ def test_cache_key_includes_parameters(runner, tmp_path, cmd):
     for extra in [[]] + VARIED[cmd]:
         res = invoke(runner, cmd.split() + base + extra)
         assert res.exit_code == 0, (extra, res.output)
-    assert len(os.listdir(tmp_path / "cache")) == 1 + len(VARIED[cmd])
+    keyed = [extra for extra in VARIED[cmd] if extra[0] not in UNKEYED.get(cmd, ())]
+    assert len(os.listdir(tmp_path / "cache")) == 1 + len(keyed)

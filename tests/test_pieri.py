@@ -12,7 +12,7 @@ from jobspecs import JOBSPECS
 from loopref import rho_height, verified_pieri, verify_table
 from qlayer import q_layer
 
-from silc.charring import CharacterError, GradedCharacter
+from silc.charring import FULL_WINDOW, CharacterError, GradedCharacter
 from silc.errors import InconsistencyError
 from silc.pieri import (
     compute_pieri,
@@ -505,3 +505,53 @@ def test_a3_sections_beyond_the_loop_model(a3):
     twist coefficients like every other."""
     wg = weyl_group(a3)
     assert h0_dimension(a3, wg.parse("2@1,1,1"), wg.identity, (2, 2, 2)) == 2274
+
+
+# ---------------------------------------------------------------------------
+# packed terms: weights at the digit bound, windows below zero, the zero twist
+# ---------------------------------------------------------------------------
+
+def _coordinates(characters):
+    return {c for a in characters for (_, wt), _c in a.terms for c in wt}
+
+
+@pytest.mark.parametrize("rank,lam,window", [(2, (3, 3), (0, 2)), (3, (2, 0, 2), (0, 1))],
+                         ids=["A2-(3,3)", "A3-(2,0,2)"])
+def test_tables_at_the_digit_bound_satisfy_the_product_identity(rank, lam, window):
+    """A weight of a twist by lam is a sum of |lam| minuscule weights, so
+    its coordinates lie in [-|lam|, |lam|], the range each packed weight
+    digit holds; these tables reach both ends of it."""
+    datum = root_datum("A", rank)
+    table = verified_pieri(datum, weyl_group(datum).identity, lam, window)
+    coords = _coordinates(a for _, a in table.coeffs)
+    assert max(coords) == sum(lam) == -min(coords)
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (2, 2)], ids=["(2,1)", "(2,2)"])
+def test_full_window_sections_at_the_digit_bound(a2, wg_a2, lam):
+    """smt_character's default window starts far below degree 0.  On it the
+    sections on [w0 t_(1,1), e], whose weights reach the digit bound, are
+    the loop model's, and every window cuts them, also one below zero."""
+    v, e = wg_a2.parse("1,2,1@1,1"), wg_a2.identity
+    got = smt_character(a2, v, e, lam)
+    assert got.window == FULL_WINDOW and FULL_WINDOW[0] < 0
+    assert got == loopref.richardson_character(a2, v, e, lam)
+    assert max(map(abs, _coordinates([got]))) == sum(lam)
+    for window in [(-3, 0), (-3, 2), (1, 3)]:
+        assert smt_character(a2, v, e, lam, window) == got.truncate(window)
+
+
+@pytest.mark.parametrize("kind", ["B", "C", "G"])
+def test_zero_twist_is_answered_in_every_type(kind):
+    """The zero twist takes no formula step, so no type A weight is packed:
+    its table is the base alone, and its sections the constants on v <= w."""
+    datum = root_datum(kind, 2)
+    wg, so = weyl_group(datum), si_order(datum)
+    e, below, apart = wg.identity, wg.parse("1@1,1"), wg.parse("e@-1,0")
+    assert so.si_le(below, e) and not so.si_le(apart, e)
+    table = compute_pieri(datum, e, (0, 0), (0, 3))
+    assert table.coeffs == ((e, GradedCharacter.one(2, (0, 3))),)
+    assert compute_pieri(datum, e, (0, 0), (1, 3)).coeffs == ()
+    assert smt_character(datum, below, e, (0, 0)) == GradedCharacter.one(2)
+    assert h0_dimension(datum, below, e, (0, 0)) == 1
+    assert h0_dimension(datum, apart, e, (0, 0)) == 0
