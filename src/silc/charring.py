@@ -85,12 +85,6 @@ class GradedCharacter:
     def truncate(self, window) -> "GradedCharacter":
         return GradedCharacter.make(dict(self.terms), window)
 
-    def shift_q(self, n: int) -> "GradedCharacter":
-        return GradedCharacter.make(
-            {(q + n, wt): c for (q, wt), c in self.terms},
-            (self.window[0] + n, self.window[1] + n),
-        )
-
     # -- queries ----------------------------------------------------------------
 
     def coefficient(self, q, wt) -> int:

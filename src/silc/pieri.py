@@ -185,12 +185,12 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
         for _ in range(m):
             step = {}
             for u, a in coeffs.items():
-                for x in so.nearest_below(u, unit):
+                for mu, x in so.nearest_below(u, unit).items():
                     # a^x_u(varpi_i) qbar^{<beta_u - beta_w, varpi_{i*}>}, packed:
                     # qbar^{<beta_x - beta_w, varpi_{i*}>} e^{y varpi_{i*}},
                     # one degree higher at each translation along the ray
                     s = (pk.degree(x.translation[star] - w.translation[star])
-                         + pk.weight(x.finite.act_weight(unit)))
+                         + pk.weight(mu))
                     while bottom is None or so.si_le(bottom, x):
                         term = {j: c for k, c in a.items() if lo <= (j := k + s) < hi}
                         if not term:

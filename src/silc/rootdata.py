@@ -37,10 +37,6 @@ def vec_neg(a):
     return tuple(-x for x in a)
 
 
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a, b):
     if len(a) != len(b):
         raise RootDataError(f"dimension mismatch: {len(a)} vs {len(b)}")
@@ -241,10 +237,6 @@ class RootDatum:
         a = self.cartan.entries
         return tuple(vec_dot(a[i], coords) for i in range(self.rank))
 
-    def pairing(self, beta, lam) -> int:
-        """<beta, lambda> for a coweight (coroot coords) and weight (fw coords)."""
-        return vec_dot(beta, lam)
-
     # -- roots --------------------------------------------------------------
 
     def _generate_positive_roots(self):
@@ -320,9 +312,6 @@ class RootDatum:
     def is_dominant(self, lam):
         return all(c >= 0 for c in lam)
 
-    def is_strictly_dominant(self, lam):
-        return all(c > 0 for c in lam)
-
 
 MAX_RANK = 16
 
@@ -336,10 +325,16 @@ def root_datum(kind: str, rank: int) -> RootDatum:
     return RootDatum(CartanMatrix(_builtin_cartan(kind, rank)))
 
 
+def is_type_a(datum: RootDatum) -> bool:
+    """Whether the datum is A_r in the standard numbering, where the Weyl
+    group acts on eps-coordinates by permutations."""
+    return datum.cartan == root_datum("A", datum.rank).cartan
+
+
 def require_type_a(datum: RootDatum):
     """Twist coefficients need every fundamental weight minuscule, which is
     what type A gives."""
-    if datum.cartan != root_datum("A", datum.rank).cartan:
+    if not is_type_a(datum):
         raise RootDataError(
             "section characters and twist coefficients use minuscule "
             "fundamental weights and are implemented for type A root data only"

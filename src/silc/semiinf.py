@@ -10,10 +10,23 @@ positive root alpha let y = u*s_alpha:
 - if l(y) = l(u) + 1 - 2<rho, alpha^vee>, then y*t_{beta + alpha^vee} is a
   cover (a quantum edge).
 
-Either way the si-length grows by one.  A QBG path weighs the sum of the
-coroots of its quantum edges.  All shortest paths from v to w weigh the
-same, wt(v => w), and every other path weighs that plus an element of
-Q^vee_+ (Postnikov, arXiv:math/0410147).  Hence
+Either way the si-length grows by one.  In type A_r no product needs to be
+formed to find the edges: with sigma the permutation of u
+(FiniteWeylElement.perm) and alpha = eps_i - eps_j, i < j, let b count the
+places k, i < k < j, with sigma(k) between sigma(i) and sigma(j).  Then
+u -> u*s_alpha is a Bruhat edge iff sigma(i) < sigma(j) and b = 0, and a
+quantum edge iff sigma(i) > sigma(j) and b = j - i - 1 (Brenti-Fomin-
+Postnikov; Postnikov, arXiv:math/0410147); the edges above u are the same
+with the comparisons of sigma(i) and sigma(j) turned round.  Only the y of
+the edges found are formed.  Other types find the edges by the lengths of
+all u*s_alpha, and the tests check the type A rule against those lengths,
+computed with matrices.  Each way builds its table of positive roots (the
+reflections s_alpha, or the places i, j of each alpha) on first use, and a
+type A element builds its root matrix only when a sort by key() reads it.
+
+A QBG path weighs the sum of the coroots of its quantum edges.  All
+shortest paths from v to w weigh the same, wt(v => w), and every other
+path weighs that plus an element of Q^vee_+ (Postnikov).  Hence
 
     w*t_beta <=_si v*t_gamma  iff  beta - gamma - wt(v => w) lies in Q^vee_+.
 
@@ -72,6 +85,7 @@ class SemiInfiniteOrder:
         self.datum: RootDatum = wg.datum
         self._finite_covers = {}
         self._reflections = None
+        self._roots_by_places = None
         self._nearest = {}
         self._weights = {}
 
@@ -91,27 +105,76 @@ class SemiInfiniteOrder:
         a quantum edge.  With up, each edge from some y*t_{beta - shift} down
         to u*t_beta instead: the length conditions with their signs swapped.
 
-        The edges do not depend on beta, so they are computed once per (u, up).
+        The edges do not depend on beta, so they are computed once per (u, up),
+        in the order of the positive roots.  In type A they are read off the
+        permutation of u (module docstring), and only their y are formed.
         """
         got = self._finite_covers.get((u, up))
         if got is None:
-            wg = self.wg
-            if self._reflections is None:
-                self._reflections = tuple(
-                    (alpha, wg.reflection_by_root(alpha))
-                    for alpha in self.datum.positive_roots())
-            sign = -1 if up else 1
-            lu = wg.length_finite(u)
-            zero = (0,) * self.datum.rank
-            got = []
-            for alpha, s_alpha in self._reflections:
-                y = u * s_alpha
-                step = sign * (wg.length_finite(y) - lu)
-                if step == 1:
-                    got.append((alpha, y, zero))
-                elif step == 1 - 2 * sum(alpha.coroot):
-                    got.append((alpha, y, alpha.coroot))
+            if u.perm is None:
+                got = self._covers_by_length(u, up)
+            else:
+                got = self._covers_by_permutation(u, up)
             self._finite_covers[(u, up)] = got
+        return got
+
+    def _covers_by_length(self, u, up):
+        """The edges of u, from the lengths of u*s_alpha for every alpha."""
+        wg = self.wg
+        if self._reflections is None:
+            self._reflections = tuple(
+                (alpha, wg.reflection_by_root(alpha))
+                for alpha in self.datum.positive_roots())
+        sign = -1 if up else 1
+        lu = wg.length_finite(u)
+        zero = (0,) * self.datum.rank
+        got = []
+        for alpha, s_alpha in self._reflections:
+            y = u * s_alpha
+            step = sign * (wg.length_finite(y) - lu)
+            if step == 1:
+                got.append((alpha, y, zero))
+            elif step == 1 - 2 * sum(alpha.coroot):
+                got.append((alpha, y, alpha.coroot))
+        return got
+
+    def _covers_by_permutation(self, u, up):
+        """The edges of a type A element u, from its permutation sigma: for
+        each i, scan j > i, keeping the least value above sigma(i) and, while
+        every value so far is below sigma(i), the least value."""
+        if self._roots_by_places is None:
+            # eps_i - eps_j, i < j, has coordinates 1 on places i..j-1
+            self._roots_by_places = {}
+            for alpha in self.datum.positive_roots():
+                ones = [k for k, c in enumerate(alpha.coords) if c]
+                self._roots_by_places[(ones[0], ones[-1] + 1)] = alpha
+        perm = u.perm
+        # with up, every comparison of values turns round
+        sigma = [-x for x in perm] if up else perm
+        n = len(sigma)
+        edges = []  # (height, -i, i, j, quantum), sorting as the roots do
+        for i, a in enumerate(sigma):
+            above = None    # least sigma(k) > a, i < k < j
+            least = a       # least sigma(k), i < k < j, while all are below a
+            for j in range(i + 1, n):
+                b = sigma[j]
+                if b > a:
+                    if above is None or b < above:
+                        edges.append((j - i, -i, i, j, False))
+                        above = b
+                    least = None
+                elif least is not None and b < least:
+                    edges.append((j - i, -i, i, j, True))
+                    least = b
+        edges.sort()
+        zero = (0,) * self.datum.rank
+        intern = self.wg._intern_perm
+        got = []
+        for _, _, i, j, quantum in edges:
+            alpha = self._roots_by_places[(i, j)]
+            y = list(perm)
+            y[i], y[j] = y[j], y[i]
+            got.append((alpha, intern(tuple(y)), alpha.coroot if quantum else zero))
         return got
 
     def _covers(self, v: AffineWeylElement):
@@ -120,8 +183,8 @@ class SemiInfiniteOrder:
             yield AffineWeylElement(y, vec_add(v.translation, shift))
 
     def nearest_below(self, u: AffineWeylElement, lam):
-        """For each weight mu of the orbit W lam, the element m below u with
-        m.finite(lam) = mu that the fewest covers reach from u.
+        """{mu: m} for each weight mu of the orbit W lam, with m the element
+        below u with m.finite(lam) = mu that the fewest covers reach from u.
 
         A breadth-first search on finite parts, memoized per (u.finite, lam),
         that goes on only from the first element it meets in each coset of
@@ -148,9 +211,9 @@ class SemiInfiniteOrder:
                             found[mu] = (z, vec_add(shift, step))
                             below.append(found[mu])
                 level = below
-            got = self._nearest[(u.finite, lam)] = tuple(found.values())
-        return [AffineWeylElement(y, vec_add(u.translation, shift))
-                for y, shift in got]
+            got = self._nearest[(u.finite, lam)] = tuple(found.items())
+        return {mu: AffineWeylElement(y, vec_add(u.translation, shift))
+                for mu, (y, shift) in got}
 
     def si_covers_below(self, v: AffineWeylElement, height_bound: int = 2):
         """All (alpha, s_alpha v) one step below v in the semi-infinite order,

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import gt, sub
 
 from .rootdata import (
     Root,
     RootDataError,
     RootDatum,
+    is_type_a,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -25,62 +28,111 @@ from .rootdata import (
 class FiniteWeylElement:
     """Element of the finite Weyl group, interned by its WeylGroup.
 
-    A group keeps one object per root matrix, so equality and hashing are by
-    identity.  Elements are made in inverse pairs, since (xy)^{-1} =
-    y^{-1} x^{-1} and reflections are involutions: no matrix is inverted.
+    A group keeps one object per element, so equality and hashing are by
+    identity.
 
+    In type A_r an element u is its permutation ``perm`` of 0..r, with
+    u(eps_k) = eps_perm[k] and alpha_i = eps_{i-1} - eps_i.  Products
+    compose permutations, the length counts inversions, weights move by
+    permuting eps-coordinates, and left descents are the descents of the
+    inverse permutation.  The quantum Bruhat graph is read off perm too (Brenti-
+    Fomin-Postnikov; Postnikov, arXiv:math/0410147): u -> u*t_ij, i < j,
+    is a Bruhat edge iff perm[i] < perm[j] with no perm[k], i < k < j,
+    between them, and a quantum edge iff perm[i] > perm[j] with every one
+    between them (semiinf).  Lazy: the inverse is made when first asked
+    for, and root_mat and coweight_mat, which agree in type A, are built
+    from perm only when read: by key(), and so by every sort order, and by
+    act_root and act_coweight.
+
+    In other types perm is None and the element is its matrices:
     root_mat: action on the simple-root basis (columns = images of alpha_j).
     coweight_mat: action on the simple-coroot basis.
+    Such elements are made in inverse pairs, since (xy)^{-1} = y^{-1} x^{-1}
+    and reflections are involutions: no matrix is inverted.
+
     The length, the number of positive roots sent to negative ones, is
     counted when first asked for.
     """
 
-    __slots__ = ("_group", "root_mat", "coweight_mat", "_length",
+    __slots__ = ("_group", "perm", "_root_mat", "_coweight_mat", "_length",
                  "_inverse", "_products", "_reflection")
 
-    def __init__(self, group: "WeylGroup", root_mat, coweight_mat):
+    def __init__(self, group: "WeylGroup", root_mat=None, coweight_mat=None,
+                 perm=None):
         self._group = group
-        self.root_mat = root_mat
-        self.coweight_mat = coweight_mat
+        self.perm = perm
+        self._root_mat = root_mat
+        self._coweight_mat = coweight_mat
         self._length = None
-        self._inverse = self
+        # made on demand for a permutation, paired by WeylGroup._intern otherwise
+        self._inverse = self if perm is None else None
         self._products = {}
         # (beta, <alpha_j, beta^vee>_j, beta^vee, <beta, alpha_j^vee>_j)
-        # when this is the reflection s_beta, set by reflection_by_root
+        # when this is the reflection s_beta of a matrix element, set by
+        # reflection_by_root
         self._reflection = None
+
+    @property
+    def root_mat(self):
+        if self._root_mat is None:
+            self._root_mat = self._coweight_mat = _perm_matrix(self.perm)
+        return self._root_mat
+
+    @property
+    def coweight_mat(self):
+        return self.root_mat if self._coweight_mat is None else self._coweight_mat
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         got = self._products.get(other)
         if got is None:
-            xi, yi = self._inverse, other._inverse
-            if other._reflection is None:
-                mats = (mat_mul(self.root_mat, other.root_mat),
-                        mat_mul(self.coweight_mat, other.coweight_mat),
-                        (mat_mul(yi.root_mat, xi.root_mat),
-                         mat_mul(yi.coweight_mat, xi.coweight_mat)))
+            if self.perm is not None:
+                got = self._group._intern_perm(
+                    tuple(map(self.perm.__getitem__, other.perm)))
             else:
-                # s_beta = 1 - beta <., beta^vee>, so x s_beta and its
-                # inverse s_beta x^{-1} are rank-one updates of x, x^{-1}
-                b, c, bv, wt = other._reflection
-                mats = (_minus_outer(self.root_mat, mat_vec(self.root_mat, b), c),
-                        _minus_outer(self.coweight_mat, mat_vec(self.coweight_mat, bv), wt),
-                        (_minus_outer(xi.root_mat, b, mat_vec(tuple(zip(*xi.root_mat)), c)),
-                         _minus_outer(xi.coweight_mat, bv,
-                                      mat_vec(tuple(zip(*xi.coweight_mat)), wt))))
-            got = self._products[other] = self._group._intern(*mats)
+                got = self._group._intern(*self._matrix_product(other))
+            self._products[other] = got
         return got
+
+    def _matrix_product(self, other):
+        """(root_mat, coweight_mat, inverse matrices) of self * other."""
+        xi, yi = self._inverse, other._inverse
+        if other._reflection is None:
+            return (mat_mul(self._root_mat, other._root_mat),
+                    mat_mul(self._coweight_mat, other._coweight_mat),
+                    (mat_mul(yi._root_mat, xi._root_mat),
+                     mat_mul(yi._coweight_mat, xi._coweight_mat)))
+        # s_beta = 1 - beta <., beta^vee>, so x s_beta and its inverse
+        # s_beta x^{-1} are rank-one updates of x, x^{-1}
+        b, c, bv, wt = other._reflection
+        rm, cm = self._root_mat, self._coweight_mat
+        return (_minus_outer(rm, mat_vec(rm, b), c),
+                _minus_outer(cm, mat_vec(cm, bv), wt),
+                (_minus_outer(xi._root_mat, b, mat_vec(tuple(zip(*xi._root_mat)), c)),
+                 _minus_outer(xi._coweight_mat, bv,
+                              mat_vec(tuple(zip(*xi._coweight_mat)), wt))))
 
     def length(self) -> int:
         if self._length is None:
-            # u(alpha) is negative iff its height is; column sums of
-            # root_mat are the heights of the u(alpha_j)
-            heights = tuple(map(sum, zip(*self.root_mat)))
-            self._length = sum(vec_dot(heights, rc) < 0
-                               for rc in self._group._pos_roots)
+            p = self.perm
+            if p is not None:
+                self._length = sum(x > y for i, x in enumerate(p) for y in p[i + 1:])
+            else:
+                # u(alpha) is negative iff its height is; column sums of
+                # root_mat are the heights of the u(alpha_j)
+                heights = tuple(map(sum, zip(*self._root_mat)))
+                self._length = sum(vec_dot(heights, rc) < 0
+                                   for rc in self._group._pos_roots)
         return self._length
 
     def inverse(self) -> "FiniteWeylElement":
-        return self._inverse
+        inv = self._inverse
+        if inv is None:
+            q = [0] * len(self.perm)
+            for k, x in enumerate(self.perm):
+                q[x] = k
+            inv = self._group._intern_perm(tuple(q))
+            self._inverse, inv._inverse = inv, self
+        return inv
 
     def act_root(self, coords):
         return mat_vec(self.root_mat, coords)
@@ -89,11 +141,31 @@ class FiniteWeylElement:
         return mat_vec(self.coweight_mat, beta)
 
     def act_weight(self, lam):
-        # <alpha_i^vee, u lam> = <u^{-1} alpha_i^vee, lam>
-        return tuple(vec_dot(col, lam) for col in zip(*self._inverse.coweight_mat))
+        if self.perm is None:
+            # <alpha_i^vee, u lam> = <u^{-1} alpha_i^vee, lam>
+            return tuple(vec_dot(col, lam)
+                         for col in zip(*self._inverse._coweight_mat))
+        # varpi_i = eps_0 + ... + eps_{i-1}, so lam has eps-coordinate
+        # lam_k + ... + lam_{r-1} at k, which u moves to perm[k]; adjacent
+        # differences return to weight coordinates
+        suffix = (0, *accumulate(reversed(lam)))
+        eps = [suffix[-1 - k] for k in self.inverse().perm]
+        return tuple(map(sub, eps, eps[1:]))
 
     def __repr__(self):
         return f"FiniteWeylElement(root_mat={self.root_mat})"
+
+
+def _perm_matrix(perm):
+    """The root matrix of the type A element with this permutation: column j
+    is eps_a - eps_b for a, b = perm[j], perm[j + 1], which is the sum of
+    the simple roots from place min(a, b) up to max(a, b) - 1, signed."""
+    r = len(perm) - 1
+    cols = []
+    for a, b in zip(perm, perm[1:]):
+        lo, hi, sign = (a, b, 1) if a < b else (b, a, -1)
+        cols.append((0,) * lo + (sign,) * (hi - lo) + (0,) * (r - hi))
+    return tuple(zip(*cols))
 
 
 def _minus_outer(m, col, row):
@@ -115,9 +187,10 @@ class AffineWeylElement:
 class WeylGroup:
     """Weyl-group operations bound to one root datum.
 
-    The group interns finite elements lazily, mapping each root matrix it
-    meets to its one FiniteWeylElement: small groups fill up completely,
-    and E8 (|W| ~ 7*10^8) is never listed.
+    The group interns finite elements lazily, mapping each permutation (in
+    type A) or root matrix (in other types) it meets to its one
+    FiniteWeylElement: small groups fill up completely, and E8
+    (|W| ~ 7*10^8) is never listed.
     """
 
     def __init__(self, datum: RootDatum):
@@ -127,16 +200,27 @@ class WeylGroup:
         self._pos_roots = tuple(rt.coords for rt in datum.positive_roots())
         self._elements = {}
         ident = mat_identity(r)
-        self.id_finite = self._intern(ident, ident)
+        if is_type_a(datum):
+            self.id_finite = self._intern_perm(tuple(range(r + 1)))
+        else:
+            self.id_finite = self._intern(ident, ident)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
         self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
         self._w0, self.w0_word = self._build_w0()
 
     # -- constructors --------------------------------------------------------
 
+    def _intern_perm(self, perm) -> FiniteWeylElement:
+        """The type A element with this permutation."""
+        got = self._elements.get(perm)
+        if got is None:
+            got = self._elements[perm] = FiniteWeylElement(self, perm=perm)
+        return got
+
     def _intern(self, root_mat, coweight_mat, inverse_mats=None) -> FiniteWeylElement:
-        """The element with this root matrix.  A new one is paired with its
-        inverse, given as (root_mat, coweight_mat), or None for an involution."""
+        """The element with this root matrix, outside type A.  A new one is
+        paired with its inverse, given as (root_mat, coweight_mat), or None
+        for an involution."""
         got = self._elements.get(root_mat)
         if got is None:
             got = self._elements[root_mat] = FiniteWeylElement(self, root_mat, coweight_mat)
@@ -163,6 +247,13 @@ class WeylGroup:
         """s_gamma for a (positive or negative) finite root."""
         d = self.datum
         r = d.rank
+        if self.id_finite.perm is not None:
+            # gamma = +-(eps_i - eps_j): the transposition of i and j
+            support = [k for k, c in enumerate(root.coords) if c]
+            perm = list(range(r + 1))
+            i, j = support[0], support[-1] + 1
+            perm[i], perm[j] = j, i
+            return self._intern_perm(tuple(perm))
         wt = d.root_to_weight(root.coords)
         root_cols = []
         coweight_cols = []
@@ -219,8 +310,12 @@ class WeylGroup:
 
     def _left_descents(self, u: FiniteWeylElement):
         """For i = 1..r, whether l(s_i u) < l(u), i.e. u^{-1} alpha_i < 0:
-        column i of the root matrix of u^{-1} is <= 0."""
-        return [all(c <= 0 for c in col) for col in zip(*u.inverse().root_mat)]
+        in type A, the permutation of u^{-1} descends at place i-1;
+        otherwise column i of the root matrix of u^{-1} is <= 0."""
+        inv = u.inverse()
+        if inv.perm is not None:
+            return list(map(gt, inv.perm, inv.perm[1:]))
+        return [all(c <= 0 for c in col) for col in zip(*inv._root_mat)]
 
     def reduced_word_finite(self, u: FiniteWeylElement):
         """Lexicographically smallest reduced word: peel the smallest left

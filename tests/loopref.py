@@ -28,6 +28,16 @@ from loopmodel import BlockSpan, extremal_monomial, raising_ops, \
     schubert_blocks, span_closure
 
 
+def strictly_dominant(lam):
+    return all(c > 0 for c in lam)
+
+
+def shift_q(f: GradedCharacter, n: int) -> GradedCharacter:
+    """f times q^n, its window moved with it."""
+    return GradedCharacter.make({(q + n, wt): c for (q, wt), c in f.terms},
+                                (f.window[0] + n, f.window[1] + n))
+
+
 def loop_sections(datum, u, lam, qbar_max):
     """Sections of the lambda-twist on the full orbit closure of u below
     qbar_max, in absolute degrees, from the loop model: the upward module of
@@ -47,7 +57,7 @@ def verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
     Coefficient terms at qbar >= q_height cannot reach the check window,
     because the sections of every u below w start no lower than those of w.
     """
-    if not datum.is_strictly_dominant(mu):
+    if not strictly_dominant(mu):
         raise CharacterError(f"verification weight {mu} must be strictly dominant")
     lam_mu = vec_add(lam, mu)
     d_w_lam = _extremal(datum, w, lam)[1]
@@ -61,7 +71,7 @@ def verify_table(datum: RootDatum, w, lam, coeffs, mu, q_height: int):
     # the check window draw on section degrees above abs_hi
     sec_hi = abs_hi - min(d_w_lam, 0)
     for u, a in coeffs:
-        a_abs = a.truncate(FULL_WINDOW).shift_q(d_w_lam)
+        a_abs = shift_q(a.truncate(FULL_WINDOW), d_w_lam)
         sec_u = loop_sections(datum, u, mu, sec_hi)
         rhs = rhs + (a_abs * sec_u).truncate(check_window)
     diff = lhs - rhs

@@ -20,6 +20,8 @@ from silc.pieri import gch_global_weyl
 from silc.rootdata import root_datum, vec_add
 from silc.weylgroup import weyl_group
 
+from loopref import shift_q
+
 
 # ---------------------------------------------------------------------------
 # ring structure and serialization
@@ -41,7 +43,7 @@ def test_add_mul_window_intersection():
 def test_truncate_and_shift():
     f = mono(0, (1,)) + mono(3, (1,))
     assert f.truncate((0, 2)).terms == mono(0, (1,), 1, (0, 2)).terms
-    g = f.shift_q(2)
+    g = shift_q(f, 2)
     assert g.coefficient(2, (1,)) == 1 and g.coefficient(5, (1,)) == 1
 
 

@@ -122,6 +122,19 @@ def test_reversed_window_usage_error(runner, cmd):
     assert "3:1" in res.output
 
 
+@pytest.mark.parametrize("cmd", [
+    ["char", "gweyl", "--rank", "1", "--w", "1@0", "--lam", "1"],
+    ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1"],
+], ids=["char gweyl", "pieri"])
+@pytest.mark.parametrize("window", ["0:401", "400:401"])
+def test_window_above_the_limit_usage_error(runner, cmd, window):
+    """Both build every degree from 0 up to hi; one past the limit is
+    refused before anything is computed."""
+    res = invoke(runner, cmd + ["--window", window, "--no-cache"])
+    assert res.exit_code == 2
+    assert "maximum 400" in res.output
+
+
 @pytest.mark.parametrize("args,out", [
     (["dim", "richardson", "--v", "1,2@1000000,1000000", "--w", "e@0,0"],
      '{"dim":4000002,"empty":false}\n'),

@@ -396,7 +396,7 @@ def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra
         for u, a in table.coeffs:
             if so.si_le(v, u):
                 expect = expect + a
-        if datum.is_strictly_dominant(lam):
+        if loopref.strictly_dominant(lam):
             got = loopref.richardson_character(datum, v, e, lam, window)
         else:
             got = smt_character(datum, v, e, lam, window)

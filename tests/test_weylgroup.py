@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrixref
 import oracle
 from subword import Subword
 
-from silc.rootdata import mat_identity, mat_mul, root_datum, vec_neg
+from silc.rootdata import mat_identity, mat_mul, mat_vec, root_datum, vec_dot, vec_neg
 from silc.weylgroup import AffineWeylElement, WeylGroup, weyl_group
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
@@ -160,7 +161,7 @@ def test_length_dominant_translation_a2(wg_a2):
     assert length(sub, wg_a2.translation((1, 0))) == 4
     # a genuinely dominant coweight: sum of all positive coroots = 2 rho^vee
     beta = sub.rs.two_rho_coweight
-    expected = sum(wg_a2.datum.pairing(beta, wg_a2.datum.root_to_weight(rt.coords))
+    expected = sum(vec_dot(beta, wg_a2.datum.root_to_weight(rt.coords))
                    for rt in wg_a2.datum.positive_roots())
     assert length(sub, wg_a2.translation(beta)) == expected
 
@@ -397,3 +398,58 @@ def test_length_subadditive(data):
     lxy = length(sub, wg.compose(x, y))
     assert lxy <= length(sub, x) + length(sub, y)
     assert (lxy - length(sub, x) - length(sub, y)) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# type A elements are permutations; the matrix formulas are the reference
+# ---------------------------------------------------------------------------
+
+def _smallest_reduced_word(ref, root_mat):
+    """Peel the smallest i with l(s_i u) < l(u), lengths by matrices."""
+    word = []
+    while ref.length(root_mat):
+        i = next(i for i, (s, _, _) in enumerate(ref.simple)
+                 if ref.length(mat_mul(s, root_mat)) < ref.length(root_mat))
+        word.append(i + 1)
+        root_mat = mat_mul(ref.simple[i][0], root_mat)
+    return word
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                       ("A", 7), ("B", 2), ("G", 2)])
+def test_elements_follow_the_matrix_formulas(kind, rank):
+    """Products, inverses, lengths, the three actions, key() and reduced
+    words equal those of the matrices made along a word: every element of
+    A1-A4, and 200 seeded elements of A7.  B2 and G2, which keep their
+    matrices, check the reference itself."""
+    wg = weyl_group(root_datum(kind, rank))
+    if rank == 7:
+        elements = matrixref.sampled_elements(wg, 200, 40, seed=7)
+    else:
+        elements = matrixref.all_elements(wg)
+    ref = matrixref.Matrices(wg.datum)
+    assert (wg.id_finite.perm is not None) == (kind == "A")
+    ident = mat_identity(rank)
+    rng = random.Random(rank)
+    items = list(elements.items())
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)]
+    for u, (root_mat, coweight_mat, weight_mat) in items:
+        assert u.root_mat == root_mat
+        assert u.coweight_mat == coweight_mat
+        assert AffineWeylElement(u, vectors[0]).key() == (root_mat, vectors[0])
+        assert mat_mul(root_mat, u.inverse().root_mat) == ident
+        assert u.inverse().inverse() is u
+        assert u.length() == ref.length(root_mat)
+        for vec in vectors:
+            assert u.act_weight(vec) == mat_vec(weight_mat, vec)
+            assert u.act_root(vec) == mat_vec(root_mat, vec)
+            assert u.act_coweight(vec) == mat_vec(coweight_mat, vec)
+        v, (v_root, v_coweight, _) = rng.choice(items)
+        assert (u * v).root_mat == mat_mul(root_mat, v_root)
+        assert (u * v).coweight_mat == mat_mul(coweight_mat, v_coweight)
+        word = wg.reduced_word_finite(u)
+        assert ref.of_word(word)[0] == root_mat
+        if rank <= 4:
+            assert word == _smallest_reduced_word(ref, root_mat)
+        else:
+            assert len(word) == u.length()
