@@ -1,24 +1,28 @@
-"""Truncated graded-character arithmetic and Demazure operators.
+"""Truncated graded-character arithmetic, Demazure operators and Weyl
+characters.
 
 A GradedCharacter is a finite map (q_power, weight) -> integer coefficient
 together with a half-open truncation window [q_min, q_max) on the q-exponent.
 The q-grading tracks the loop rotation; weights are in fundamental-weight
 coordinates.
 
-Demazure operators (demazure_word) and twist steps (pieri) run on packed
-terms (_Packing): each (q, weight) becomes one int with the weight in
-fixed-width digits below q, so a string step or a product with a monomial
-is an int addition; the terms are unpacked into a GradedCharacter once, at
-the end.
+Demazure operators (demazure_word), Weyl characters (weyl_character) and
+twist steps (pieri) run on packed terms (_Packing): each (q, weight) becomes
+one int with the weight in fixed-width digits below q, so a string step, a
+reflection or a product with a monomial is an int addition; the terms are
+unpacked into a GradedCharacter once, at the end.
+
+weyl_character solves only the dominant multiplicities, by Freudenthal's
+formula, and copies them over W-orbits; the tests hold it to demazure_word
+along a word for w0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CharacterError
-from .rootdata import RootDatum, vec_add, vec_dot
-from .weylgroup import weyl_group
+from .errors import CharacterError, InconsistencyError
+from .rootdata import RootDatum, vec_add, vec_dot, vec_sub
 
 
 FULL_WINDOW = (-(10 ** 9), 10 ** 9)
@@ -121,19 +125,21 @@ class GradedCharacter:
 class _Packing:
     """Packed terms of rank r whose weight coordinates lie in [-bound, bound].
 
-    A term (q, wt) is the int q * 2^(r b) + sum_j (wt_j + bound) * 2^(j b),
-    with b bits per weight digit.  Every digit lies in [0, 2 bound], so
-    digits never carry into each other, and adding packed weights (offset 0)
-    adds the weights as long as the sum stays within the bound.  q, the top
-    digit, is unbounded and may be negative; a window test on q is a
-    comparison of the packed term with the packed degrees.
+    A term (q, wt) is the int q * 2^(r b) + sum_j (wt_j + bound) *
+    2^((r - 1 - j) b), with b bits per weight digit.  Every digit lies in
+    [0, 2 bound], so digits never carry into each other, and adding packed
+    weights (offset 0) adds the weights as long as the sum stays within the
+    bound.  q, the top digit, is unbounded and may be negative; a window
+    test on q is a comparison of the packed term with the packed degrees.
+    Coordinate 0 sits in the highest weight digit, so packed terms sort as
+    GradedCharacter.make sorts (q, wt).
     """
 
     def __init__(self, rank, bound):
         self.bound = bound
         self.bits = (2 * bound + 1).bit_length()
         self.mask = (1 << self.bits) - 1
-        self.shifts = [j * self.bits for j in range(rank)]
+        self.shifts = [(rank - 1 - j) * self.bits for j in range(rank)]
         self.q_shift = rank * self.bits
 
     def degree(self, q) -> int:
@@ -150,11 +156,14 @@ class _Packing:
                 for (q, wt), c in f.terms}
 
     def unpack(self, terms, window) -> GradedCharacter:
+        """The GradedCharacter.make of the packed terms: nonzero terms on the
+        window, in the order of their packed ints."""
         q_shift, mask, bound, shifts = self.q_shift, self.mask, self.bound, self.shifts
-        return GradedCharacter.make(
-            {(x >> q_shift, tuple(((x >> s) & mask) - bound for s in shifts)): c
-             for x, c in terms.items()},
-            window)
+        lo, hi = self.degree(window[0]), self.degree(window[1])
+        xs = sorted(x for x, c in terms.items() if c and lo <= x < hi)
+        return GradedCharacter(tuple(
+            ((x >> q_shift, tuple([((x >> s) & mask) - bound for s in shifts])), terms[x])
+            for x in xs), tuple(window))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +251,88 @@ def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter
 
 
 def weyl_character(datum: RootDatum, lam) -> GradedCharacter:
-    """ch V(lambda) by the Demazure character formula along a word for w0."""
+    """ch V(lambda) at q-degree 0 by Freudenthal's formula on the dominant
+    weights (Moody-Patera, Bull. AMS 7 (1982)):
+
+        m(mu) ((lambda+rho, lambda+rho) - (mu+rho, mu+rho)) = 2 sum over
+        alpha > 0 of S_alpha(mu), S_alpha(x) = sum over k >= 1 of
+        (x + k alpha, alpha) m(x + k alpha).
+
+    With the integer symmetrizer d, lambda - mu = sum n_j alpha_j and alpha
+    = sum c_j alpha_j, the left factor is sum n_j d_j (lambda + mu + 2
+    rho)_j and (x, alpha) = sum c_j d_j x_j; a division that leaves a
+    remainder raises InconsistencyError.  The dominant mu <= lambda come
+    from lambda by subtracting positive roots (Stembridge, Adv. Math. 136
+    (1998)) and are solved by increasing height of lambda - mu, each m(mu)
+    written over the W-orbit of mu by simple reflections; S_alpha is
+    memoized along alpha-strings.  Packed digits hold the hull bound of
+    demazure_word plus one root step, so a string step past the weights
+    lands on no weight.
+    """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
-    wg = weyl_group(datum)
-    f = GradedCharacter.monomial(0, lam, 1, (0, 1))
-    return demazure_word(datum, wg.w0_word, f)
+    r = datum.rank
+    d = datum.cartan.symmetrizer()
+    pos = datum.positive_roots()
+    roots = [(rt.coords, datum.root_to_weight(rt.coords)) for rt in pos]
+    hull = max(vec_dot(rt.coroot, lam) for rt in pos)
+    pk = _Packing(r, hull + max(abs(c) for _, a in roots for c in a))
+    bound, mask, shifts = pk.bound, pk.mask, pk.shifts
+    # dominant weights below lambda, each with lambda - mu in simple roots
+    below = {lam: (0,) * r}
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for coords, a in roots:
+            nu = vec_sub(mu, a)
+            if min(nu) >= 0 and nu not in below:
+                below[nu] = vec_add(below[mu], coords)
+                stack.append(nu)
+    # per positive root: packed alpha, x -> (x, alpha), (alpha, alpha), memo
+    strings = []
+    for coords, a in roots:
+        form = tuple(c * dj for c, dj in zip(coords, d))
+        strings.append((pk.weight(a), form, vec_dot(form, a), {}))
+    alphas = [(s, pk.weight(a)) for s, a in zip(shifts, datum.simple_root_weights)]
+    top = tuple(l + 2 for l in lam)  # lambda + 2 rho
+    mult = {}
+    for mu, n in sorted(below.items(), key=lambda kv: sum(kv[1])):
+        x0 = pk.weight(mu, bound)
+        if mu == lam:
+            m = 1
+        else:
+            total = 0
+            for a, form, aa, memo in strings:
+                # up the alpha-string to a memo hit or off the weights, then
+                # back down by S(x) = (x + alpha, alpha) m(x + alpha) + S(x + alpha)
+                x, p, chain = x0, vec_dot(form, mu), []
+                while (s := memo.get(x)) is None:
+                    x += a
+                    p += aa
+                    mx = mult.get(x)
+                    if mx is None:
+                        s = 0
+                        break
+                    chain.append((x - a, p * mx))
+                for y, t in reversed(chain):
+                    s += t
+                    memo[y] = s
+                total += s
+            m, rem = divmod(2 * total, sum(
+                nj * dj * (tj + mj) for nj, dj, tj, mj in zip(n, d, top, mu)))
+            if rem:
+                raise InconsistencyError(
+                    f"Freudenthal's formula leaves remainder {rem} at {mu}")
+        mult[x0] = m
+        orbit = [x0]
+        for x in orbit:
+            for shift, a in alphas:
+                k = ((x >> shift) & mask) - bound
+                if k > 0 and (y := x - k * a) not in mult:
+                    mult[y] = m
+                    orbit.append(y)
+    return pk.unpack(mult, (0, 1))
 
 
 def __getattr__(name):

@@ -16,5 +16,6 @@ class QuasimapError(ValueError):
 
 
 class InconsistencyError(RuntimeError):
-    """A twist table contradicts an identity it must satisfy, such as the
-    normalization of its base coefficient."""
+    """A result contradicts an identity it must satisfy: the normalization
+    of a twist table's base coefficient, or an integer quotient in
+    Freudenthal's formula."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
 from .errors import RootDataError
@@ -140,8 +141,10 @@ class CartanMatrix:
     def rank(self):
         return len(self.entries)
 
-    def _symmetrized(self):
-        """d_i a_ij symmetric with positive integers d_i (exists for finite type)."""
+    def symmetrizer(self):
+        """Positive integers d_i with d_i a_ij symmetric (they exist for
+        finite type): with (alpha_i, alpha_j) = d_i a_ij, a weight mu pairs
+        with alpha_j as (mu, alpha_j) = d_j mu_j."""
         r = self.rank
         a = self.entries
         d = [Fraction(0)] * r
@@ -157,10 +160,12 @@ class CartanMatrix:
                     if j != i and a[i][j] != 0 and d[j] == 0:
                         d[j] = d[i] * a[i][j] / a[j][i]
                         stack.append(j)
-        return [[d[i] * a[i][j] for j in range(r)] for i in range(r)]
+        scale = lcm(*(x.denominator for x in d))
+        return [int(x * scale) for x in d]
 
     def _is_finite_type(self):
-        s = self._symmetrized()
+        d = self.symmetrizer()
+        s = [[di * aij for aij in row] for di, row in zip(d, self.entries)]
         r = self.rank
         if any(s[i][j] != s[j][i] for i in range(r) for j in range(r)):
             return False

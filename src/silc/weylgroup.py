@@ -149,7 +149,9 @@ class FiniteWeylElement:
         # lam_k + ... + lam_{r-1} at k, which u moves to perm[k]; adjacent
         # differences return to weight coordinates
         suffix = (0, *accumulate(reversed(lam)))
-        eps = [suffix[-1 - k] for k in self.inverse().perm]
+        eps = [0] * len(suffix)
+        for k, x in enumerate(self.perm):
+            eps[x] = suffix[-1 - k]
         return tuple(map(sub, eps, eps[1:]))
 
     def __repr__(self):

@@ -1,9 +1,10 @@
 """Graded characters, Demazure operators, and cyclic-module characters."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracle
 from qlayer import q_layer
@@ -13,11 +14,13 @@ from silc.charring import (
     CharacterError,
     FULL_WINDOW,
     GradedCharacter,
+    _Packing,
     demazure_word,
     weyl_character,
 )
+from silc.errors import InconsistencyError
 from silc.pieri import gch_global_weyl
-from silc.rootdata import root_datum, vec_add
+from silc.rootdata import CartanMatrix, root_datum, vec_add
 from silc.weylgroup import weyl_group
 
 from loopref import shift_q
@@ -196,14 +199,106 @@ def test_affine_word_matches_tuple_reference_in_a_cutting_window(a2):
 
 
 def test_weyl_character_of_a_large_a1_weight(a1):
-    """Weights down to -1000 pack with an offset of 1000 per digit."""
-    ch = weyl_character(a1, (1000,))
-    assert ch.terms == tuple(((0, (k,)), 1) for k in range(-1000, 1001, 2))
+    """Weights down to -m pack with an offset of at least m per digit; at m =
+    4000 the memoized string sums walk one string of 4001 weights."""
+    for m in (1000, 4000):
+        ch = weyl_character(a1, (m,))
+        assert ch.terms == tuple(((0, (k,)), 1) for k in range(-m, m + 1, 2))
 
 
 # ---------------------------------------------------------------------------
 # Weyl characters
 # ---------------------------------------------------------------------------
+
+def _demazure_weyl_character(datum, lam):
+    """ch V(lam) by the Demazure character formula along the word for w0."""
+    f = GradedCharacter.monomial(0, lam, 1, (0, 1))
+    return demazure_word(datum, weyl_group(datum).w0_word, f)
+
+
+def _fundamental_weights(rank):
+    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+
+@pytest.mark.parametrize("kind,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+    ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6),
+    ("E", 7), ("F", 4), ("G", 2),
+])
+def test_weyl_character_matches_demazure_on_fundamental_weights(kind, rank):
+    datum = root_datum(kind, rank)
+    for lam in _fundamental_weights(rank):
+        assert weyl_character(datum, lam) == _demazure_weyl_character(datum, lam), lam
+
+
+@pytest.mark.parametrize("i", [1, 2, 7, 8])
+def test_weyl_character_matches_demazure_on_e8_fundamental_weights(i):
+    """E8 varpi_1, varpi_2, varpi_7 and varpi_8 have 2,401, 26,401, 9,121 and
+    241 weights; varpi_3 to varpi_6 have 117,361 to 3,207,121, too many for
+    the Demazure reference here."""
+    datum = root_datum("E", 8)
+    lam = _fundamental_weights(8)[i - 1]
+    assert weyl_character(datum, lam) == _demazure_weyl_character(datum, lam)
+
+
+@pytest.mark.parametrize("kind,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
+])
+def test_weyl_character_matches_demazure_on_rho_and_two_rho(kind, rank):
+    datum = root_datum(kind, rank)
+    for lam in [(1,) * rank, (2,) * rank]:
+        assert weyl_character(datum, lam) == _demazure_weyl_character(datum, lam), lam
+
+
+@pytest.mark.parametrize("kind,rank,lam", [
+    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0)), ("B", 3, (4, 4, 4)), ("C", 3, (4, 4, 4)),
+    ("D", 4, (2, 2, 2, 2)), ("F", 4, (1, 0, 1, 1)), ("G", 2, (10, 10)),
+])
+def test_weyl_character_matches_demazure_on_the_benchmark_weights(kind, rank, lam):
+    datum = root_datum(kind, rank)
+    assert weyl_character(datum, lam) == _demazure_weyl_character(datum, lam)
+
+
+@seed(23)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_weyl_character_matches_demazure_on_drawn_weights(data):
+    kind, rank = data.draw(st.sampled_from([
+        ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+        ("D", 3), ("G", 2)]))
+    lam = tuple(data.draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank)))
+    datum = root_datum(kind, rank)
+    assert weyl_character(datum, lam) == _demazure_weyl_character(datum, lam)
+
+
+def test_weyl_character_raises_on_a_remainder(b2, monkeypatch):
+    """With a symmetrizer that leaves d_i a_ij unsymmetric, Freudenthal's
+    quotient at the zero weight is no integer: the division raises instead
+    of rounding."""
+    monkeypatch.setattr(CartanMatrix, "symmetrizer", lambda self: [1] * self.rank)
+    with pytest.raises(InconsistencyError, match="remainder 1 at \\(0, 0\\)"):
+        weyl_character(b2, (0, 1))
+
+
+def test_unpack_matches_make():
+    """Packed terms unpack to GradedCharacter.make of the same terms: zero
+    coefficients drop, the window cuts at lo and hi, and terms sort by (q,
+    weight)."""
+    rng = random.Random(23)
+    for rank, bound in [(1, 0), (1, 5), (2, 1), (3, 2), (4, 7), (8, 3)]:
+        pk = _Packing(rank, bound)
+        for window in [(-3, 2), (0, 1), (2, 5), FULL_WINDOW]:
+            lo, hi = window
+            plain = {}
+            for _ in range(60):
+                q = rng.choice([lo, hi - 1, hi, rng.randint(-5, 6)])
+                wt = tuple(rng.randint(-bound, bound) for _ in range(rank))
+                plain[q, wt] = rng.randint(-2, 2)
+            packed = {pk.degree(q) + pk.weight(wt, bound): c
+                      for (q, wt), c in plain.items()}
+            assert pk.unpack(packed, window) == GradedCharacter.make(plain, window)
+
 
 def test_weyl_character_a1_examples(a1):
     assert weyl_character(a1, (1,)) == mono(0, (1,), 1, (0, 1)) + mono(
