@@ -19,7 +19,7 @@ along a word for w0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CharacterError, InconsistencyError
 from .rootdata import RootDatum, vec_add, vec_dot, vec_sub
@@ -28,8 +28,7 @@ from .rootdata import RootDatum, vec_add, vec_dot, vec_sub
 FULL_WINDOW = (-(10 ** 9), 10 ** 9)
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(NamedTuple):
     terms: tuple  # sorted tuple of ((q, weight), coeff) with coeff != 0
     window: tuple  # (q_min, q_max), half-open
 
@@ -85,6 +84,10 @@ class GradedCharacter:
                     k = (q, vec_add(w1, w2))
                     out[k] = out.get(k, 0) + c1 * c2
         return GradedCharacter.make(out, window)
+
+    def __rmul__(self, other):
+        # not the tuple's repetition: c * ch is undefined, as ch * c is
+        return NotImplemented
 
     def truncate(self, window) -> "GradedCharacter":
         return GradedCharacter.make(dict(self.terms), window)

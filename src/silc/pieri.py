@@ -58,7 +58,7 @@ dominant mu against an independent loop model of the modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charring import FULL_WINDOW, GradedCharacter, _Packing
 from .errors import CharacterError, InconsistencyError
@@ -129,8 +129,7 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
         {(q, vec_neg(wt)): c for (q, wt), c in _summed(coeffs).items()}, window)
 
 
-@dataclass(frozen=True)
-class PieriTable:
+class PieriTable(NamedTuple):
     base: AffineWeylElement
     weight: tuple
     window: tuple

@@ -20,13 +20,13 @@ integer gcd of Char, Geddes and Gonnet.  Nothing depends on randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import QuasimapError
-from .rootdata import RootDatum, solve_unpivoted, vec_dot, vec_sub
+from .rootdata import RootDatum, vec_dot, vec_sub
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -376,8 +376,7 @@ def _expr_str(coeffs) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class DPData:
+class DPData(NamedTuple):
     """One polynomial vector per fundamental weight, plus target degrees."""
 
     rank: int
@@ -450,8 +449,7 @@ class DPData:
         return DPData.make(rank, tuple(comps), tuple(obj["degrees"]))
 
 
-@dataclass(frozen=True)
-class DefectDivisor:
+class DefectDivisor(NamedTuple):
     # sorted tuple of (irreducible factor string, its degree, coweight)
     finite_points: tuple
     at_infinity: tuple    # coweight
@@ -588,11 +586,27 @@ def evaluate(data: DPData, at_infinity: bool = False):
     return tuple(out)
 
 
+def solve_unpivoted(m, b):
+    """Solve m x = b over the rationals by Gauss-Jordan elimination without
+    row exchanges.  Every leading principal minor of m must be nonzero, as
+    for a Cartan matrix of finite type."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(m, b)]
+    for k in range(n):
+        p = rows[k][k]
+        rows[k] = [x / p for x in rows[k]]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return tuple(row[n] for row in rows)
+
+
 def _weight_ge(a, b, datum: RootDatum) -> bool:
     """a >= b in the dominance order (difference in the positive root cone)."""
     # the columns of the Cartan matrix are the simple roots in
     # fundamental-weight coordinates
-    _, coords = solve_unpivoted(datum.cartan.entries, vec_sub(a, b))
+    coords = solve_unpivoted(datum.cartan.entries, vec_sub(a, b))
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 

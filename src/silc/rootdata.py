@@ -1,4 +1,4 @@
-"""Finite root-system arithmetic from a Cartan matrix.
+"""Finite root-system arithmetic from a Cartan matrix, in integers only.
 
 Coordinate conventions used throughout the package:
 
@@ -13,11 +13,10 @@ column of the Cartan matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import RootDataError
 
@@ -116,12 +115,13 @@ def _builtin_cartan(kind: str, rank: int):
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True)
 class CartanMatrix:
-    entries: tuple  # r x r tuple of tuples of ints
+    """A Cartan matrix of finite type, checked when built."""
 
-    def __post_init__(self):
-        a = self.entries
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = a = entries  # r x r tuple of tuples of ints
         r = len(a)
         if r == 0 or any(len(row) != r for row in a):
             raise RootDataError("Cartan matrix must be square and nonempty")
@@ -137,6 +137,12 @@ class CartanMatrix:
         if not self._is_finite_type():
             raise RootDataError("Cartan matrix is not of finite type")
 
+    def __eq__(self, other):
+        return isinstance(other, CartanMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
     @property
     def rank(self):
         return len(self.entries)
@@ -144,24 +150,32 @@ class CartanMatrix:
     def symmetrizer(self):
         """Positive integers d_i with d_i a_ij symmetric (they exist for
         finite type): with (alpha_i, alpha_j) = d_i a_ij, a weight mu pairs
-        with alpha_j as (mu, alpha_j) = d_j mu_j."""
+        with alpha_j as (mu, alpha_j) = d_j mu_j.
+
+        d propagates along the Dynkin graph from d = 1 at the first node of
+        each component, d_j = d_i a_ij / a_ji; where that does not divide,
+        every d found so far is scaled up just enough that it does.  So d
+        is the least integer multiple of the rational solution."""
         r = self.rank
         a = self.entries
-        d = [Fraction(0)] * r
-        # propagate along the Dynkin graph; components scaled independently
+        d = [0] * r
+        scale = 1  # what d = 1 at a component's first node has become
         for start in range(r):
-            if d[start] != 0:
+            if d[start]:
                 continue
-            d[start] = Fraction(1)
+            d[start] = scale
             stack = [start]
             while stack:
                 i = stack.pop()
                 for j in range(r):
-                    if j != i and a[i][j] != 0 and d[j] == 0:
-                        d[j] = d[i] * a[i][j] / a[j][i]
+                    if j != i and a[i][j] and not d[j]:
+                        f = -a[j][i] // gcd(d[i] * a[i][j], a[j][i])
+                        if f > 1:
+                            d = [x * f for x in d]
+                            scale *= f
+                        d[j] = d[i] * a[i][j] // a[j][i]
                         stack.append(j)
-        scale = lcm(*(x.denominator for x in d))
-        return [int(x * scale) for x in d]
+        return d
 
     def _is_finite_type(self):
         d = self.symmetrizer()
@@ -169,42 +183,26 @@ class CartanMatrix:
         r = self.rank
         if any(s[i][j] != s[j][i] for i in range(r) for j in range(r)):
             return False
-        # positive definite iff every leading principal minor is positive
-        pivots, _ = solve_unpivoted(s, (0,) * r)
-        return all(p > 0 for p in pivots)
-
-
-def solve_unpivoted(m, b):
-    """Solve m x = b over the rationals by Gauss-Jordan elimination without
-    row exchanges.
-
-    Returns (pivots, x).  The k-th pivot is the ratio of the k-th to the
-    (k-1)-th leading principal minor of m, so the minors are all positive
-    iff the pivots are.  Elimination stops at the first zero pivot, and x
-    is then None.  Cartan matrices of finite type never have one.
-    """
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(m, b)]
-    pivots = []
-    for k in range(n):
-        p = rows[k][k]
-        pivots.append(p)
-        if p == 0:
-            return pivots, None
-        rows[k] = [x / p for x in rows[k]]
-        for i in range(n):
-            f = rows[i][k]
-            if i != k and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-    return pivots, tuple(row[n] for row in rows)
+        # positive definite iff every leading principal minor is positive;
+        # by fraction-free (Bareiss) elimination the k-th pivot is the k-th
+        # minor, and every division is exact
+        prev = 1
+        for k in range(r):
+            p = s[k][k]
+            if p <= 0:
+                return False
+            for i in range(k + 1, r):
+                for j in range(k + 1, r):
+                    s[i][j] = (s[i][j] * p - s[i][k] * s[k][j]) // prev
+            prev = p
+        return True
 
 
 # ---------------------------------------------------------------------------
 # Root datum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root together with its coroot.
 
     coords: simple-root basis; coroot: simple-coroot basis.

@@ -44,16 +44,16 @@ gain positive coroots on the way down, and are walks through it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import ge, sub
+from typing import NamedTuple
 
 from .rootdata import RootDatum, vec_add, vec_dot
 from .weylgroup import AffineWeylElement, WeylGroup, weyl_group
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(NamedTuple):
     """Real affine root gamma + n*delta (gamma a finite root)."""
     root_coords: tuple  # finite part, simple-root basis
     coroot: tuple       # finite coroot of the finite part
@@ -270,7 +270,8 @@ class SemiInfiniteOrder:
     def si_le(self, w: AffineWeylElement, v: AffineWeylElement) -> bool:
         """True iff w <=_si v (w deeper or equal), by the module's criterion."""
         least = self._weight(v.finite, w.finite)
-        return all(a - b >= c for a, b, c in zip(w.translation, v.translation, least))
+        # beta_w - beta_v >= least coordinatewise; map keeps the loop in C
+        return all(map(ge, map(sub, w.translation, v.translation), least))
 
     # -- boxes and intervals -----------------------------------------------------
 

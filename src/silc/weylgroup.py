@@ -7,10 +7,10 @@ follows t_beta * u = u * t_{u^{-1} beta}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import gt, sub
+from typing import NamedTuple
 
 from .rootdata import (
     Root,
@@ -48,7 +48,10 @@ class FiniteWeylElement:
     root_mat: action on the simple-root basis (columns = images of alpha_j).
     coweight_mat: action on the simple-coroot basis.
     Such elements are made in inverse pairs, since (xy)^{-1} = y^{-1} x^{-1}
-    and reflections are involutions: no matrix is inverted.
+    and reflections are involutions: no matrix is inverted.  A product
+    x*s_beta with a reflection on the right is a rank-one update of x and
+    x^{-1}; one s_beta*x on the left is made as (x^{-1}*s_beta)^{-1}, the
+    same update, in place of four r x r matrix products.
 
     The length, the number of positive roots sent to negative ones, is
     counted when first asked for.
@@ -88,6 +91,8 @@ class FiniteWeylElement:
             if self.perm is not None:
                 got = self._group._intern_perm(
                     tuple(map(self.perm.__getitem__, other.perm)))
+            elif self._reflection is not None and other._reflection is None:
+                got = (other._inverse * self)._inverse
             else:
                 got = self._group._intern(*self._matrix_product(other))
             self._products[other] = got
@@ -176,8 +181,7 @@ def _minus_outer(m, col, row):
                  for m_row, a in zip(m, col))
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(NamedTuple):
     finite: FiniteWeylElement
     translation: tuple  # coweight in coroot coordinates
 
@@ -192,7 +196,8 @@ class WeylGroup:
     The group interns finite elements lazily, mapping each permutation (in
     type A) or root matrix (in other types) it meets to its one
     FiniteWeylElement: small groups fill up completely, and E8
-    (|W| ~ 7*10^8) is never listed.
+    (|W| ~ 7*10^8) is never listed.  A new group holds the identity and the
+    simple reflections; w0 and w0_word are built when first read.
     """
 
     def __init__(self, datum: RootDatum):
@@ -208,7 +213,6 @@ class WeylGroup:
             self.id_finite = self._intern(ident, ident)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
         self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
-        self._w0, self.w0_word = self._build_w0()
 
     # -- constructors --------------------------------------------------------
 
@@ -277,7 +281,9 @@ class WeylGroup:
     def _build_w0(self):
         """Longest finite element and a reduced word for it: multiply by the
         smallest left ascent until none is left.  The indices, in the order
-        taken, are the word; it equals reduced_word_finite(w0)."""
+        taken, are the word; it equals reduced_word_finite(w0).  Run once,
+        on the first read of w0 or w0_word; outside type A each step is a
+        reflection on the left, so one rank-one update."""
         w = self.id_finite
         word = []
         while True:
@@ -288,9 +294,17 @@ class WeylGroup:
             word.append(i + 1)
             w = self._simple_finite[i] * w
 
+    @cached_property
+    def _w0_and_word(self):
+        return self._build_w0()
+
     @property
     def w0(self) -> FiniteWeylElement:
-        return self._w0
+        return self._w0_and_word[0]
+
+    @property
+    def w0_word(self):
+        return self._w0_and_word[1]
 
     # -- group law -----------------------------------------------------------
 

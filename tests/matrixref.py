@@ -57,6 +57,20 @@ class Matrices:
         return sum(any(c < 0 for c in mat_vec(root_mat, rt.coords))
                    for rt in self.datum.positive_roots())
 
+    def reflection_word(self, alpha):
+        """A word for s_alpha: lowering alpha by simple reflections, alpha =
+        s_{i_1} ... s_{i_k} alpha_j, gives s_{i_1} ... s_{i_k} s_j s_{i_k}
+        ... s_{i_1}.  Some <alpha_i^vee, alpha> > 0 while alpha is not
+        simple, and s_i alpha is then a lower positive root."""
+        a = self.datum.cartan.entries
+        coords = list(alpha.coords)
+        path = []
+        while sum(coords) > 1:
+            i, p = next((i, p) for i, p in enumerate(mat_vec(a, coords)) if p > 0)
+            coords[i] -= p
+            path.append(i + 1)
+        return path + [coords.index(1) + 1] + path[::-1]
+
     def reflection(self, alpha):
         """Root matrix of s_alpha: alpha_j - <alpha^vee, alpha_j> alpha."""
         a = self.datum.cartan.entries
@@ -111,4 +125,17 @@ def sampled_elements(wg, count, word_length, seed):
     for _ in range(count):
         word = [rng.randint(1, wg.datum.rank) for _ in range(word_length)]
         out[wg.finite_from_word(word)] = ref.of_word(word)
+    return out
+
+
+def distinct_elements(wg, count, seed):
+    """{element: its matrices} for count distinct elements, given by seeded
+    random words of lengths 0..|Phi+|, so of either parity of length."""
+    rng = random.Random(seed)
+    ref = Matrices(wg.datum)
+    top = len(wg.datum.positive_roots())
+    out = {}
+    while len(out) < count:
+        word = [rng.randint(1, wg.datum.rank) for _ in range(rng.randint(0, top))]
+        out.setdefault(wg.finite_from_word(word), ref.of_word(word))
     return out

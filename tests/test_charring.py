@@ -34,6 +34,23 @@ def mono(q, wt, c=1, window=FULL_WINDOW):
     return GradedCharacter.monomial(q, wt, c, window)
 
 
+def test_records_are_tuples_but_a_character_keeps_its_ring_operations():
+    """GradedCharacter is a NamedTuple: it equals and unpacks as the tuple of
+    its fields, while + and * stay the ring operations and c * ch is no
+    tuple repetition."""
+    f = mono(0, (1,), 2)
+    assert f == ((((0, (1,)), 2),), FULL_WINDOW)
+    terms, window = f
+    assert (terms, window) == (f.terms, f.window)
+    assert f + f == f.scale(2) == mono(0, (1,), 4)
+    assert f * f == mono(0, (2,), 4)
+    with pytest.raises(TypeError):
+        3 * f
+    # the other records have no operations of their own: + concatenates
+    alpha = root_datum("A", 1).positive_roots()[0]
+    assert alpha == ((1,), (1,)) and alpha + alpha == ((1,), (1,), (1,), (1,))
+
+
 def test_add_mul_window_intersection():
     f = mono(0, (1,), 1, (0, 4))
     g = mono(1, (0,), 1, (0, 2))

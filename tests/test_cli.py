@@ -465,6 +465,22 @@ def test_each_golden_job_imports_only_its_modules(tmp_path, group):
     assert not sympy_loaded
 
 
+@pytest.mark.parametrize("module,absent", [
+    ("silc.pieri", ["dataclasses", "inspect", "fractions"]),
+    ("silc.cli", ["dataclasses", "fractions"]),  # click imports inspect itself
+])
+def test_the_compute_path_imports_neither_dataclasses_nor_fractions(module, absent):
+    """Records are NamedTuples and rootdata works in integers, so a fresh
+    interpreter pays for neither module (inspect, which dataclasses loads,
+    costs about 6 ms)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys, {module}\nprint(*[m for m in {absent!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
+
+
 def test_cache_misses_after_an_edit_to_a_module_the_job_does_not_import(tmp_path):
     """The cache never serves a result computed by other code, even when
     the edited module is one the job never loads."""

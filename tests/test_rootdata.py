@@ -122,3 +122,40 @@ def test_invalid_cartan_rejected():
         CartanMatrix(((2, -2), (-2, 2)))  # affine, not finite type
     with pytest.raises(RootDataError):
         CartanMatrix(((1,),))
+
+
+@pytest.mark.parametrize("entries", [
+    ((2, -2), (-2, 2)),                          # affine A1~
+    ((2, -1), (-4, 2)),                          # twisted affine A2^(2)
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),     # affine A2~, a 3-cycle
+    ((2, -3), (-3, 2)),                          # hyperbolic
+    ((2, -1, -1), (-2, 2, -1), (-1, -1, 2)),     # not symmetrizable
+])
+def test_cartan_matrices_not_of_finite_type_are_rejected(entries):
+    with pytest.raises(RootDataError, match="not of finite type"):
+        CartanMatrix(entries)
+
+
+# symmetrizers as computed over the rationals before the integer propagation
+SYMMETRIZERS = {
+    **{("A", r): [1] * r for r in range(1, 6)},
+    ("B", 2): [1, 2], ("B", 3): [1, 1, 2], ("B", 4): [1, 1, 1, 2],
+    ("C", 2): [2, 1], ("C", 3): [2, 2, 1], ("C", 4): [2, 2, 2, 1],
+    ("D", 4): [1] * 4, ("D", 5): [1] * 5,
+    **{("E", r): [1] * r for r in (6, 7, 8)},
+    ("F", 4): [1, 1, 2, 2], ("G", 2): [3, 1],
+}
+
+
+@pytest.mark.parametrize("kind,rank", sorted(SYMMETRIZERS))
+def test_symmetrizer_of_every_builtin_type(kind, rank):
+    assert root_datum(kind, rank).cartan.symmetrizer() == SYMMETRIZERS[(kind, rank)]
+
+
+def test_symmetrizer_of_disconnected_matrices_scales_every_component():
+    """One scale for the whole matrix: the least that makes every d_i an
+    integer, with d = 1 at the first node of each component."""
+    a1_c2 = ((2, 0, 0), (0, 2, -1), (0, -2, 2))
+    g2_b2 = ((2, -1, 0, 0), (-3, 2, 0, 0), (0, 0, 2, -1), (0, 0, -2, 2))
+    assert CartanMatrix(a1_c2).symmetrizer() == [2, 2, 1]
+    assert CartanMatrix(g2_b2).symmetrizer() == [6, 2, 6, 3]

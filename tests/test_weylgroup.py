@@ -268,6 +268,61 @@ def test_e8_w0_reduced_word():
     assert oracle.RootSystem("E", 8).act_word(word, datum.rho) == vec_neg(datum.rho)
 
 
+BUILTIN_TYPES = ([("A", r) for r in range(1, 6)] + [("B", r) for r in (2, 3, 4)]
+                 + [("C", r) for r in (2, 3, 4)]
+                 + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+# w0 of every built-in type as computed when w0 was built with the group:
+# its reduced word as digits, and pi with w0(alpha_j) = -alpha_pi(j)
+W0 = {
+    ("A", 1): ("1", (1,)),
+    ("A", 2): ("121", (2, 1)),
+    ("A", 3): ("121321", (3, 2, 1)),
+    ("A", 4): ("1213214321", (4, 3, 2, 1)),
+    ("A", 5): ("121321432154321", (5, 4, 3, 2, 1)),
+    ("B", 2): ("1212", (1, 2)),
+    ("B", 3): ("121321323", (1, 2, 3)),
+    ("B", 4): ("1213214321432434", (1, 2, 3, 4)),
+    ("C", 2): ("1212", (1, 2)),
+    ("C", 3): ("121321323", (1, 2, 3)),
+    ("C", 4): ("1213214321432434", (1, 2, 3, 4)),
+    ("D", 4): ("121321421324", (1, 2, 3, 4)),
+    ("D", 5): ("12132143215321432534", (1, 2, 3, 5, 4)),
+    ("E", 6): ("123142314354231435426542314354265431", (6, 2, 5, 4, 3, 1)),
+    ("E", 7): ("123142314354231435426542314354265431765423143542654317654234567",
+               tuple(range(1, 8))),
+    ("E", 8): ("123142314354231435426542314354265431765423143542654317654234567"
+               "876542314354265431765423456787654231435426543176542345678",
+               tuple(range(1, 9))),
+    ("F", 4): ("121321323432132343213234", (1, 2, 3, 4)),
+    ("G", 2): ("121212", (1, 2)),
+}
+
+
+def test_a_new_group_holds_only_the_identity_and_the_simple_reflections():
+    wg = WeylGroup(root_datum("E", 8))
+    assert set(wg._elements.values()) == {wg.id_finite, *wg._simple_finite}
+    assert len(wg._elements) == 9
+    assert len(wg.w0_word) == 120
+    assert len(wg._elements) > 9
+
+
+@pytest.mark.parametrize("kind,rank", BUILTIN_TYPES)
+def test_w0_of_every_builtin_type(kind, rank):
+    """w0, built on first read, is an involution of length |Phi+| whose
+    root matrix is minus a permutation matrix, and its word is the smallest
+    reduced one; both are as they were when w0 was built with the group."""
+    datum = root_datum(kind, rank)
+    wg = WeylGroup(datum)
+    word, pi = W0[(kind, rank)]
+    w0 = wg.w0
+    assert w0 * w0 is wg.id_finite
+    assert w0.length() == len(datum.positive_roots())
+    minus_pi = tuple(tuple(-int(pi[j] == i + 1) for j in range(rank)) for i in range(rank))
+    assert w0.root_mat == w0.coweight_mat == minus_pi
+    assert wg.w0_word == tuple(map(int, word)) == tuple(wg.reduced_word_finite(w0))
+
+
 def test_finite_elements_are_interned(wg_a2):
     assert wg_a2.finite_from_word([1, 2, 1]) is wg_a2.finite_from_word([2, 1, 2])
     wg = weyl_group(root_datum("B", 2))
@@ -370,6 +425,30 @@ def test_products_by_reflections_match_matrix_products(kind, rank):
     for x in seen:
         assert mat_mul(x.root_mat, x.inverse().root_mat) == ident
         assert mat_mul(x.coweight_mat, x.inverse().coweight_mat) == ident
+
+
+@pytest.mark.parametrize("kind,rank,sample", [
+    ("B", 2, None), ("B", 3, None), ("C", 3, None), ("G", 2, None),
+    ("F", 4, 200), ("E", 6, 200)])
+def test_reflections_on_either_side_match_the_matrix_formulas(kind, rank, sample):
+    """s_beta * x, made as (x^{-1} * s_beta)^{-1}, and x * s_beta equal the
+    products of matrixref's matrices along words, for every reflection and
+    every element (B2, B3, C3, G2) or 200 seeded ones (F4, E6) of a fresh
+    group; and the inverse of s_beta * x is x^{-1} * s_beta."""
+    wg = WeylGroup(root_datum(kind, rank))
+    if sample is None:
+        elements = matrixref.all_elements(wg)
+    else:
+        elements = matrixref.distinct_elements(wg, sample, seed=rank)
+    ref = matrixref.Matrices(wg.datum)
+    reflections = [(wg.reflection_by_root(beta), ref.of_word(ref.reflection_word(beta)))
+                   for beta in wg.datum.positive_roots()]
+    for x, x_mats in elements.items():
+        for s, s_mats in reflections:
+            for got, (left, right) in ((s * x, (s_mats, x_mats)), (x * s, (x_mats, s_mats))):
+                assert got.root_mat == mat_mul(left[0], right[0])
+                assert got.coweight_mat == mat_mul(left[1], right[1])
+            assert (s * x).inverse() is x.inverse() * s
 
 
 def test_serialization_roundtrip(wg):
