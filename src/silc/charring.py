@@ -10,7 +10,7 @@ Demazure operators (demazure_word), Weyl characters (weyl_character) and
 twist steps (pieri) run on packed terms (_Packing): each (q, weight) becomes
 one int with the weight in fixed-width digits below q, so a string step, a
 reflection or a product with a monomial is an int addition; the terms are
-unpacked into a GradedCharacter once, at the end.
+unpacked once, at the end: per Pieri coefficient or per section character.
 
 weyl_character solves only the dominant multiplicities, by Freudenthal's
 formula, and copies them over W-orbits; the tests hold it to demazure_word

@@ -36,7 +36,8 @@ is one int with the weight in fixed-width digits below qbar, so a product
 with a monomial is one int addition and a window test, and each x adds its
 terms into one dict.  The weights of a^x_w(lambda) are sums of |lambda|
 minuscule weights of type A, so every coordinate lies in [-|lambda|,
-|lambda|] and digits of that width never carry.
+|lambda|] and digits of that width never carry.  A Pieri table unpacks
+once per coefficient, a section character once, after one packed sum.
 
 Every section character is a sum of twist coefficients.  Higher cohomology
 vanishes for nef twists, so the sections of the untwisted structure sheaf
@@ -58,11 +59,12 @@ dominant mu against an independent loop model of the modules.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .charring import FULL_WINDOW, GradedCharacter, _Packing
 from .errors import CharacterError, InconsistencyError
-from .rootdata import RootDatum, require_type_a, vec_add, vec_neg
+from .rootdata import RootDatum, require_type_a, vec_neg
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
 
@@ -87,18 +89,12 @@ def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
         raise CharacterError(f"weight {lam} is not dominant")
     if not si_order(datum).si_le(v, w):
         return GradedCharacter.zero(window)
-    coeffs = _twist_coefficients(datum, w, lam, FULL_WINDOW, v)
-    return GradedCharacter.make(_summed(coeffs), window)
-
-
-def _summed(coeffs):
-    """The terms of the sum of the characters coeffs.values(), added in one
-    dict: {(q, weight): c}."""
-    out = {}
+    coeffs, pk = _twist_coefficients(datum, w, lam, FULL_WINDOW, v)
+    total = {}
     for a in coeffs.values():
-        for k, c in a.terms:
-            out[k] = out.get(k, 0) + c
-    return out
+        for k, c in a.items():
+            total[k] = total.get(k, 0) + c
+    return pk.unpack(total, window)
 
 
 def h0_dimension(datum: RootDatum, v, w, lam) -> int:
@@ -121,12 +117,16 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
-    require_type_a(datum)
     # built from degree 0, where the coefficients start, then cut to the window
     built = (0, max(window[1], 1))
-    coeffs = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, built)
-    return GradedCharacter.make(
-        {(q, vec_neg(wt)): c for (q, wt), c in _summed(coeffs).items()}, window)
+    coeffs, pk = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, built)
+    total = {}
+    for a in coeffs.values():
+        for k, c in a.items():
+            total[k] = total.get(k, 0) + c
+    # negated weights: each digit d = wt + bound becomes 2 bound - d
+    low, top = pk.degree(1) - 1, pk.weight((0,) * datum.rank, 2 * pk.bound)
+    return pk.unpack({k + top - 2 * (k & low): c for k, c in total.items()}, window)
 
 
 class PieriTable(NamedTuple):
@@ -167,15 +167,15 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
     in every type.
 
     Each step adds packed terms into one dict per x, with weight digits
-    bounded by |lam| (module docstring), and each coefficient becomes a
-    GradedCharacter once, at the end.
+    bounded by |lam| (module docstring).  Returns ({x: packed terms}, pk),
+    which the callers unpack once per coefficient or once per sum.
     """
     if any(lam):
         require_type_a(datum)
     so = si_order(datum)
     rank = datum.rank
     pk = _Packing(rank, sum(lam))
-    lo, hi = pk.degree(window[0]), pk.degree(window[1])
+    lo, hi, one = pk.degree(window[0]), pk.degree(window[1]), pk.degree(1)
     coeffs = {w: pk.pack(GradedCharacter.one(rank, window))}
     for i, m in enumerate(lam, start=1):
         star = rank - i  # 0-based index of i*
@@ -201,10 +201,10 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
                             get = acc.get
                             for k, c in term.items():
                                 acc[k] = get(k, 0) + c
-                        x = AffineWeylElement(x.finite, vec_add(x.translation, unit))
-                        s += pk.degree(1)
+                        x = AffineWeylElement(x.finite, tuple(map(add, x.translation, unit)))
+                        s += one
             coeffs = step
-    return {x: pk.unpack(a, window) for x, a in coeffs.items()}
+    return coeffs, pk
 
 
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
@@ -213,22 +213,22 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
 
     The formula of the module docstring walks every coset until its term
     leaves qbar-degrees [0, max(hi, 1)), so the table built there is
-    complete.  Its base coefficient must be the extremal monomial; then it
-    is cut to the window [lo, hi).  depth is accepted and changes nothing.
+    complete.  Its base coefficient must be the extremal monomial; unpacking
+    on the window [lo, hi) then cuts it.  depth is accepted and changes nothing.
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise CharacterError(f"weight {lam} is not dominant")
     window = tuple(window)
     built = (0, max(window[1], 1))
-    full = _twist_coefficients(datum, w, lam, built)
+    full, pk = _twist_coefficients(datum, w, lam, built)
     _, anchor, extremal_weight = _extremal(datum, w, lam)
-    base = full.get(w, GradedCharacter.zero(built))
+    base = pk.unpack(full.get(w, {}), built)
     if base != GradedCharacter.monomial(0, extremal_weight, 1, built):
         raise InconsistencyError(
             f"base coefficient {dict(base.terms)} is not the extremal monomial")
+    cut = ((u, pk.unpack(a, window)) for u, a in full.items())
     so = si_order(datum)
-    coeffs = sorted(full.items(), key=lambda ua: (so.si_length(ua[0]), ua[0].key()))
-    cut = ((u, a.truncate(window)) for u, a in coeffs)
-    return PieriTable(w, lam, window,
-                      tuple((u, a) for u, a in cut if not a.is_zero()), anchor)
+    coeffs = sorted(((u, a) for u, a in cut if a.terms),
+                    key=lambda ua: (so.si_length(ua[0]), ua[0].key()))
+    return PieriTable(w, lam, window, tuple(coeffs), anchor)

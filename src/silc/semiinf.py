@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import product
-from operator import ge, sub
+from operator import add, ge, sub
 from typing import NamedTuple
 
 from .rootdata import RootDatum, vec_add, vec_dot
@@ -212,7 +212,7 @@ class SemiInfiniteOrder:
                             below.append(found[mu])
                 level = below
             got = self._nearest[(u.finite, lam)] = tuple(found.items())
-        return {mu: AffineWeylElement(y, vec_add(u.translation, shift))
+        return {mu: AffineWeylElement(y, tuple(map(add, u.translation, shift)))
                 for mu, (y, shift) in got}
 
     def si_covers_below(self, v: AffineWeylElement, height_bound: int = 2):

@@ -67,9 +67,9 @@ def test_computation_error_exit_code(runner, monkeypatch):
     coefficients = pieri._twist_coefficients
 
     def doubled_base(datum, w, *args):
-        coeffs = coefficients(datum, w, *args)
-        coeffs[w] = coeffs[w] + coeffs[w]
-        return coeffs
+        coeffs, pk = coefficients(datum, w, *args)
+        coeffs[w] = {k: 2 * c for k, c in coeffs[w].items()}
+        return coeffs, pk
 
     monkeypatch.setattr(pieri, "_twist_coefficients", doubled_base)
     res = invoke(runner, ["pieri", "--rank", "1", "--w", "e@0", "--lam", "1",
@@ -302,6 +302,16 @@ def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
+
+
+def test_zero_twist_global_weyl_outside_type_a(runner):
+    """The zero twist takes no formula step, so char gweyl answers it in
+    type B as h0 and pieri do: the constant at degree 0."""
+    res = invoke(runner, ["char", "gweyl", "--type", "B", "--rank", "2",
+                          "--w", "e@0,0", "--lam", "0,0", "--window", "0:2",
+                          "--no-cache"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["terms"] == [{"q": 0, "wt": [0, 0], "c": 1}]
 
 
 # every subcommand: a valid A1 argv, and the options appended to it (click

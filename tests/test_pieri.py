@@ -375,6 +375,16 @@ def test_exhaustion_matches_global_module(a1, wg_a1):
         assert sections == module
 
 
+def _interval_sum(so, table, v, window):
+    """The sum, by GradedCharacter.__add__, of the table's coefficients at
+    u with v <= u."""
+    out = GradedCharacter.zero(window)
+    for u, a in table.coeffs:
+        if so.si_le(v, u):
+            out = out + a
+    return out
+
+
 @pytest.mark.parametrize("rank,lam,window,depth,extra", [
     (1, (2,), (0, 3), 4, ["1@1", "e@1"]),
     (2, (1, 0), (0, 1), 2, ["1,2,1@1,1", "2,1@1,0", "1,2,1@0,0"]),
@@ -392,15 +402,46 @@ def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra
     e = wg.identity
     table = verified_pieri(datum, e, lam, window, depth)
     for v in list(table.support()) + [wg.parse(x) for x in extra]:
-        expect = GradedCharacter.zero(window)
-        for u, a in table.coeffs:
-            if so.si_le(v, u):
-                expect = expect + a
+        expect = _interval_sum(so, table, v, window)
         if loopref.strictly_dominant(lam):
             got = loopref.richardson_character(datum, v, e, lam, window)
         else:
             got = smt_character(datum, v, e, lam, window)
         assert dict(got.terms) == dict(expect.terms), wg.format(v)
+
+
+@pytest.mark.parametrize("rank,w_text,v_texts,lams", [
+    (1, "e@1", ["1@3", "e@2"], [(1,), (3,)]),
+    (2, "e@0,0", ["1,2,1@1,1", "2,1@1,0"], [(1, 1), (1, 0), (3, 3)]),
+    (3, "e@0,0,0", ["2@1,1,1", "1,2,3,1,2,1@0,0,0"], [(1, 1, 1), (1, 0, 1), (2, 0, 2)]),
+], ids=["A1", "A2", "A3"])
+def test_section_sums_match_the_unpacked_coefficients(rank, w_text, v_texts, lams):
+    """Section sums add packed terms and unpack once; compute_pieri unpacks
+    every coefficient.  The sums equal the sums of the table's coefficients
+    for strictly dominant, non-regular and digit-bound lambda, on windows
+    that start below, at and above degree 0."""
+    datum = root_datum("A", rank)
+    wg, so = weyl_group(datum), si_order(datum)
+    w = wg.parse(w_text)
+    w_w0 = wg.compose(w, wg.affine_from_finite(wg.w0))
+    vs = [wg.parse(t) for t in v_texts]
+    for lam in lams:
+        for window in [(-1, 2), (0, 3), (1, 4)]:
+            table = compute_pieri(datum, w, lam, window)
+            for v in vs:
+                got = smt_character(datum, v, w, lam, window)
+                assert got == _interval_sum(so, table, v, window), (lam, window, v_texts)
+            dual = GradedCharacter.zero(window)
+            for _, a in compute_pieri(datum, w_w0, lam, window).coeffs:
+                dual = dual + a
+            assert gch_global_weyl(datum, w, lam, window) == GradedCharacter.make(
+                {(q, vec_neg(wt)): c for (q, wt), c in dual.terms}, window), (lam, window)
+        # every interval here ends below degree 7, so (0, 8) holds all of it
+        table = compute_pieri(datum, w, lam, (0, 8))
+        for v in vs:
+            whole = _interval_sum(so, table, v, (0, 8))
+            assert all(q < 7 for (q, _), _ in whole.terms)
+            assert h0_dimension(datum, v, w, lam) == whole.total()
 
 
 @pytest.mark.parametrize("lam,dim", [((1, 0), 6), ((2, 0), 21)],
@@ -555,3 +596,5 @@ def test_zero_twist_is_answered_in_every_type(kind):
     assert smt_character(datum, below, e, (0, 0)) == GradedCharacter.one(2)
     assert h0_dimension(datum, below, e, (0, 0)) == 1
     assert h0_dimension(datum, apart, e, (0, 0)) == 0
+    window = (0, 2)
+    assert gch_global_weyl(datum, e, (0, 0), window) == GradedCharacter.one(2, window)
