@@ -119,11 +119,6 @@ class GradedCharacter(NamedTuple):
             "terms": [{"q": q, "wt": list(wt), "c": c} for (q, wt), c in self.terms],
         }
 
-    @staticmethod
-    def from_json(obj) -> "GradedCharacter":
-        terms = {(t["q"], tuple(t["wt"])): t["c"] for t in obj["terms"]}
-        return GradedCharacter.make(terms, tuple(obj["window"]))
-
 
 class _Packing:
     """Packed terms of rank r whose weight coordinates lie in [-bound, bound].

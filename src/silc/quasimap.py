@@ -1,5 +1,5 @@
 """Drinfeld-Pluecker data for SL2 and SL3: validation, defect divisors,
-saturated evaluation, Schubert membership, and dimension calculators.
+saturated evaluation, and dimension calculators.
 
 Polynomial components are stored with exact rational coefficients in fixed
 weight bases: SL2 {e1, e2}; SL3 V(w1) = {e1, e2, e3} and V(w2) = {e1^e2,
@@ -26,7 +26,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import QuasimapError
-from .rootdata import RootDatum, vec_dot, vec_sub
+from .rootdata import RootDatum, vec_dot
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -45,16 +45,6 @@ class DegreeError(QuasimapError):
 
 class EmptyRichardsonError(QuasimapError):
     """The pair is incomparable, so the variety is empty (not 0-dimensional)."""
-
-
-# weights of the fixed basis vectors, fundamental-weight coordinates
-_BASIS_WEIGHTS = {
-    1: (((1,), (-1,)),),
-    2: (
-        ((1, 0), (-1, 1), (0, -1)),          # V(w1): e1, e2, e3
-        ((0, 1), (1, -1), (-1, 0)),          # V(w2): e1^e2, e1^e3, e2^e3
-    ),
-}
 
 
 def _to_fraction(x) -> Fraction:
@@ -586,84 +576,6 @@ def evaluate(data: DPData, at_infinity: bool = False):
     return tuple(out)
 
 
-def solve_unpivoted(m, b):
-    """Solve m x = b over the rationals by Gauss-Jordan elimination without
-    row exchanges.  Every leading principal minor of m must be nonzero, as
-    for a Cartan matrix of finite type."""
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(m, b)]
-    for k in range(n):
-        p = rows[k][k]
-        rows[k] = [x / p for x in rows[k]]
-        for i in range(n):
-            f = rows[i][k]
-            if i != k and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
-    return tuple(row[n] for row in rows)
-
-
-def _weight_ge(a, b, datum: RootDatum) -> bool:
-    """a >= b in the dominance order (difference in the positive root cone)."""
-    # the columns of the Cartan matrix are the simple roots in
-    # fundamental-weight coordinates
-    coords = solve_unpivoted(datum.cartan.entries, vec_sub(a, b))
-    return all(c.denominator == 1 and c >= 0 for c in coords)
-
-
-def schubert_member(coords, w: FiniteWeylElement, datum: RootDatum,
-                    opposite: bool = False) -> bool:
-    """Membership of a flag point in the (opposite) Schubert variety of w.
-
-    A point lies in the closure of the Borel orbit through the fixed point
-    of w iff each component is supported on basis weights >= w w0 w_i in the
-    dominance order (<= for the opposite Borel).
-    """
-    rank = datum.rank
-    if rank not in (1, 2):
-        raise QuasimapError("flag membership implemented for ranks 1 and 2")
-    basis = _BASIS_WEIGHTS[rank]
-    if len(coords) != rank or any(
-        len(c) != len(basis[i]) for i, c in enumerate(coords)
-    ):
-        raise QuasimapError("malformed flag coordinates")
-    if all(all(x == 0 for x in c) for c in coords):
-        raise QuasimapError("flag coordinates must be nonzero")
-    wg = weyl_group(datum)
-    for i in range(rank):
-        fw = tuple(1 if k == i else 0 for k in range(rank))
-        target = (w * wg.w0).act_weight(fw)
-        for wt, c in zip(basis[i], coords[i]):
-            if c == 0:
-                continue
-            ok = _weight_ge(target, wt, datum) if opposite else \
-                _weight_ge(wt, target, datum)
-            if not ok:
-                return False
-    return True
-
-
-def fixed_point_coords(w: FiniteWeylElement, datum: RootDatum):
-    """Coordinates of the flag fixed point attached to w.
-
-    The twist by O(lam) restricts to the character -w w0 lam at this point,
-    so the i-th component is the basis vector of weight w w0 w_i.
-    """
-    rank = datum.rank
-    basis = _BASIS_WEIGHTS[rank]
-    wg = weyl_group(datum)
-    out = []
-    for i in range(rank):
-        fw = tuple(1 if k == i else 0 for k in range(rank))
-        target = (w * wg.w0).act_weight(fw)
-        coords = tuple(
-            Fraction(1) if wt == target else Fraction(0) for wt in basis[i]
-        )
-        if not any(coords):
-            raise QuasimapError(f"no basis vector of weight {target}")
-        out.append(coords)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # dimension calculators
 # ---------------------------------------------------------------------------
@@ -694,7 +606,10 @@ def dim_parabolic(datum: RootDatum, J, beta, w: FiniteWeylElement) -> int:
                 f"is not the minimal representative of its coset "
                 f"(right descent at {j})"
             )
-    _, two_rho_j, _ = datum.parabolic_data(J)
-    dim_gp = len(datum.positive_roots()) - len(datum.positive_roots_in(J))
+    # the positive roots outside the span of {alpha_j : j in J}: there are
+    # dim G/P_J of them, and their weights sum to 2 rho_J
+    outside = [datum.root_to_weight(rt.coords) for rt in datum.positive_roots()
+               if any(rt.coords[k] for k in range(datum.rank) if k + 1 not in J)]
+    two_rho_j = tuple(map(sum, zip(*outside))) or (0,) * datum.rank
     w0_beta = wg.w0.act_coweight(beta)
-    return dim_gp - vec_dot(w0_beta, two_rho_j) - wg.length_finite(w)
+    return len(outside) - vec_dot(w0_beta, two_rho_j) - wg.length_finite(w)

@@ -279,39 +279,6 @@ class RootDatum:
         """Deterministically ordered tuple of positive roots with coroots."""
         return self._positive_roots
 
-    # -- parabolic data ------------------------------------------------------
-
-    def _check_index(self, i):
-        if not 1 <= i <= self.rank:
-            raise RootDataError(f"simple reflection index {i} out of range 1..{self.rank}")
-
-    def parabolic_data(self, J):
-        """(P_J basis indices, 2*rho_J as a weight, W_J generator indices).
-
-        2*rho_J is the sum of the positive roots outside the span of
-        {alpha_j : j in J}, in fundamental-weight coordinates.
-        """
-        J = frozenset(J)
-        for j in J:
-            self._check_index(j)
-        lattice_basis = tuple(i for i in range(1, self.rank + 1) if i not in J)
-        two_rho_j = tuple(0 for _ in range(self.rank))
-        for rt in self._positive_roots:
-            support = {k + 1 for k, c in enumerate(rt.coords) if c != 0}
-            if not support <= J:
-                two_rho_j = vec_add(two_rho_j, self.root_to_weight(rt.coords))
-        return lattice_basis, two_rho_j, tuple(sorted(J))
-
-    def positive_roots_in(self, J):
-        """Positive roots supported on {alpha_j : j in J}."""
-        J = frozenset(J)
-        out = []
-        for rt in self._positive_roots:
-            support = {k + 1 for k, c in enumerate(rt.coords) if c != 0}
-            if support <= J:
-                out.append(rt)
-        return tuple(out)
-
     def is_dominant(self, lam):
         return all(c >= 0 for c in lam)
 

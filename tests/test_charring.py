@@ -67,11 +67,6 @@ def test_truncate_and_shift():
     assert g.coefficient(2, (1,)) == 1 and g.coefficient(5, (1,)) == 1
 
 
-def test_json_round_trip():
-    f = mono(0, (1, 0), 2, (0, 3)) + mono(2, (-1, 1), -1, (0, 3))
-    assert GradedCharacter.from_json(f.to_json()) == f
-
-
 # ---------------------------------------------------------------------------
 # Demazure operators
 # ---------------------------------------------------------------------------

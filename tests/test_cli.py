@@ -405,6 +405,18 @@ def test_dim_parabolic_error_names_the_word(runner):
     assert "w = 1 is not the minimal representative" in res.output
 
 
+def test_dim_parabolic_on_a_proper_parabolic(runner):
+    res = invoke(runner, ["dim", "parabolic", "--rank", "3", "--j", "2",
+                          "--beta", "1,0,1", "--w", "e", "--no-cache"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout == '{"dim":11}\n'
+    res = runner.invoke(main, ["dim", "parabolic", "--rank", "2", "--j", "3",
+                               "--beta", "0,0", "--w", "e", "--no-cache"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 def test_qmap_validate_reports_invalid_without_failing(runner):
     data = json.dumps({
         "rank": 2,

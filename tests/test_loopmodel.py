@@ -7,7 +7,6 @@ import loopmodel
 import loopref
 import pytest
 
-from silc.quasimap import solve_unpivoted
 from silc.rootdata import RootDataError, root_datum, vec_sub
 from silc.semiinf import si_order
 from silc.weylgroup import weyl_group
@@ -38,16 +37,20 @@ def test_operators_move_the_block_order_one_way(rank):
     Each raising operator moves a wedge vector strictly up that order and
     each lowering operator strictly down, so every block is complete before
     it acts; a closure under both at once is refused."""
-    cartan = root_datum("A", rank).cartan.entries
+    datum = root_datum("A", rank)
     for sigma, ops in ((1, loopmodel.raising_ops(rank)),
                        (-1, loopref.lowering_ops(rank))):
         for a, b, k in ops:
             _, image = loopmodel.matrix_unit(a, b, (b,))
             shift = vec_sub(loopmodel.subset_weight(image, rank),
                             loopmodel.subset_weight((b,), rank))
-            roots = solve_unpivoted(cartan, shift)
-            height = sum(roots)
-            assert height == b - a
+            # E_ab moves the weight by eps_a - eps_b, the root
+            # +-(alpha_lo + ... + alpha_{hi-1}), positive when a < b
+            lo, hi = min(a, b), max(a, b)
+            sign = 1 if a < b else -1
+            coords = tuple(sign * (lo <= i < hi) for i in range(1, rank + 1))
+            assert datum.root_to_weight(coords) == shift
+            height = sum(coords)
             assert (sigma * k, sigma * height) > (0, 0), (a, b, k)
     mixed = loopmodel.raising_ops(rank) + loopref.lowering_ops(rank)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from qm_random import random_dp
-from subword import Subword
 
 from silc.quasimap import (
     DegreeError,
@@ -19,12 +18,11 @@ from silc.quasimap import (
     dim_parabolic,
     dim_richardson,
     evaluate,
-    fixed_point_coords,
     saturate,
-    schubert_member,
     validate_dp,
     wedge,
 )
+from silc.rootdata import RootDataError
 from silc.semiinf import si_order
 from silc.weylgroup import weyl_group
 
@@ -162,63 +160,6 @@ def test_wedge_contraction_vanishes():
 
 
 # ---------------------------------------------------------------------------
-# Schubert membership
-# ---------------------------------------------------------------------------
-
-def test_full_space_membership_sl2(a1):
-    wg = weyl_group(a1)
-    for coords in [((1, 0),), ((0, 1),), ((3, -2),)]:
-        assert schubert_member(coords, wg.finite_from_word([]), a1)
-
-
-def test_point_stratum_sl2(a1):
-    wg = weyl_group(a1)
-    s1 = wg.finite_from_word([1])
-    assert fixed_point_coords(s1, a1) == ((Fraction(1), Fraction(0)),)
-    assert schubert_member(((1, 0),), s1, a1)
-    assert not schubert_member(((0, 1),), s1, a1)
-    assert not schubert_member(((1, 1),), s1, a1)
-
-
-def test_opposite_membership_sl2(a1):
-    wg = weyl_group(a1)
-    e = wg.finite_from_word([])
-    s1 = wg.finite_from_word([1])
-    # opposite stratum of e is the opposite fixed point only
-    assert schubert_member(((0, 1),), e, a1, opposite=True)
-    assert not schubert_member(((1, 0),), e, a1, opposite=True)
-    assert schubert_member(((1, 0),), s1, a1, opposite=True)
-
-
-def test_fixed_point_membership_matches_bruhat_sl3(a2):
-    wg = weyl_group(a2)
-    sub = Subword("A", 2)
-    words = [[], [1], [2], [1, 2], [2, 1], [1, 2, 1]]
-    fins = [wg.finite_from_word(word) for word in words]
-    for u, w in itertools.product(fins, repeat=2):
-        member = schubert_member(fixed_point_coords(u, a2), w, a2)
-        expected = sub.bruhat_le(sub.of(wg.affine_from_finite(w)),
-                                 sub.of(wg.affine_from_finite(u)))
-        assert member == expected
-
-
-def test_malformed_coordinates_rejected(a2):
-    wg = weyl_group(a2)
-    with pytest.raises(QuasimapError):
-        schubert_member(((1, 0),), wg.finite_from_word([]), a2)
-    with pytest.raises(QuasimapError):
-        schubert_member(((0, 0, 0), (0, 0, 0)), wg.finite_from_word([]), a2)
-
-
-def test_evaluation_lands_in_expected_stratum(a1):
-    wg = weyl_group(a1)
-    s1 = wg.finite_from_word([1])
-    # (z, z^2) saturates to (1, z), whose value at 0 is the s1 fixed point
-    data = DPData.make(1, (((0, 1), (0, 0, 1)),), (2,))
-    assert schubert_member(evaluate(data), s1, a1)
-
-
-# ---------------------------------------------------------------------------
 # dimensions
 # ---------------------------------------------------------------------------
 
@@ -272,11 +213,21 @@ def test_cross_formula_identity(a1, a2):
                     assert dim_richardson(datum, v, w) == expected
 
 
-def test_dim_parabolic_examples(a1, a2):
+def test_dim_parabolic_examples(a1, a2, a3):
     wg1, wg2 = weyl_group(a1), weyl_group(a2)
     for d in (0, 1, 2, 3):
         assert dim_parabolic(a1, (), (d,), wg1.finite_from_word([])) == 1 + 2 * d
-    assert dim_parabolic(a2, (1, 2), (0, 0), wg2.finite_from_word([])) == 0
+    for beta in itertools.product(range(2), repeat=2):
+        assert dim_parabolic(a2, (1, 2), beta, wg2.finite_from_word([])) == 0
+    # proper parabolics: outside span{alpha_1} lie alpha_2 and alpha_1 +
+    # alpha_2, so 2 rho_J = (0, 3); w0 beta = (0, -1) pairs with it to -3,
+    # and the dimension is 2 + 3 - l(e)
+    assert dim_parabolic(a2, (1,), (1, 0), wg2.finite_from_word([])) == 5
+    assert dim_parabolic(a2, (1,), (0, 1), wg2.finite_from_word([])) == 2
+    wg3 = weyl_group(a3)
+    assert dim_parabolic(a3, (2,), (1, 0, 1), wg3.finite_from_word([])) == 11
+    with pytest.raises(RootDataError):
+        dim_parabolic(a2, (3,), (0, 0), wg2.finite_from_word([]))
     # full-flag parabolic formula agrees with the Richardson calculator
     so = si_order(a2)
     for beta in itertools.product(range(2), repeat=2):

@@ -104,17 +104,6 @@ def test_theta_is_highest(datum):
         assert all(c <= t for c, t in zip(rt.coords, theta.coords))
 
 
-def test_parabolic_data_a2(a2):
-    basis, two_rho, gens = a2.parabolic_data(set())
-    assert two_rho == (2, 2) and basis == (1, 2) and gens == ()
-    basis, two_rho, gens = a2.parabolic_data({1, 2})
-    assert basis == () and two_rho == (0, 0)
-    basis, two_rho, gens = a2.parabolic_data({1})
-    # positive roots outside span{alpha_1}: alpha_2 and alpha_1 + alpha_2
-    assert two_rho == (0, 3)
-    assert basis == (2,) and gens == (1,)
-
-
 def test_invalid_cartan_rejected():
     with pytest.raises(RootDataError):
         CartanMatrix(((2, -1), (0, 2)))  # asymmetric zero pattern
