@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library.
 
 Exit codes: 0 success, 2 usage/validation error, 3 a failed cross-check
 (with a machine-readable error object on stdout).  Results are
@@ -7,24 +7,20 @@ deterministic for a fixed command line and code version; the cache
 never changes the bytes written to stdout ("cached" status goes to stderr).
 
 Each subcommand is a compute function ``(datum, **options) -> payload``
-registered with ``job``.  Its options are typed click parameters, parsed and
-checked against the root datum of ``--type``/``--rank`` before anything is
-computed; ``job`` owns the cache key, the cache and the exit codes.
-
-Each compute function imports the modules it calls, so that a process loads
-only what its subcommand runs.
+registered with ``job`` with a table of its options: a parse function
+``parse(datum, text)`` and a default text, or REQUIRED, for each.  ``run``
+collects the text of every option first, an option's value always being
+the next token (so ``--window -2:2`` works), builds the root datum of
+``--type``/``--rank``, then parses each option against it.  ``run`` owns
+the cache key, the cache and the exit codes.  Each compute function
+imports the modules it calls, so a process loads only what it runs.
 """
-
-from __future__ import annotations
 
 import json
 import sys
 
-import click
-
 from . import cache as cachemod
-from .errors import (CharacterError, InconsistencyError, QuasimapError,
-                     RootDataError)
+from .errors import CharacterError, InconsistencyError, QuasimapError, RootDataError
 from .rootdata import root_datum
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -36,37 +32,31 @@ COMPUTATION_ERRORS = (InconsistencyError,)
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError) + USAGE_ERRORS
 
 
-# ---------------------------------------------------------------------------
-# typed options
-# ---------------------------------------------------------------------------
-
-def datum_of(ctx):
-    """The root datum of --type and --rank, which are eager, so parsed first."""
-    try:
-        return root_datum(ctx.params["kind"], ctx.params["rank"])
-    except RootDataError as exc:
-        raise click.UsageError(str(exc), ctx)
+class UsageError(Exception):
+    """A command line that cannot run; it exits 2, as USAGE_ERRORS do."""
 
 
-class Parsed(click.ParamType):
-    """Option text read by parse(datum, text); any parse error exits 2."""
+# --- option parsers: parse(datum, text) -> value ---
 
-    name = "text"
-
-    def __init__(self, parse):
-        self.parse = parse
-
-    def convert(self, value, param, ctx):
-        if not isinstance(value, str):
-            return value
-        datum = datum_of(ctx)
-        try:
-            return self.parse(datum, value)
-        except PARSE_ERRORS as exc:
-            self.fail(str(exc), param, ctx)
+def _int(datum, text):
+    return int(text)
 
 
-def _ints(text):
+def _positive(datum, text):
+    if int(text) < 1:
+        raise ValueError(f"{text} is smaller than the minimum 1")
+    return int(text)
+
+
+def _choice(*values):
+    def parse(datum, text):
+        if text not in values:
+            raise ValueError(f"{text!r} is not one of {', '.join(values)}")
+        return text
+    return parse
+
+
+def _ints(datum, text):
     """Comma-separated integers, every letter nonempty; blank text is ()."""
     return tuple(int(t) for t in text.split(",")) if text.strip() else ()
 
@@ -90,8 +80,7 @@ def _window(datum, text):
 
 # pieri and char gweyl build every qbar-degree from 0 up to hi, so their cost
 # follows hi, not the width: cold on 2 cores (Python 3.11.7), the A1
-# lambda = 3 table takes 4.1 s and 177 MB at 0:400, and 28.9 s and 657 MB
-# at 0:800
+# lambda = 3 table takes 2.6 s and 184 MB peak RSS at 0:400
 MAX_WINDOW_HI = 400
 
 
@@ -107,9 +96,7 @@ def _dp(datum, text):
     from .quasimap import DPData
     dp = DPData.from_json(json.loads(text))
     if datum.cartan != root_datum("A", dp.rank).cartan:
-        raise QuasimapError(
-            f"data of rank {dp.rank} needs --type A --rank {dp.rank}"
-        )
+        raise QuasimapError(f"data of rank {dp.rank} needs --type A --rank {dp.rank}")
     return dp
 
 
@@ -118,47 +105,52 @@ def _dp_file(datum, path):
         return _dp(datum, fh.read())
 
 
-# an affine element u_word@beta; a weight or coweight; a window lo:hi, and
-# one built from degree 0; a finite element by its word ('e' for the
-# identity); a list of indices
-ELEMENT = Parsed(lambda datum, text: weyl_group(datum).parse(text))
-VECTOR = Parsed(_vector)
-WINDOW = Parsed(_window)
-BUILT_WINDOW = Parsed(_built_window)
-WORD = Parsed(lambda datum, text: weyl_group(datum).finite_from_word(
-    () if text.strip() == "e" else _ints(text)))
-INTS = Parsed(lambda datum, text: _ints(text))
+def _one_source(data, data_file):
+    """The DPData of --data or --data-file, exactly one of which is given."""
+    if (data is None) == (data_file is None):
+        raise QuasimapError("provide exactly one of --data / --data-file")
+    return data or data_file
 
 
-def _one_source(ctx, param, value):
-    """--data and --data-file: the second of the two to be parsed checks
-    that exactly one of them was given."""
-    other = "data_file" if param.name == "data" else "data"
-    if other in ctx.params and (value is None) == (ctx.params[other] is None):
-        raise click.UsageError("provide exactly one of --data / --data-file", ctx)
-    return value
+def _element(datum, text):
+    return weyl_group(datum).parse(text)
 
 
-def data_options(f):
-    f = click.option("--data-file", type=Parsed(_dp_file), callback=_one_source,
-                     help="path to a DPData JSON file")(f)
-    return click.option("--data", type=Parsed(_dp), callback=_one_source,
-                        help="DPData as inline JSON")(f)
+def _word(datum, text):
+    """A finite element by its word, 'e' for the identity."""
+    return weyl_group(datum).finite_from_word(
+        () if text.strip() == "e" else _ints(datum, text))
 
 
-COMMON_OPTIONS = (
-    click.option("--type", "kind", default="A", show_default=True,
-                 is_eager=True, help="Cartan type letter"),
-    click.option("--rank", type=int, required=True, is_eager=True),
-    click.option("--output", type=click.Choice(["json", "csv", "pretty"]),
-                 default="json", show_default=True),
-    click.option("--no-cache", is_flag=True, default=False),
-)
+REQUIRED = object()
+# the options of every subcommand; --no-cache, a flag, takes no value
+COMMON = {"--type": (lambda datum, text: text, "A"),
+          "--rank": (_int, REQUIRED),
+          "--output": (_choice("json", "csv", "pretty"), "json")}
+DATA = {"--data": (_dp, None), "--data-file": (_dp_file, None)}
+# parsed, then passed to no compute function and kept out of the cache key
+IGNORED = {"--depth"}
 
 
-# ---------------------------------------------------------------------------
-# the job runner
-# ---------------------------------------------------------------------------
+# --- the job runner ---
+
+# "group name" or "name" -> (compute, option table, csv_rows)
+COMMANDS = {}
+GROUPS = {"order": "Semi-infinite Bruhat order queries.", "char": "Graded characters.",
+          "qmap": "Drinfeld-Pluecker data operations.", "dim": "Dimension calculators."}
+
+
+def job(command, options, csv_rows=None):
+    """Register compute(datum, **options) -> payload as the subcommand
+    `command`, with options {flag: (parse, default text or REQUIRED)}.  The
+    cache key holds those not IGNORED; csv_rows(payload, datum) gives the
+    (header, rows) of --output csv, which commands without it reject."""
+    def register(compute):
+        COMMANDS[command] = (compute, options, csv_rows)
+        return compute
+
+    return register
+
 
 def _key(datum, value):
     """The JSON form of one parsed option in the cache key."""
@@ -171,54 +163,115 @@ def _key(datum, value):
     return value
 
 
-def job(group, name, csv_rows=None):
-    """Register compute(datum, **options) -> payload as the subcommand `name`
-    of `group`, with the click options declared under this decorator.
+def _collect(command, args):
+    """Stage one: {flag: raw text} and --no-cache; --help prints and exits."""
+    flags = COMMON.keys() | COMMANDS[command][1].keys()
+    raw, no_cache, rest = {}, False, iter(args)
+    for token in rest:
+        if token == "--help":
+            _help(command)
+        elif token == "--no-cache":
+            no_cache = True
+        elif token in flags:
+            raw[token] = next(rest, None)
+            if raw[token] is None:
+                raise UsageError(f"Option '{token}' requires an argument.")
+        else:
+            raise UsageError(f"No such option: {token}" if token.startswith("-")
+                             else f"Got unexpected extra argument ({token})")
+    return raw, no_cache
 
-    The cache key holds every option; csv_rows(payload, datum) gives the
-    (header, rows) of --output csv, which commands without it reject.
-    """
-    command = name if group is main else f"{group.name}.{name}"
 
-    def register(compute):
-        def run(kind, rank, output, no_cache, **options):
-            if output == "csv" and csv_rows is None:
-                raise click.UsageError("csv output is not available for this command")
-            datum = datum_of(click.get_current_context())
-            key = cachemod.cache_key(command, datum.cartan.entries,
-                                     {k: _key(datum, v) for k, v in options.items()})
-            payload = None if no_cache else cachemod.load(key)
-            if payload is not None:
-                print("cached: true", file=sys.stderr)
-            else:
-                try:
-                    payload = compute(datum, **options)
-                except COMPUTATION_ERRORS as exc:
-                    click.echo(json.dumps(
-                        {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                        sort_keys=True,
-                    ))
-                    sys.exit(3)
-                except USAGE_ERRORS as exc:
-                    raise click.UsageError(str(exc))
-                if not no_cache:
-                    cachemod.store(key, payload)
-            if output == "csv":
-                header, rows = csv_rows(payload, datum)
-                for row in (header, *rows):
-                    click.echo(",".join(str(x) for x in row))
-            else:
-                indent = 2 if output == "pretty" else None
-                click.echo(json.dumps(payload, sort_keys=True, indent=indent,
-                                      separators=None if indent else (",", ":")))
+def _parse(table, raw, datum):
+    """Stage two: {flag: value}, each option parsed against the datum."""
+    values = {}
+    for flag, (parse, default) in table.items():
+        text = raw.get(flag, default)
+        if text is REQUIRED:
+            raise UsageError(f"Missing option '{flag}'.")
+        try:
+            values[flag] = None if text is None else parse(datum, text)
+        except PARSE_ERRORS as exc:
+            raise UsageError(f"Invalid value for '{flag}': {exc}")
+    return values
 
-        run.__click_params__ = list(getattr(compute, "__click_params__", ()))
-        for option in COMMON_OPTIONS:
-            run = option(run)
-        group.command(name)(run)
-        return compute
 
-    return register
+def run(command, args):
+    """Parse args for the subcommand, then compute, cache and print."""
+    compute, table, csv_rows = COMMANDS[command]
+    raw, no_cache = _collect(command, args)
+    common = _parse(COMMON, raw, None)
+    datum = root_datum(common["--type"], common["--rank"])
+    options = {flag[2:].replace("-", "_"): value
+               for flag, value in _parse(table, raw, datum).items()
+               if flag not in IGNORED}
+    output = common["--output"]
+    if output == "csv" and csv_rows is None:
+        raise UsageError("csv output is not available for this command")
+    key = cachemod.cache_key(command.replace(" ", "."), datum.cartan.entries,
+                             {k: _key(datum, v) for k, v in options.items()})
+    payload = None if no_cache else cachemod.load(key)
+    if payload is not None:
+        print("cached: true", file=sys.stderr)
+    else:
+        try:
+            payload = compute(datum, **options)
+        except COMPUTATION_ERRORS as exc:
+            print(json.dumps({"error": {"type": type(exc).__name__,
+                                        "message": str(exc)}}, sort_keys=True))
+            sys.exit(3)
+        if not no_cache:
+            cachemod.store(key, payload)
+    if output == "csv":
+        header, rows = csv_rows(payload, datum)
+        for row in (header, *rows):
+            print(",".join(str(x) for x in row))
+    else:
+        indent = 2 if output == "pretty" else None
+        print(json.dumps(payload, sort_keys=True, indent=indent,
+                         separators=None if indent else (",", ":")))
+
+
+def _help(command):
+    """Print what may follow `silc command`, one line each; exit 0."""
+    if command in COMMANDS:
+        compute, table, _ = COMMANDS[command]
+        doc, lines = compute.__doc__, {
+            flag: "required" if default is REQUIRED else f"default {default!r}"
+            for flag, (_, default) in {**table, **COMMON}.items()}
+        lines.update({"--no-cache": "", "--help": ""})
+    else:
+        doc, lines = GROUPS.get(command, main.__doc__), {} if command else dict(GROUPS)
+        lines.update((c.split()[-1], COMMANDS[c][0].__doc__) for c in COMMANDS
+                     if c.rpartition(" ")[0] == command)
+    print(f"Usage: {f'silc {command}'.strip()} ...\n\n{doc}\n")
+    for word, line in lines.items():
+        print(f"  {word:<16}{line}".rstrip())
+    sys.exit(0)
+
+
+def main(argv=None):
+    """Exact invariants of semi-infinite flag varieties."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    words = args[:2 if args and args[0] in GROUPS else 1]
+    command = " ".join(words)
+    try:
+        if "--help" in words:
+            _help(" ".join(words[:words.index("--help")]))
+        if command not in COMMANDS:
+            raise UsageError("Missing command." if command in ("", *GROUPS)
+                             else f"No such command '{command}'.")
+        run(command, args[len(words):])
+    except (UsageError, *USAGE_ERRORS) as exc:
+        prog = f"silc {command}" if command in (*COMMANDS, *GROUPS) else "silc"
+        print(f"Usage: {prog} [OPTIONS]\nTry '{prog} --help' for help.\n\n"
+              f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+# the two attributes through which click.testing.CliRunner invokes a command
+main.name = "silc"
+main.main = lambda args=None, prog_name=None: main(args)
 
 
 def _char_csv(payload, datum):
@@ -227,33 +280,18 @@ def _char_csv(payload, datum):
              for t in payload["terms"]])
 
 
-@click.group()
-def main():
-    """Exact invariants of semi-infinite flag varieties."""
+# --- order ---
 
-
-# ---------------------------------------------------------------------------
-# order
-# ---------------------------------------------------------------------------
-
-@main.group()
-def order():
-    """Semi-infinite Bruhat order queries."""
-
-
-@job(order, "le")
-@click.option("--w", type=ELEMENT, required=True)
-@click.option("--v", type=ELEMENT, required=True)
+@job("order le", {"--w": (_element, REQUIRED), "--v": (_element, REQUIRED)})
 def order_le(datum, w, v):
+    """Whether w <= v in the semi-infinite Bruhat order."""
     from .semiinf import si_order
     return {"result": si_order(datum).si_le(w, v)}
 
 
-@job(order, "covers")
-@click.option("--v", type=ELEMENT, required=True)
-@click.option("--height-bound", type=click.IntRange(min=1), default=2,
-              show_default=True)
+@job("order covers", {"--v": (_element, REQUIRED), "--height-bound": (_positive, "2")})
 def order_covers(datum, v, height_bound):
+    """The elements one step below v (every cover, at any --height-bound >= 1)."""
     from .semiinf import si_order
     wg = weyl_group(datum)
     covers = si_order(datum).si_covers_below(v, height_bound)
@@ -268,11 +306,10 @@ def _interval_csv(payload, datum):
             [(e["element"], e["si_length"]) for e in payload["elements"]])
 
 
-@job(order, "interval", _interval_csv)
-@click.option("--v", type=ELEMENT, required=True)
-@click.option("--w", type=ELEMENT, required=True)
-@click.option("--radius", type=int, default=2, show_default=True)
+@job("order interval", {"--v": (_element, REQUIRED), "--w": (_element, REQUIRED),
+                        "--radius": (_int, "2")}, _interval_csv)
 def order_interval(datum, v, w, radius):
+    """Every element between v and w (--radius is echoed, changes nothing)."""
     from .semiinf import si_order
     wg, so = weyl_group(datum), si_order(datum)
     return {"radius": radius,
@@ -280,47 +317,33 @@ def order_interval(datum, v, w, radius):
                          for x in so.si_interval(v, w, radius)]}
 
 
-# ---------------------------------------------------------------------------
-# characters
-# ---------------------------------------------------------------------------
+# --- characters ---
 
-@main.group()
-def char():
-    """Graded characters."""
-
-
-@job(char, "weyl", _char_csv)
-@click.option("--lam", type=VECTOR, required=True)
+@job("char weyl", {"--lam": (_vector, REQUIRED)}, _char_csv)
 def char_weyl(datum, lam):
+    """The Weyl character of the dominant weight --lam."""
     from .charring import weyl_character
     return weyl_character(datum, lam).to_json()
 
 
-@job(char, "gweyl", _char_csv)
-@click.option("--w", type=ELEMENT, required=True)
-@click.option("--lam", type=VECTOR, required=True)
-@click.option("--window", type=BUILT_WINDOW, required=True)
+@job("char gweyl", {"--w": (_element, REQUIRED), "--lam": (_vector, REQUIRED),
+                    "--window": (_built_window, REQUIRED)}, _char_csv)
 def char_gweyl(datum, w, lam, window):
+    """The graded character of the global Weyl module of --lam at --w."""
     from .pieri import gch_global_weyl
     return gch_global_weyl(datum, w, lam, window).to_json()
 
 
-@job(char, "demazure", _char_csv)
-@click.option("--word", type=INTS, required=True,
-              help="comma-separated indices in {0,...,rank}")
-@click.option("--lam", type=VECTOR, required=True, help="starting weight e^lam")
-@click.option("--q", type=int, default=0, show_default=True,
-              help="starting q-power")
-@click.option("--window", type=WINDOW, required=True)
+@job("char demazure", {"--word": (_ints, REQUIRED), "--lam": (_vector, REQUIRED),
+                       "--q": (_int, "0"), "--window": (_window, REQUIRED)}, _char_csv)
 def char_demazure(datum, word, lam, q, window):
+    """Demazure operators along --word (indices in 0..rank) on q^--q e^--lam."""
     from .charring import GradedCharacter, demazure_word
     f = GradedCharacter.monomial(q, lam, 1, window)
     return demazure_word(datum, word, f).to_json()
 
 
-# ---------------------------------------------------------------------------
-# twist coefficients and section dimensions
-# ---------------------------------------------------------------------------
+# --- twist coefficients and section dimensions ---
 
 def _pieri_csv(payload, datum):
     wg = weyl_group(datum)
@@ -330,24 +353,19 @@ def _pieri_csv(payload, datum):
              for entry in payload["coeffs"] for t in entry["a"]["terms"]])
 
 
-@job(main, "pieri", _pieri_csv)
-@click.option("--w", type=ELEMENT, required=True)
-@click.option("--lam", type=VECTOR, required=True)
-@click.option("--window", type=BUILT_WINDOW, required=True)
-@click.option("--depth", type=int, default=3, expose_value=False,
-              help="accepted, changes nothing (and is not in the cache key)")
+@job("pieri", {"--w": (_element, REQUIRED), "--lam": (_vector, REQUIRED),
+               "--window": (_built_window, REQUIRED), "--depth": (_int, "3")},
+     _pieri_csv)
 def pieri_cmd(datum, w, lam, window):
+    """The twist coefficients of --lam at --w on --window (--depth: no effect)."""
     from .pieri import compute_pieri
     return compute_pieri(datum, w, lam, window).to_json(weyl_group(datum))
 
 
-@job(main, "h0")
-@click.option("--v", type=ELEMENT, required=True)
-@click.option("--w", type=ELEMENT, required=True)
-@click.option("--lam", type=VECTOR, required=True)
-@click.option("--window", type=WINDOW, default=None,
-              help="qbar-window for the reported character (default: full)")
+@job("h0", {"--v": (_element, REQUIRED), "--w": (_element, REQUIRED),
+            "--lam": (_vector, REQUIRED), "--window": (_window, None)})
 def h0_cmd(datum, v, w, lam, window):
+    """The dimension of sections of --lam on [--v, --w], and their --window."""
     from .pieri import smt_character
     full = smt_character(datum, v, w, lam)
     payload = {"dim": full.total()}
@@ -356,58 +374,40 @@ def h0_cmd(datum, v, w, lam, window):
     return payload
 
 
-# ---------------------------------------------------------------------------
-# quasi-maps
-# ---------------------------------------------------------------------------
+# --- quasi-maps: DPData as inline JSON (--data) or a JSON file (--data-file) ---
 
-@main.group()
-def qmap():
-    """Drinfeld-Pluecker data operations."""
-
-
-@job(qmap, "validate")
-@data_options
+@job("qmap validate", DATA)
 def qmap_validate(datum, data, data_file):
+    """Whether the data is valid, with its degree beta."""
     from .quasimap import validate_dp
     try:
-        beta = validate_dp(data or data_file)
+        beta = validate_dp(_one_source(data, data_file))
     except QuasimapError as exc:
         return {"valid": False, "reason": str(exc)}
     return {"valid": True, "beta": list(beta)}
 
 
-@job(qmap, "defect")
-@data_options
+@job("qmap defect", DATA)
 def qmap_defect(datum, data, data_file):
+    """The defect divisor of the data."""
     from .quasimap import defect_divisor
-    dp = data or data_file
-    div = defect_divisor(dp)
+    div = defect_divisor(_one_source(data, data_file))
     return {**div.to_json(), "total": list(div.total())}
 
 
-@job(qmap, "eval")
-@data_options
-@click.option("--at", type=click.Choice(["0", "inf"]), default="0",
-              show_default=True)
+@job("qmap eval", {**DATA, "--at": (_choice("0", "inf"), "0")})
 def qmap_eval(datum, data, data_file, at):
+    """The data evaluated at 0 or at infinity."""
     from .quasimap import evaluate
-    coords = evaluate(data or data_file, at_infinity=(at == "inf"))
+    coords = evaluate(_one_source(data, data_file), at_infinity=(at == "inf"))
     return {"at": at, "coords": [[str(c) for c in vec] for vec in coords]}
 
 
-# ---------------------------------------------------------------------------
-# dimensions
-# ---------------------------------------------------------------------------
+# --- dimensions ---
 
-@main.group()
-def dim():
-    """Dimension calculators."""
-
-
-@job(dim, "richardson")
-@click.option("--v", type=ELEMENT, required=True)
-@click.option("--w", type=ELEMENT, required=True)
+@job("dim richardson", {"--v": (_element, REQUIRED), "--w": (_element, REQUIRED)})
 def dim_richardson_cmd(datum, v, w):
+    """The dimension of the Richardson variety [--v, --w], or empty."""
     from .quasimap import EmptyRichardsonError, dim_richardson
     try:
         return {"empty": False, "dim": dim_richardson(datum, v, w)}
@@ -415,11 +415,10 @@ def dim_richardson_cmd(datum, v, w):
         return {"empty": True}
 
 
-@job(dim, "parabolic")
-@click.option("--j", type=INTS, default="", help="comma-separated subset of I")
-@click.option("--beta", type=VECTOR, required=True)
-@click.option("--w", type=WORD, required=True, help="finite word, e.g. '1,2' or 'e'")
+@job("dim parabolic", {"--j": (_ints, ""), "--beta": (_vector, REQUIRED),
+                       "--w": (_word, REQUIRED)})
 def dim_parabolic_cmd(datum, j, beta, w):
+    """The parabolic quasi-map dimension at --beta, for J = --j and --w ('e')."""
     from .quasimap import dim_parabolic
     return {"dim": dim_parabolic(datum, j, beta, w)}
 

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from jobspecs import JOBSPECS
 
 from silc import pieri
-from silc.cli import main
+from silc.cli import COMMANDS, COMMON, main
 
 
 @pytest.fixture()
@@ -314,8 +314,8 @@ def test_zero_twist_global_weyl_outside_type_a(runner):
     assert json.loads(res.stdout)["terms"] == [{"q": 0, "wt": [0, 0], "c": 1}]
 
 
-# every subcommand: a valid A1 argv, and the options appended to it (click
-# keeps the last value of a repeated option) that make it malformed, of a
+# every subcommand: a valid A1 argv, and the options appended to it (the
+# parser keeps the last value of a repeated option) that make it malformed, of a
 # non-A type, out of range, or inverted (a reversed window or pair)
 CONTRACT = {
     "order le": (["--rank", "1", "--w", "1@0", "--v", "e@0"], {
@@ -398,6 +398,56 @@ def test_every_subcommand_keeps_the_exit_code_contract(runner, args):
         assert "error" in json.loads(res.stdout)
 
 
+ORDER_LE = ["order", "le", "--rank", "1", "--w", "1@0"]
+
+
+@pytest.mark.parametrize("args", [
+    ORDER_LE + ["--v", "e@0", "--bogus", "1"],
+    ORDER_LE + ["--v"],
+    ORDER_LE,
+    ORDER_LE + ["--v", "e@0", "extra"],
+    ["order", "bogus", "--rank", "1"],
+    ["bogus"],
+    ["order"],
+    [],
+], ids=["unknown-option", "option-without-value", "missing-required",
+        "stray-positional", "unknown-subcommand", "unknown-command", "bare-group",
+        "bare-silc"])
+def test_parser_usage_errors(runner, args):
+    """Every command line the parser refuses exits 2, with a message on
+    stderr, nothing on stdout and no traceback."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == "" and "Error: " in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_an_option_value_may_start_with_a_dash(runner):
+    """An option's value is the next token, so a negative weight reaches the
+    library, which refuses it as not dominant."""
+    res = runner.invoke(main, ["char", "weyl", "--rank", "2", "--lam", "-1,0"])
+    assert res.exit_code == 2, res.output
+    assert "weight (-1, 0) is not dominant" in res.stderr
+    res = invoke(runner, ["char", "demazure", "--rank", "1", "--word", "1,0",
+                          "--lam", "1", "--window", "-2:2", "--no-cache"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["window"] == [-2, 2]
+
+
+@pytest.mark.parametrize("args,listed", [
+    ([], ["order", "char", "qmap", "dim", "pieri", "h0"]),
+    (["order"], ["le", "covers", "interval"]),
+    (["order", "covers"], ["--v", "--height-bound", "--rank", "--no-cache"]),
+    (["pieri", "--rank", "1"], ["--w", "--window", "--depth"]),
+], ids=["silc", "group", "leaf", "leaf-after-options"])
+def test_help_exits_0(runner, args, listed):
+    res = invoke(runner, args + ["--help"])
+    assert res.exit_code == 0, res.output
+    words = {line.split()[0] for line in res.stdout.splitlines() if line.startswith("  ")}
+    assert set(listed) <= words, res.stdout
+
+
 def test_dim_parabolic_error_names_the_word(runner):
     res = runner.invoke(main, ["dim", "parabolic", "--rank", "2", "--beta",
                                "0,0", "--w", "1", "--j", "1", "--no-cache"])
@@ -455,9 +505,9 @@ GROUP_MODULES = {
 
 @pytest.mark.parametrize("group", list(GROUP_MODULES))
 def test_each_golden_job_imports_only_its_modules(tmp_path, group):
-    """In a fresh interpreter, `import silc.cli` loads no compute module, and
-    the group's golden jobs print their goldens, load only the group's
-    modules and never import sympy."""
+    """In a fresh interpreter without site-packages, `import silc.cli` loads
+    no compute module, and the group's golden jobs print their goldens, load
+    only the group's modules and never import sympy."""
     tests = Path(__file__).resolve().parent
     code = (
         "import json, sys\n"
@@ -467,12 +517,12 @@ def test_each_golden_job_imports_only_its_modules(tmp_path, group):
         "    return sorted(m for m in sys.modules if m.startswith('silc.'))\n"
         "at_import = loaded()\n"
         "for name in sys.argv[1:]:\n"
-        "    main(dict(JOBSPECS)[name] + ['--no-cache'], standalone_mode=False)\n"
+        "    main(dict(JOBSPECS)[name] + ['--no-cache'])\n"
         "print(json.dumps([at_import, loaded(), 'sympy' in sys.modules]))\n"
     )
     names = [name for name, _ in JOBSPECS if name.split("_")[0] == group]
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    res = subprocess.run([sys.executable, "-c", code, *names], cwd=tmp_path,
+    res = subprocess.run([sys.executable, "-S", "-c", code, *names], cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -489,12 +539,12 @@ def test_each_golden_job_imports_only_its_modules(tmp_path, group):
 
 @pytest.mark.parametrize("module,absent", [
     ("silc.pieri", ["dataclasses", "inspect", "fractions"]),
-    ("silc.cli", ["dataclasses", "fractions"]),  # click imports inspect itself
+    ("silc.cli", ["dataclasses", "inspect", "fractions", "click"]),
 ])
 def test_the_compute_path_imports_neither_dataclasses_nor_fractions(module, absent):
-    """Records are NamedTuples and rootdata works in integers, so a fresh
-    interpreter pays for neither module (inspect, which dataclasses loads,
-    costs about 6 ms)."""
+    """Records are NamedTuples, rootdata works in integers and the CLI
+    parses its options itself, so a fresh interpreter pays for none of these
+    modules (inspect, which dataclasses and click load, costs about 6 ms)."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = f"import sys, {module}\nprint(*[m for m in {absent!r} if m in sys.modules])"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -595,10 +645,7 @@ UNKEYED = {"pieri": {"--depth"}}
 
 @pytest.mark.parametrize("cmd", list(CONTRACT))
 def test_cache_key_includes_parameters(runner, tmp_path, cmd):
-    command = main
-    for word in cmd.split():
-        command = command.commands[word]
-    options = {opt for p in command.params for opt in p.opts}
+    options = set(COMMON) | set(COMMANDS[cmd][1]) | {"--no-cache"}
     shared = {"--type", "--rank", "--output", "--no-cache", "--data-file"}
     assert options - shared == {extra[0] for extra in VARIED[cmd]}
     base = CONTRACT[cmd][0]
