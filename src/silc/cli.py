@@ -9,18 +9,22 @@ never changes the bytes written to stdout ("cached" status goes to stderr).
 Each subcommand is a compute function ``(datum, **options) -> payload``
 registered with ``job`` with a table of its options: a parse function
 ``parse(datum, text)`` and a default text, or REQUIRED, for each.  ``run``
-collects the text of every option first, an option's value always being
-the next token (so ``--window -2:2`` works), builds the root datum of
-``--type``/``--rank``, then parses each option against it.  ``run`` owns
-the cache key, the cache and the exit codes.  Each compute function
-imports the modules it calls, so a process loads only what it runs.
+collects the text of every option first, an option's value being the
+next token (so ``--window -2:2`` works) or the text after ``--flag=``,
+builds the root datum of ``--type``/``--rank``, then parses each option
+against it.  ``run`` owns the cache key, the cache and the exit codes.
+Each compute function imports the modules it calls, so a process loads
+only what it runs.
 """
+
+from __future__ import annotations
 
 import json
 import sys
 
 from . import cache as cachemod
-from .errors import CharacterError, InconsistencyError, QuasimapError, RootDataError
+from .errors import (CharacterError, InconsistencyError, QuasimapError,
+                     RootDataError)
 from .rootdata import root_datum
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -36,7 +40,9 @@ class UsageError(Exception):
     """A command line that cannot run; it exits 2, as USAGE_ERRORS do."""
 
 
-# --- option parsers: parse(datum, text) -> value ---
+# ---------------------------------------------------------------------------
+# option parsers: parse(datum, text) -> value
+# ---------------------------------------------------------------------------
 
 def _int(datum, text):
     return int(text)
@@ -96,20 +102,15 @@ def _dp(datum, text):
     from .quasimap import DPData
     dp = DPData.from_json(json.loads(text))
     if datum.cartan != root_datum("A", dp.rank).cartan:
-        raise QuasimapError(f"data of rank {dp.rank} needs --type A --rank {dp.rank}")
+        raise QuasimapError(
+            f"data of rank {dp.rank} needs --type A --rank {dp.rank}"
+        )
     return dp
 
 
 def _dp_file(datum, path):
     with open(path, "r", encoding="utf-8") as fh:
         return _dp(datum, fh.read())
-
-
-def _one_source(data, data_file):
-    """The DPData of --data or --data-file, exactly one of which is given."""
-    if (data is None) == (data_file is None):
-        raise QuasimapError("provide exactly one of --data / --data-file")
-    return data or data_file
 
 
 def _element(datum, text):
@@ -132,7 +133,9 @@ DATA = {"--data": (_dp, None), "--data-file": (_dp_file, None)}
 IGNORED = {"--depth"}
 
 
-# --- the job runner ---
+# ---------------------------------------------------------------------------
+# the job runner
+# ---------------------------------------------------------------------------
 
 # "group name" or "name" -> (compute, option table, csv_rows)
 COMMANDS = {}
@@ -168,14 +171,15 @@ def _collect(command, args):
     flags = COMMON.keys() | COMMANDS[command][1].keys()
     raw, no_cache, rest = {}, False, iter(args)
     for token in rest:
+        flag, eq, value = token.partition("=")  # --flag=value or --flag value
         if token == "--help":
             _help(command)
         elif token == "--no-cache":
             no_cache = True
-        elif token in flags:
-            raw[token] = next(rest, None)
-            if raw[token] is None:
-                raise UsageError(f"Option '{token}' requires an argument.")
+        elif flag in flags:
+            raw[flag] = value if eq else next(rest, None)
+            if raw[flag] is None:
+                raise UsageError(f"Option '{flag}' requires an argument.")
         else:
             raise UsageError(f"No such option: {token}" if token.startswith("-")
                              else f"Got unexpected extra argument ({token})")
@@ -200,6 +204,8 @@ def run(command, args):
     """Parse args for the subcommand, then compute, cache and print."""
     compute, table, csv_rows = COMMANDS[command]
     raw, no_cache = _collect(command, args)
+    if DATA.keys() <= table.keys() and len(DATA.keys() & raw.keys()) != 1:
+        raise UsageError("provide exactly one of --data / --data-file")
     common = _parse(COMMON, raw, None)
     datum = root_datum(common["--type"], common["--rank"])
     options = {flag[2:].replace("-", "_"): value
@@ -280,7 +286,9 @@ def _char_csv(payload, datum):
              for t in payload["terms"]])
 
 
-# --- order ---
+# ---------------------------------------------------------------------------
+# order
+# ---------------------------------------------------------------------------
 
 @job("order le", {"--w": (_element, REQUIRED), "--v": (_element, REQUIRED)})
 def order_le(datum, w, v):
@@ -317,7 +325,9 @@ def order_interval(datum, v, w, radius):
                          for x in so.si_interval(v, w, radius)]}
 
 
-# --- characters ---
+# ---------------------------------------------------------------------------
+# characters
+# ---------------------------------------------------------------------------
 
 @job("char weyl", {"--lam": (_vector, REQUIRED)}, _char_csv)
 def char_weyl(datum, lam):
@@ -343,7 +353,9 @@ def char_demazure(datum, word, lam, q, window):
     return demazure_word(datum, word, f).to_json()
 
 
-# --- twist coefficients and section dimensions ---
+# ---------------------------------------------------------------------------
+# twist coefficients and section dimensions
+# ---------------------------------------------------------------------------
 
 def _pieri_csv(payload, datum):
     wg = weyl_group(datum)
@@ -374,14 +386,16 @@ def h0_cmd(datum, v, w, lam, window):
     return payload
 
 
-# --- quasi-maps: DPData as inline JSON (--data) or a JSON file (--data-file) ---
+# ---------------------------------------------------------------------------
+# quasi-maps: DPData as inline JSON (--data) or a JSON file (--data-file)
+# ---------------------------------------------------------------------------
 
 @job("qmap validate", DATA)
 def qmap_validate(datum, data, data_file):
     """Whether the data is valid, with its degree beta."""
     from .quasimap import validate_dp
     try:
-        beta = validate_dp(_one_source(data, data_file))
+        beta = validate_dp(data or data_file)
     except QuasimapError as exc:
         return {"valid": False, "reason": str(exc)}
     return {"valid": True, "beta": list(beta)}
@@ -391,7 +405,7 @@ def qmap_validate(datum, data, data_file):
 def qmap_defect(datum, data, data_file):
     """The defect divisor of the data."""
     from .quasimap import defect_divisor
-    div = defect_divisor(_one_source(data, data_file))
+    div = defect_divisor(data or data_file)
     return {**div.to_json(), "total": list(div.total())}
 
 
@@ -399,11 +413,13 @@ def qmap_defect(datum, data, data_file):
 def qmap_eval(datum, data, data_file, at):
     """The data evaluated at 0 or at infinity."""
     from .quasimap import evaluate
-    coords = evaluate(_one_source(data, data_file), at_infinity=(at == "inf"))
+    coords = evaluate(data or data_file, at_infinity=(at == "inf"))
     return {"at": at, "coords": [[str(c) for c in vec] for vec in coords]}
 
 
-# --- dimensions ---
+# ---------------------------------------------------------------------------
+# dimensions
+# ---------------------------------------------------------------------------
 
 @job("dim richardson", {"--v": (_element, REQUIRED), "--w": (_element, REQUIRED)})
 def dim_richardson_cmd(datum, v, w):

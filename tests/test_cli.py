@@ -435,6 +435,34 @@ def test_an_option_value_may_start_with_a_dash(runner):
     assert json.loads(res.stdout)["window"] == [-2, 2]
 
 
+@pytest.mark.parametrize("cmd", ["validate", "defect", "eval"])
+def test_qmap_takes_exactly_one_data_source(runner, tmp_path, cmd):
+    """Neither or both of --data / --data-file is a usage error, refused
+    before the cache or the library sees the command line."""
+    path = tmp_path / "dp.json"
+    path.write_text(DP_A1)
+    base = ["qmap", cmd, "--rank", "1"]
+    for extra in ([], ["--data", DP_A1, "--data-file", str(path)]):
+        res = runner.invoke(main, base + extra)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert "provide exactly one of --data / --data-file" in res.stderr
+    assert not (tmp_path / "cache").exists()
+    assert invoke(runner, base + ["--data-file", str(path)]).stdout == \
+        invoke(runner, base + ["--data", DP_A1, "--no-cache"]).stdout
+
+
+def test_an_option_value_may_follow_an_equals_sign(runner):
+    args = ["char", "demazure", "--rank", "1", "--word", "1,0", "--lam", "1",
+            "--window", "-2:2", "--no-cache"]
+    res = invoke(runner, ["char", "demazure", "--rank=1", "--word=1,0", "--lam", "1",
+                          "--window=-2:2", "--no-cache"])
+    assert res.exit_code == 0 and res.stdout == invoke(runner, args).stdout
+    res = runner.invoke(main, ["order", "le", "--rank=1", "--w=1@0", "--v=e@0=", "--no-cache"])
+    assert res.exit_code == 2 and "Invalid value for '--v'" in res.stderr
+
+
 @pytest.mark.parametrize("args,listed", [
     ([], ["order", "char", "qmap", "dim", "pieri", "h0"]),
     (["order"], ["le", "covers", "interval"]),
