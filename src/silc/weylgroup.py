@@ -44,14 +44,15 @@ class FiniteWeylElement:
     from perm only when read: by key(), and so by every sort order, and by
     act_root and act_coweight.
 
-    In other types perm is None and the element is its matrices:
-    root_mat: action on the simple-root basis (columns = images of alpha_j).
-    coweight_mat: action on the simple-coroot basis.
-    Such elements are made in inverse pairs, since (xy)^{-1} = y^{-1} x^{-1}
-    and reflections are involutions: no matrix is inverted.  A product
-    x*s_beta with a reflection on the right is a rank-one update of x and
-    x^{-1}; one s_beta*x on the left is made as (x^{-1}*s_beta)^{-1}, the
-    same update, in place of four r x r matrix products.
+    In other types perm is None and the element stores one matrix,
+    root_mat, its action on the simple-root basis (columns = images of
+    alpha_j); a product with a reflection on either side is a rank-one
+    update of it.  The rest is derived when first read, then kept:
+    - coweight_mat, the action on the simple-coroot basis: u(alpha_j^vee)
+      = u(alpha_j) / d_j, d the symmetrizer, so its entry (i, j) is
+      root_mat's times d_i / d_j;
+    - the inverse, for act_weight and WeylGroup.compose: the simple
+      reflections of a reduced word, reversed.  Left descents need none.
 
     The length, the number of positive roots sent to negative ones, is
     counted when first asked for.
@@ -60,30 +61,31 @@ class FiniteWeylElement:
     __slots__ = ("_group", "perm", "_root_mat", "_coweight_mat", "_length",
                  "_inverse", "_products", "_reflection")
 
-    def __init__(self, group: "WeylGroup", root_mat=None, coweight_mat=None,
-                 perm=None):
+    def __init__(self, group: "WeylGroup", root_mat=None, perm=None):
         self._group = group
         self.perm = perm
         self._root_mat = root_mat
-        self._coweight_mat = coweight_mat
+        self._coweight_mat = None
         self._length = None
-        # made on demand for a permutation, paired by WeylGroup._intern otherwise
-        self._inverse = self if perm is None else None
+        self._inverse = None
         self._products = {}
-        # (beta, <alpha_j, beta^vee>_j, beta^vee, <beta, alpha_j^vee>_j)
-        # when this is the reflection s_beta of a matrix element, set by
-        # reflection_by_root
+        # (beta, <beta^vee, alpha_j>_j) when this is the reflection s_beta
+        # of a matrix element, set by reflection_by_root
         self._reflection = None
 
     @property
     def root_mat(self):
         if self._root_mat is None:
-            self._root_mat = self._coweight_mat = _perm_matrix(self.perm)
+            self._root_mat = _perm_matrix(self.perm)
         return self._root_mat
 
     @property
     def coweight_mat(self):
-        return self.root_mat if self._coweight_mat is None else self._coweight_mat
+        if self._coweight_mat is None:
+            rm, d = self.root_mat, self._group._symmetrizer
+            self._coweight_mat = rm if self.perm is not None else tuple(
+                tuple(x * di // dj for x, dj in zip(row, d)) for row, di in zip(rm, d))
+        return self._coweight_mat
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         got = self._products.get(other)
@@ -91,30 +93,23 @@ class FiniteWeylElement:
             if self.perm is not None:
                 got = self._group._intern_perm(
                     tuple(map(self.perm.__getitem__, other.perm)))
-            elif self._reflection is not None and other._reflection is None:
-                got = (other._inverse * self)._inverse
             else:
-                got = self._group._intern(*self._matrix_product(other))
+                got = self._group._intern(self._matrix_product(other))
             self._products[other] = got
         return got
 
     def _matrix_product(self, other):
-        """(root_mat, coweight_mat, inverse matrices) of self * other."""
-        xi, yi = self._inverse, other._inverse
-        if other._reflection is None:
-            return (mat_mul(self._root_mat, other._root_mat),
-                    mat_mul(self._coweight_mat, other._coweight_mat),
-                    (mat_mul(yi._root_mat, xi._root_mat),
-                     mat_mul(yi._coweight_mat, xi._coweight_mat)))
-        # s_beta = 1 - beta <., beta^vee>, so x s_beta and its inverse
-        # s_beta x^{-1} are rank-one updates of x, x^{-1}
-        b, c, bv, wt = other._reflection
-        rm, cm = self._root_mat, self._coweight_mat
-        return (_minus_outer(rm, mat_vec(rm, b), c),
-                _minus_outer(cm, mat_vec(cm, bv), wt),
-                (_minus_outer(xi._root_mat, b, mat_vec(tuple(zip(*xi._root_mat)), c)),
-                 _minus_outer(xi._coweight_mat, bv,
-                              mat_vec(tuple(zip(*xi._coweight_mat)), wt))))
+        """The root matrix of self * other."""
+        # s_beta = 1 - beta <., beta^vee>, so x s_beta = x - x(beta) <., beta^vee>
+        # and s_beta x = x - beta <x(.), beta^vee>
+        x, y = self._root_mat, other._root_mat
+        if other._reflection is not None:
+            b, c = other._reflection
+            return _minus_outer(x, mat_vec(x, b), c)
+        if self._reflection is not None:
+            b, c = self._reflection
+            return _minus_outer(y, b, mat_vec(tuple(zip(*y)), c))
+        return mat_mul(x, y)
 
     def length(self) -> int:
         if self._length is None:
@@ -132,10 +127,15 @@ class FiniteWeylElement:
     def inverse(self) -> "FiniteWeylElement":
         inv = self._inverse
         if inv is None:
-            q = [0] * len(self.perm)
-            for k, x in enumerate(self.perm):
-                q[x] = k
-            inv = self._group._intern_perm(tuple(q))
+            wg = self._group
+            if self.perm is None:
+                # u = s_i1 ... s_ik, so u^{-1} = s_ik ... s_i1
+                inv = wg.finite_from_word(wg.reduced_word_finite(self)[::-1])
+            else:
+                q = [0] * len(self.perm)
+                for k, x in enumerate(self.perm):
+                    q[x] = k
+                inv = wg._intern_perm(tuple(q))
             self._inverse, inv._inverse = inv, self
         return inv
 
@@ -149,7 +149,7 @@ class FiniteWeylElement:
         if self.perm is None:
             # <alpha_i^vee, u lam> = <u^{-1} alpha_i^vee, lam>
             return tuple(vec_dot(col, lam)
-                         for col in zip(*self._inverse._coweight_mat))
+                         for col in zip(*self.inverse().coweight_mat))
         # varpi_i = eps_0 + ... + eps_{i-1}, so lam has eps-coordinate
         # lam_k + ... + lam_{r-1} at k, which u moves to perm[k]; adjacent
         # differences return to weight coordinates
@@ -203,14 +203,16 @@ class WeylGroup:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         r = datum.rank
-        # positive roots in root coordinates
+        # positive roots in root coordinates, and their sum 2 rho
         self._pos_roots = tuple(rt.coords for rt in datum.positive_roots())
+        self._two_rho = tuple(map(sum, zip(*self._pos_roots)))
+        self._symmetrizer = tuple(datum.cartan.symmetrizer())
         self._elements = {}
         ident = mat_identity(r)
         if is_type_a(datum):
             self.id_finite = self._intern_perm(tuple(range(r + 1)))
         else:
-            self.id_finite = self._intern(ident, ident)
+            self.id_finite = self._intern(ident)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
         self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
 
@@ -223,16 +225,11 @@ class WeylGroup:
             got = self._elements[perm] = FiniteWeylElement(self, perm=perm)
         return got
 
-    def _intern(self, root_mat, coweight_mat, inverse_mats=None) -> FiniteWeylElement:
-        """The element with this root matrix, outside type A.  A new one is
-        paired with its inverse, given as (root_mat, coweight_mat), or None
-        for an involution."""
+    def _intern(self, root_mat) -> FiniteWeylElement:
+        """The element with this root matrix, outside type A."""
         got = self._elements.get(root_mat)
         if got is None:
-            got = self._elements[root_mat] = FiniteWeylElement(self, root_mat, coweight_mat)
-            if inverse_mats is not None and inverse_mats[0] != root_mat:
-                inv = self._elements[inverse_mats[0]] = FiniteWeylElement(self, *inverse_mats)
-                got._inverse, inv._inverse = inv, got
+            got = self._elements[root_mat] = FiniteWeylElement(self, root_mat)
         return got
 
     def finite_from_word(self, word) -> FiniteWeylElement:
@@ -260,22 +257,12 @@ class WeylGroup:
             i, j = support[0], support[-1] + 1
             perm[i], perm[j] = j, i
             return self._intern_perm(tuple(perm))
-        wt = d.root_to_weight(root.coords)
-        root_cols = []
-        coweight_cols = []
-        pairings = []
-        for j in range(r):
-            rc = [int(j == k) for k in range(r)]
-            p = root.coroot  # <gamma^vee, alpha_j>
-            pj = sum(p[k] * d.cartan.entries[k][j] for k in range(r))
-            pairings.append(pj)
-            rc = tuple(rc[k] - pj * root.coords[k] for k in range(r))
-            root_cols.append(rc)
-            cc = [int(j == k) for k in range(r)]
-            cc = tuple(cc[k] - wt[j] * root.coroot[k] for k in range(r))
-            coweight_cols.append(cc)
-        got = self._intern(tuple(zip(*root_cols)), tuple(zip(*coweight_cols)))
-        got._reflection = (tuple(root.coords), tuple(pairings), tuple(root.coroot), wt)
+        # s_gamma = 1 - gamma <., gamma^vee>, with <gamma^vee, alpha_j> =
+        # sum_k gamma^vee_k a[k][j]
+        b = tuple(root.coords)
+        c = tuple(vec_dot(root.coroot, col) for col in zip(*d.cartan.entries))
+        got = self._intern(_minus_outer(mat_identity(r), b, c))
+        got._reflection = (b, c)
         return got
 
     def _build_w0(self):
@@ -327,11 +314,13 @@ class WeylGroup:
     def _left_descents(self, u: FiniteWeylElement):
         """For i = 1..r, whether l(s_i u) < l(u), i.e. u^{-1} alpha_i < 0:
         in type A, the permutation of u^{-1} descends at place i-1;
-        otherwise column i of the root matrix of u^{-1} is <= 0."""
-        inv = u.inverse()
-        if inv.perm is not None:
+        otherwise <alpha_i^vee, u(2 rho)> = <u^{-1} alpha_i^vee, 2 rho> < 0,
+        which needs no inverse."""
+        if u.perm is not None:
+            inv = u.inverse()
             return list(map(gt, inv.perm, inv.perm[1:]))
-        return [all(c <= 0 for c in col) for col in zip(*inv._root_mat)]
+        return [p < 0 for p in mat_vec(self.datum.cartan.entries,
+                                       mat_vec(u._root_mat, self._two_rho))]
 
     def reduced_word_finite(self, u: FiniteWeylElement):
         """Lexicographically smallest reduced word: peel the smallest left

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import matrixref
 from subword import Subword
@@ -261,6 +262,42 @@ def test_si_interval_is_complete_a1(so_a1):
     wg = so.wg
     chain = so.si_interval(wg.element([1], (6,)), wg.identity, 1)
     assert [so.si_length(x) for x in chain] == list(range(14))
+
+
+@pytest.fixture(scope="module")
+def rank_2_oracles():
+    """{kind: (order, subword oracle, finite elements)} for A2, B2 and G2,
+    made outside the drawn examples, since Subword raises the recursion
+    limit."""
+    out = {}
+    for kind in "ABG":
+        so, sub = si_order(root_datum(kind, 2)), Subword(kind, 2)
+        out[kind] = (so, sub, finite_elements(so.wg, sub))
+    return out
+
+
+@seed(28)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_si_interval_matches_oracle_on_drawn_pairs(rank_2_oracles, data):
+    """si_interval(v, w) on drawn A2, B2 and G2 pairs, w with translation in
+    [-1, 1]^2 and beta_v - beta_w in [0, 2]^2, is exactly the list, by
+    si-length and key, of the box elements u with v <=_si u <=_si w by the
+    subword oracle.  Every such u has beta_w <= beta_u <= beta_v, since
+    wt(x => y) >= 0, so the box of those translations holds them all; an
+    incomparable pair has none."""
+    so, sub, finite = rank_2_oracles[data.draw(st.sampled_from("ABG"))]
+    pick = st.sampled_from(range(len(finite)))
+    beta_w = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=2, max_size=2)))
+    gap = data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=2))
+    w = AffineWeylElement(finite[data.draw(pick)], beta_w)
+    v = AffineWeylElement(finite[data.draw(pick)], tuple(map(sum, zip(beta_w, gap))))
+    ranges = [range(a, b + 1) for a, b in zip(w.translation, v.translation)]
+    between = [x for beta in itertools.product(*ranges) for u in finite
+               for x in [AffineWeylElement(u, beta)]
+               if sub.si_le(v, x) and sub.si_le(x, w)]
+    between.sort(key=lambda x: (so.si_length(x), x.key()))
+    assert so.si_interval(v, w) == between, (so.wg.format(v), so.wg.format(w))
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "G"])

@@ -403,9 +403,10 @@ def _all_finite(wg):
 
 @pytest.mark.parametrize("kind,rank", ALL_TYPES + [("C", 3)])
 def test_products_by_reflections_match_matrix_products(kind, rank):
-    """u * s_beta is a rank-one update of u's matrices, and its inverse one
-    of u's inverse's.  On a fresh group built by every reflection, so that
-    elements are first made that way, both equal the matrix products."""
+    """u * s_beta is a rank-one update of u's root matrix, and the
+    coweight matrix and inverse derived from it are those of the product.
+    On a fresh group built by every reflection, so that elements are first
+    made that way, both matrices equal the matrix products."""
     wg = WeylGroup(root_datum(kind, rank))
     reflections = [wg.reflection_by_root(beta) for beta in wg.datum.positive_roots()]
     ident = mat_identity(rank)
@@ -431,10 +432,11 @@ def test_products_by_reflections_match_matrix_products(kind, rank):
     ("B", 2, None), ("B", 3, None), ("C", 3, None), ("G", 2, None),
     ("F", 4, 200), ("E", 6, 200)])
 def test_reflections_on_either_side_match_the_matrix_formulas(kind, rank, sample):
-    """s_beta * x, made as (x^{-1} * s_beta)^{-1}, and x * s_beta equal the
-    products of matrixref's matrices along words, for every reflection and
-    every element (B2, B3, C3, G2) or 200 seeded ones (F4, E6) of a fresh
-    group; and the inverse of s_beta * x is x^{-1} * s_beta."""
+    """s_beta * x and x * s_beta, each a rank-one update of x's root
+    matrix, equal the products of matrixref's matrices along words, for
+    every reflection and every element (B2, B3, C3, G2) or 200 seeded ones
+    (F4, E6) of a fresh group; and the inverse of s_beta * x, derived from
+    a reduced word, is x^{-1} * s_beta."""
     wg = WeylGroup(root_datum(kind, rank))
     if sample is None:
         elements = matrixref.all_elements(wg)
@@ -494,18 +496,28 @@ def _smallest_reduced_word(ref, root_mat):
     return word
 
 
+# seeded sample sizes; every element of the other groups is checked
+_SAMPLED = {("A", 7): 200, ("F", 4): 150, ("E", 6): 150}
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
-                                       ("A", 7), ("B", 2), ("G", 2)])
+                                       ("A", 7), ("B", 2), ("G", 2), ("C", 3),
+                                       ("D", 4), ("F", 4), ("E", 6)])
 def test_elements_follow_the_matrix_formulas(kind, rank):
     """Products, inverses, lengths, the three actions, key() and reduced
     words equal those of the matrices made along a word: every element of
-    A1-A4, and 200 seeded elements of A7.  B2 and G2, which keep their
-    matrices, check the reference itself."""
+    A1-A4, B2, G2, C3 and D4, and seeded elements of A7, F4 and E6.  In
+    type A the element is its permutation; elsewhere it is its root matrix,
+    and its coweight matrix, inverse, weight action and left descents are
+    derived from that one matrix."""
     wg = weyl_group(root_datum(kind, rank))
-    if rank == 7:
-        elements = matrixref.sampled_elements(wg, 200, 40, seed=7)
-    else:
+    sample = _SAMPLED.get((kind, rank))
+    if sample is None:
         elements = matrixref.all_elements(wg)
+    elif kind == "A":
+        elements = matrixref.sampled_elements(wg, sample, 40, seed=7)
+    else:
+        elements = matrixref.distinct_elements(wg, sample, seed=rank)
     ref = matrixref.Matrices(wg.datum)
     assert (wg.id_finite.perm is not None) == (kind == "A")
     ident = mat_identity(rank)
