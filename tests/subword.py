@@ -5,8 +5,6 @@ affine Weyl group as affine maps on the coweight lattice, reduced words by
 peeling left descents, and the subword property of the Bruhat order.
 """
 
-import sys
-
 import oracle
 
 # w <=_si v iff w t_B <= v t_B in the Bruhat order, for B = -DEPTH * 2rho^vee
@@ -23,8 +21,6 @@ class Subword(oracle.AffineWeyl):
         self.deep = self.translation(
             tuple(-DEPTH * c for c in self.rs.two_rho_coweight))
         self._products, self._lengths, self._searches = {}, {}, {}
-        # the search recurses once per letter of a reduced word
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
 
     def mul(self, x, y):
         got = self._products.get((x, y))
@@ -57,20 +53,44 @@ class Subword(oracle.AffineWeyl):
             got = self._searches[y] = (self.reduced_word(y), {})
         word, memo = got
 
-        def match(i, z, lz):
+        def settled(i, z, lz):
+            """Whether z, of length lz, lies below the product of word[i:],
+            or None while that still needs a search."""
             if lz == 0:
                 return True
             if len(word) - i < lz:
                 return False
-            res = memo.get((i, z))
-            if res is None:
-                sz = self.mul(self.simple[word[i]], z)
-                res = ((self.length(sz) < lz and match(i + 1, sz, lz - 1))
-                       or match(i + 1, z, lz))
-                memo[(i, z)] = res
-            return res
+            return memo.get((i, z))
 
-        return match(0, x, self.length(x))
+        # the recursion "peel word[i] off z if it is a left descent and
+        # match the rest, else skip word[i]", on an explicit stack: a frame
+        # [i, z, lz, stage] has tried nothing (stage 0), waits for the peeled
+        # branch (1) or for the skipped one (2); answer is what the last
+        # frame to finish found
+        lx = self.length(x)
+        answer = settled(0, x, lx)
+        stack = [] if answer is not None else [[0, x, lx, 0]]
+        while stack:
+            top = stack[-1]
+            i, z, lz, stage = top
+            if stage == 0:
+                sz = self.mul(self.simple[word[i]], z)
+                answer = False
+                if self.length(sz) < lz:
+                    answer = settled(i + 1, sz, lz - 1)
+                    if answer is None:
+                        top[3] = 1
+                        stack.append([i + 1, sz, lz - 1, 0])
+                        continue
+            if stage < 2 and not answer:
+                answer = settled(i + 1, z, lz)
+                if answer is None:
+                    top[3] = 2
+                    stack.append([i + 1, z, lz, 0])
+                    continue
+            memo[(i, z)] = answer
+            stack.pop()
+        return answer
 
     def si_le(self, w, v):
         """w <=_si v for silc elements w and v."""

@@ -173,11 +173,14 @@ def test_a4_fundamental_table_runs_in_a_small_address_space(tmp_path):
 
 @pytest.mark.parametrize("rank", [-1, 0, 17])
 def test_rank_out_of_range_usage_error(runner, rank):
+    """A rank outside 1..16 exits 2 with one Error line and no traceback."""
     lam = ",".join(["1"] + ["0"] * (rank - 1))
     res = invoke(runner, ["char", "weyl", "--rank", str(rank), "--lam", lam])
     assert res.exit_code == 2
-    if rank > 0:
-        assert "maximum 16" in res.output
+    assert res.stdout == "" and "Traceback" not in res.output
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, res.stderr
+    assert ("maximum 16" if rank > 0 else "minimum 1") in errors[0]
 
 
 def test_csv_output(runner):

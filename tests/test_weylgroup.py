@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,6 +364,19 @@ def test_bruhat_examples_a1(wg_a1):
     assert not sub.bruhat_le(sub.simple[0], sub.of(wg.element([1], (0,))))
     x = sub.of(wg.element([1], (2,)))
     assert sub.bruhat_le(x, x)
+
+
+def test_subword_oracle_leaves_the_recursion_limit_alone():
+    """A query 3,000 letters deep, three times CPython's default recursion
+    limit, is answered without recursing and without raising that limit."""
+    limit = sys.getrecursionlimit()
+    sub = Subword("A", 1)
+    y = sub.translation((-1500,))
+    assert len(sub.reduced_word(y)) == 3000
+    assert sub.bruhat_le(y, y)
+    assert sub.bruhat_le(sub.translation((-1499,)), y)
+    assert not sub.bruhat_le(sub.translation((1500,)), y)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_bruhat_partial_order_a2(wg_a2):
