@@ -48,6 +48,10 @@ class EmptyRichardsonError(QuasimapError):
 
 
 def _to_fraction(x) -> Fraction:
+    if isinstance(x, str) and "e" in x.lower():
+        # refused before Fraction parses it: "1e1000000000" is a
+        # billion-digit integer
+        raise QuasimapError(f"coefficient {x!r} is in exponent notation")
     if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)

@@ -16,13 +16,12 @@ formed to find the edges: with sigma the permutation of u
 places k, i < k < j, with sigma(k) between sigma(i) and sigma(j).  Then
 u -> u*s_alpha is a Bruhat edge iff sigma(i) < sigma(j) and b = 0, and a
 quantum edge iff sigma(i) > sigma(j) and b = j - i - 1 (Brenti-Fomin-
-Postnikov; Postnikov, arXiv:math/0410147); the edges above u are the same
-with the comparisons of sigma(i) and sigma(j) turned round.  Only the y of
-the edges found are formed.  Other types find the edges by the lengths of
-all u*s_alpha, and the tests check the type A rule against those lengths,
-computed with matrices.  Each way builds its table of positive roots (the
-reflections s_alpha, or the places i, j of each alpha) on first use, and a
-type A element builds its root matrix only when a sort by key() reads it.
+Postnikov; Postnikov, arXiv:math/0410147).  Only the y of the edges found
+are formed.  Other types find the edges by the lengths of all u*s_alpha,
+and the tests check the type A rule against those lengths, computed with
+matrices.  Each way builds its table of positive roots (the reflections
+s_alpha, or the places i, j of each alpha) on first use, and a type A
+element builds its root matrix only when a sort by key() reads it.
 
 A QBG path weighs the sum of the coroots of its quantum edges.  All
 shortest paths from v to w weigh the same, wt(v => w), and every other
@@ -68,16 +67,15 @@ class SemiInfiniteOrder:
     elements, because the covers below u*t_beta and the shape of everything
     below it do not depend on beta (right translation equivariance):
 
-    - ``_finite_covers``: (finite part u, up) -> the edges below (above,
-      with up) every u*t_beta, as (positive root alpha, u*s_alpha,
-      translation shift).  At most 2|W| keys; an entry holds at most one
-      edge per positive root.
+    - ``_finite_covers``: finite part u -> the edges below every u*t_beta,
+      as (positive root alpha, u*s_alpha, translation shift).  At most |W|
+      keys; an entry holds at most one edge per positive root.
     - ``_nearest``: (finite part u, weight lam) -> the element nearest to
       u*t_0 in each coset of the stabilizer of lam.  At most |W| keys for
       each weight asked; the library asks only fundamental weights, so at
       most rank*|W| in all.  An entry holds |W lam| elements.
-    - ``_weights``: finite part w -> ({v: wt(v => w)}, queue) of the search
-      up from w.  At most |W| keys, each with at most |W| weights.
+    - ``_weights``: finite part v -> ({w: wt(v => w)}, queue) of the search
+      down from v.  At most |W| keys, each with at most |W| weights.
     """
 
     def __init__(self, wg: WeylGroup):
@@ -99,46 +97,44 @@ class SemiInfiniteOrder:
 
     # -- covers --------------------------------------------------------------
 
-    def _covers_of_finite(self, u, up=False):
+    def _covers_of_finite(self, u):
         """(positive root alpha, y = u*s_alpha, translation shift) for each
         edge below u*t_beta: the shift is 0 on a Bruhat edge and alpha^vee on
-        a quantum edge.  With up, each edge from some y*t_{beta - shift} down
-        to u*t_beta instead: the length conditions with their signs swapped.
+        a quantum edge.
 
-        The edges do not depend on beta, so they are computed once per (u, up),
-        in the order of the positive roots.  In type A they are read off the
+        The edges do not depend on beta, so they are computed once per u, in
+        the order of the positive roots.  In type A they are read off the
         permutation of u (module docstring), and only their y are formed.
         """
-        got = self._finite_covers.get((u, up))
+        got = self._finite_covers.get(u)
         if got is None:
             if u.perm is None:
-                got = self._covers_by_length(u, up)
+                got = self._covers_by_length(u)
             else:
-                got = self._covers_by_permutation(u, up)
-            self._finite_covers[(u, up)] = got
+                got = self._covers_by_permutation(u)
+            self._finite_covers[u] = got
         return got
 
-    def _covers_by_length(self, u, up):
+    def _covers_by_length(self, u):
         """The edges of u, from the lengths of u*s_alpha for every alpha."""
         wg = self.wg
         if self._reflections is None:
             self._reflections = tuple(
                 (alpha, wg.reflection_by_root(alpha))
                 for alpha in self.datum.positive_roots())
-        sign = -1 if up else 1
         lu = wg.length_finite(u)
         zero = (0,) * self.datum.rank
         got = []
         for alpha, s_alpha in self._reflections:
             y = u * s_alpha
-            step = sign * (wg.length_finite(y) - lu)
+            step = wg.length_finite(y) - lu
             if step == 1:
                 got.append((alpha, y, zero))
             elif step == 1 - 2 * sum(alpha.coroot):
                 got.append((alpha, y, alpha.coroot))
         return got
 
-    def _covers_by_permutation(self, u, up):
+    def _covers_by_permutation(self, u):
         """The edges of a type A element u, from its permutation sigma: for
         each i, scan j > i, keeping the least value above sigma(i) and, while
         every value so far is below sigma(i), the least value."""
@@ -149,15 +145,13 @@ class SemiInfiniteOrder:
                 ones = [k for k, c in enumerate(alpha.coords) if c]
                 self._roots_by_places[(ones[0], ones[-1] + 1)] = alpha
         perm = u.perm
-        # with up, every comparison of values turns round
-        sigma = [-x for x in perm] if up else perm
-        n = len(sigma)
+        n = len(perm)
         edges = []  # (height, -i, i, j, quantum), sorting as the roots do
-        for i, a in enumerate(sigma):
+        for i, a in enumerate(perm):
             above = None    # least sigma(k) > a, i < k < j
             least = a       # least sigma(k), i < k < j, while all are below a
             for j in range(i + 1, n):
-                b = sigma[j]
+                b = perm[j]
                 if b > a:
                     if above is None or b < above:
                         edges.append((j - i, -i, i, j, False))
@@ -253,19 +247,19 @@ class SemiInfiniteOrder:
     # -- order ---------------------------------------------------------------
 
     def _weight(self, v, w):
-        """wt(v => w), by a breadth-first search up from w (its first path to v
-        is a shortest one), kept per w and taken only as far as v."""
-        search = self._weights.get(w)
+        """wt(v => w), by a breadth-first search down from v (its first path to
+        w is a shortest one), kept per v and taken only as far as w."""
+        search = self._weights.get(v)
         if search is None:
-            search = self._weights[w] = ({w: (0,) * self.datum.rank}, deque([w]))
+            search = self._weights[v] = ({v: (0,) * self.datum.rank}, deque([v]))
         got, queue = search
-        while v not in got:
+        while w not in got:
             y = queue.popleft()
-            for _, x, shift in self._covers_of_finite(y, up=True):
+            for _, x, shift in self._covers_of_finite(y):
                 if x not in got:
                     got[x] = vec_add(got[y], shift)
                     queue.append(x)
-        return got[v]
+        return got[w]
 
     def si_le(self, w: AffineWeylElement, v: AffineWeylElement) -> bool:
         """True iff w <=_si v (w deeper or equal), by the module's criterion."""

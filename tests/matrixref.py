@@ -79,17 +79,16 @@ class Matrices:
         return tuple(tuple(int(k == j) - alpha.coords[k] * pairing[j] for j in range(r))
                      for k in range(r))
 
-    def covers(self, root_mat, up=False):
+    def covers(self, root_mat):
         """(alpha, root matrix of u*s_alpha, shift) for each edge of the
-        quantum Bruhat graph below u (above u, with up), by the lengths of
-        the products: the reference for SemiInfiniteOrder._covers_of_finite."""
-        sign = -1 if up else 1
+        quantum Bruhat graph below u, by the lengths of the products: the
+        reference for SemiInfiniteOrder._covers_of_finite."""
         lu = self.length(root_mat)
         zero = (0,) * self.datum.rank
         out = []
         for alpha, s_alpha in self.reflections:
             y = mat_mul(root_mat, s_alpha)
-            step = sign * (self.length(y) - lu)
+            step = self.length(y) - lu
             if step == 1:
                 out.append((alpha, y, zero))
             elif step == 1 - 2 * sum(alpha.coroot):

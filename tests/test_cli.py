@@ -293,14 +293,15 @@ DP_WEIGHT_2 = json.dumps({"rank": 1, "degrees": [0], "components": [
     *[["qmap", "eval", "--rank", "1", "--data", json.dumps(
         {**json.loads(DP_A1), "components": [{"weight": 1, "polys": polys}]})]
       for polys in ([["1"], "01"], [[True], ["1"]], [["0"], [False, True]],
-                    [["1/0"], ["1"]])],
+                    [["1/0"], ["1"]], [["1e5000"], ["1"]], [["1e-5000"], ["1"]])],
 ], ids=["gweyl-B2", "h0-B2", "pieri-B2", "height-bound-0", "parabolic-index",
         "parabolic-descent", "qmap-data-list", "qmap-weight-2", "qmap-float",
         "empty-translation", "qmap-type-G", "qmap-rank-2", "qmap-degree-float",
         "qmap-degree-string", "qmap-degree-bool", "qmap-weight-twice",
         "element-empty-letter", "word-empty-letter", "qmap-poly-string",
         "qmap-coefficient-true", "qmap-coefficient-bools",
-        "qmap-coefficient-zero-denominator"])
+        "qmap-coefficient-zero-denominator", "qmap-coefficient-exponent",
+        "qmap-coefficient-negative-exponent"])
 def test_library_input_errors_are_usage_errors(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output

@@ -1,6 +1,7 @@
 """Twist-coefficient tables and Richardson section characters."""
 
 import gc
+import itertools
 import random
 import time
 
@@ -8,6 +9,7 @@ import loopmodel
 import loopref
 import oracle
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from jobspecs import JOBSPECS
 from loopref import rho_height, verified_pieri, verify_table
 from qlayer import q_layer
@@ -525,6 +527,52 @@ def test_richardson_formula_matches_loop_model(rank, pairs, top):
         assert got == loopref.richardson_character(datum, v, w, lam), (
             wg.format(v), wg.format(w), lam)
         done += 1
+
+
+def _twists(rank):
+    """Zero and every strictly dominant weight of A_rank with coordinates
+    summing to at most 3."""
+    return [lam for lam in itertools.product(range(4), repeat=rank)
+            if sum(lam) <= 3 and (all(lam) or not any(lam))]
+
+
+@seed(30)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_richardson_formula_matches_loop_model_on_drawn_intervals(data):
+    """smt_character equals the loop model on drawn type A intervals [v, w]
+    of rank 1-3: w with translation in [-1, 1]^r, v any element below w
+    with translation at most one above w's, and lam from _twists.
+    smt_character asks si_le whether v <= w and again at every step along
+    a ray, so this also draws the order's weight searches."""
+    rank = data.draw(st.integers(1, 3))
+    datum = root_datum("A", rank)
+    wg, so = weyl_group(datum), si_order(datum)
+    beta = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)))
+    w = wg.element(data.draw(st.sampled_from(_finite_words(rank))), beta)
+    below = sorted((x for level in so.down_set(w, tuple(b + 1 for b in beta))
+                    for x in level), key=lambda x: (so.si_length(x), x.key()))
+    v = data.draw(st.sampled_from(below))
+    lam = data.draw(st.sampled_from(_twists(rank)))
+    got = smt_character(datum, v, w, lam)
+    assert got == loopref.richardson_character(datum, v, w, lam), (
+        wg.format(v), wg.format(w), lam)
+
+
+@seed(31)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_drawn_tables_satisfy_the_product_identity(data):
+    """verified_pieri passes on drawn A1 and A2 bases w with translation in
+    [-1, 1]^r, lam from _twists and windows within [0, 4)."""
+    rank = data.draw(st.integers(1, 2))
+    datum = root_datum("A", rank)
+    beta = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)))
+    w = weyl_group(datum).element(data.draw(st.sampled_from(_finite_words(rank))), beta)
+    lam = data.draw(st.sampled_from(_twists(rank)))
+    lo = data.draw(st.integers(0, 3))
+    window = (lo, data.draw(st.integers(lo + 1, 4)))
+    verified_pieri(datum, w, lam, window)
 
 
 @pytest.mark.parametrize("v_text,lam,dim", [

@@ -146,6 +146,21 @@ def test_path_weights_exceed_the_shortest_by_positive_coroots(kind, rank, order)
     assert all(len(got) == order for got, _ in so._weights.values())
 
 
+@pytest.mark.parametrize("word_w,word_v,want", [([1, 3, 4], [], True),
+                                                ([], [1, 3, 4], False)],
+                         ids=["134-below-e", "e-not-below-134"])
+def test_weight_search_near_e_stays_small_in_e8(word_w, word_v, want):
+    """The search for wt(v => w) walks down from v and stops at w.  An
+    element near e has few quantum Bruhat edges going out (and many coming
+    in), so for these E8 pairs it meets 152 and 215 elements, not a
+    sizeable part of W."""
+    wg = weyl_group(root_datum("E", 8))
+    so = SemiInfiniteOrder(wg)
+    zero = (0,) * 8
+    assert so.si_le(wg.element(word_w, zero), wg.element(word_v, zero)) is want
+    assert sum(len(got) for got, _ in so._weights.values()) <= 1000
+
+
 def test_translation_equivariance(so_a1):
     so = so_a1
     wg = so.wg
@@ -405,9 +420,9 @@ def test_weight_is_read_off_the_coset_walk(kind, rank):
 def test_covers_of_finite_follow_the_lengths_of_matrix_products(kind, rank):
     """The edges read off a permutation are those that the lengths of the
     matrix products u*s_alpha give, in the same root order and with the same
-    shifts, below and above every element of A1-A5 and 200 seeded elements
-    of A7.  B2 and G2, which find their edges by those lengths, check the
-    reference itself."""
+    shifts, below every element of A1-A5 and 200 seeded elements of A7.  B2
+    and G2, which find their edges by those lengths, check the reference
+    itself."""
     so = SemiInfiniteOrder(weyl_group(root_datum(kind, rank)))
     if rank == 7:
         elements = matrixref.sampled_elements(so.wg, 200, 40, seed=7)
@@ -416,10 +431,9 @@ def test_covers_of_finite_follow_the_lengths_of_matrix_products(kind, rank):
     ref = matrixref.Matrices(so.datum)
     edges = 0
     for u, (root_mat, _, _) in elements.items():
-        for up in (False, True):
-            got = [(alpha, y.root_mat, shift)
-                   for alpha, y, shift in so._covers_of_finite(u, up)]
-            assert got == ref.covers(root_mat, up), (so.wg.reduced_word_finite(u), up)
-            edges += len(got)
+        got = [(alpha, y.root_mat, shift)
+               for alpha, y, shift in so._covers_of_finite(u)]
+        assert got == ref.covers(root_mat), so.wg.reduced_word_finite(u)
+        edges += len(got)
     if (kind, rank) == ("A", 5):
-        assert (len(elements), edges) == (720, 12528)
+        assert (len(elements), edges) == (720, 6264)
