@@ -4,25 +4,28 @@ saturated evaluation, and dimension calculators.
 Polynomial components are stored with exact rational coefficients in fixed
 weight bases: SL2 {e1, e2}; SL3 V(w1) = {e1, e2, e3} and V(w2) = {e1^e2,
 e1^e3, e2^e3} with the contraction e1^e2 <-> e3*, e1^e3 <-> -e2*,
-e2^e3 <-> e1*.  A defect point is reported as an irreducible factor over
-the rationals, never as a floating-point root: the primitive integer
-polynomial with a positive leading coefficient, printed as sympy's ``str``
-prints it (``"2*z - 1"``).
+e2^e3 <-> e1*.
+
+Over an algebraically closed field the finite part of a defect is a
+multiplicity vector at each point of the line.  It is reported without
+roots, as a coprime refinement of the component gcds (Bach-Driscoll-
+Shallit, *Factor refinement*, J. Algorithms 15, 1993): one square-free
+polynomial per multiplicity vector, pairwise coprime, whose roots are the
+points that carry that vector.  Each is printed as its primitive integer
+multiple with a positive leading coefficient, as sympy's ``str`` prints it
+(``"2*z - 1"``, ``"z**2 - z"``).
 
 A polynomial in z is the tuple of its coefficients, lowest degree first,
-with no trailing zero; ``()`` is zero.  Over Q the coefficients are
-Fractions.  Factoring follows Zassenhaus (von zur Gathen-Gerhard, *Modern
-Computer Algebra*, ch. 14-15): square-free parts by Yun, then each part
-factored mod a small prime by Berlekamp, Hensel-lifted past the Mignotte
-bound, and recombined over Z.  Gcds over Q go through the heuristic
-integer gcd of Char, Geddes and Gonnet.  Nothing depends on randomness.
+with no trailing zero; ``()`` is zero.  The coefficients are Fractions.
+Square-free parts follow Yun, and gcds go through the heuristic integer gcd
+of Char, Geddes and Gonnet.  Nothing depends on randomness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, zip_longest
-from math import gcd, isqrt, lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import QuasimapError
@@ -47,6 +50,16 @@ class EmptyRichardsonError(QuasimapError):
     """The pair is incomparable, so the variety is empty (not 0-dimensional)."""
 
 
+# Size limits on the data: with at most N digits in each numerator and
+# denominator and D coefficients in each polynomial, every number printed
+# stays under Python's 4,300-digit limit on int-to-str conversion.  A rank-2
+# residual coefficient sums 3 D products of input coefficients, so it has at
+# most 6 D N + 3 = 4,203 digits; a defect factor or an eval coordinate has at
+# most N (D + 1) + 0.31 D + 1 = 732 (Mignotte's bound on factors over Z).
+MAX_COEFFICIENT_DIGITS = 20
+MAX_COEFFICIENTS = 35
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, str) and "e" in x.lower():
         # refused before Fraction parses it: "1e1000000000" is a
@@ -54,9 +67,16 @@ def _to_fraction(x) -> Fraction:
         raise QuasimapError(f"coefficient {x!r} is in exponent notation")
     if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            if max(abs(q.numerator), q.denominator) < 10 ** MAX_COEFFICIENT_DIGITS:
+                return q
+            # the value is not echoed: str() of it may pass the digit limit
+            raise QuasimapError(
+                f"a coefficient has more than {MAX_COEFFICIENT_DIGITS} digits "
+                "in its numerator or denominator")
     raise QuasimapError(f"coefficient {x!r} is not an exact rational")
 
 
@@ -69,7 +89,7 @@ def _poly_degree(coeffs) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over Q (Fractions) and over Z/m (ints mod m)
+# polynomial arithmetic over Q (Fractions)
 # ---------------------------------------------------------------------------
 
 def _strip(a):
@@ -102,43 +122,32 @@ def _deriv(a):
     return tuple(k * c for k, c in enumerate(a) if k)
 
 
-def _mod(a, m):
-    return _strip(tuple(c % m for c in a))
-
-
-def _divmod(a, b, m=None):
-    """Quotient and remainder of a by b != 0 over Q, or over Z/m when m is
-    given (then the leading coefficient of b must be a unit mod m)."""
-    inv = 1 / Fraction(b[-1]) if m is None else pow(b[-1], -1, m)
+def _divmod(a, b):
+    """Quotient and remainder of a by b != 0 over Q."""
+    inv = 1 / Fraction(b[-1])
     r = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     for k in reversed(range(len(q))):
-        c = r[k + len(b) - 1] * inv
-        if m is not None:
-            c %= m
-        q[k] = c
+        q[k] = c = r[k + len(b) - 1] * inv
         for j, y in enumerate(b):
             r[k + j] -= c * y
-    if m is None:
-        return _strip(q), _strip(r)
-    return _mod(q, m), _mod(r, m)
+    return _strip(q), _strip(r)
 
 
-def _monic(a, m=None):
-    return _divmod(a, (a[-1],), m)[0] if a else a
+def _monic(a):
+    return _divmod(a, (a[-1],))[0] if a else a
 
 
-def _gcd(a, b, m=None):
-    """The monic gcd over Q, or over F_m for a prime m.  Over Q the
-    heuristic gcd goes first: Euclid's remainders over Q grow so fast that
-    degree 100 takes seconds."""
-    if m is None and a and b:
+def _gcd(a, b):
+    """The monic gcd over Q.  The heuristic gcd goes first: Euclid's
+    remainders over Q grow so fast that degree 100 takes seconds."""
+    if a and b:
         g = _heuristic_gcd(_primitive(a), _primitive(b))
         if g:
             return _monic(g)
     while b:
-        a, b = b, _divmod(a, b, m)[1]
-    return _monic(a, m)
+        a, b = b, _divmod(a, b)[1]
+    return _monic(a)
 
 
 def _heuristic_gcd(f, g):
@@ -170,18 +179,6 @@ def _value(f, x):
     return v
 
 
-def _gcdex(a, b, p):
-    """(s, t) with s a + t b = 1 over F_p, for coprime a and b;
-    deg s < deg b and deg t < deg a."""
-    r0, r1, s0, s1, t0, t1 = a, b, (1,), (), (), (1,)
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
-        t0, t1 = t1, _mod(_sub(t0, _mul(q, t1)), p)
-    return _divmod(s0, r0, p)[0], _divmod(t0, r0, p)[0]
-
-
 def _squarefree(f):
     """Yun: the pairs (a, i) with f = lc(f) * prod a**i, each a monic,
     square-free, of positive degree and coprime to the others."""
@@ -207,144 +204,6 @@ def _primitive(f):
     ints = [int(c * den) for c in f]
     g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return tuple(c // g for c in ints)
-
-
-def _berlekamp(f, p):
-    """The monic irreducible factors of a monic square-free f over F_p."""
-    n = len(f) - 1
-    powers = [(1,)]
-    for _ in range((n - 1) * p):
-        powers.append(_divmod((0,) + powers[-1], f, p)[1])
-    # v(z)**p = v(z) mod f for the v = sum v_i z**i with sum_i v_i Q_ij = v_j,
-    # where row i of Q holds z**(i p) mod f
-    rows = [r + (0,) * (n - len(r)) for r in powers[::p]]
-    basis = _kernel([[(rows[i][j] - (i == j)) % p for i in range(n)]
-                     for j in range(n)], p)
-    factors = [f]
-    for v in basis:
-        if len(factors) == len(basis):
-            break
-        pieces = []
-        for g in factors:
-            left = len(g) - 1
-            for s in range(p):
-                if not left:
-                    break
-                h = _gcd(g, _mod(_sub(v, (s,)), p), p)
-                if len(h) > 1:
-                    pieces.append(h)
-                    left -= len(h) - 1
-        factors = pieces
-    return factors
-
-
-def _kernel(rows, p):
-    """A basis of the null space of a square matrix over F_p."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    pivots = []
-    for col in range(n):
-        top = len(pivots)
-        piv = next((i for i in range(top, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = pow(rows[top][col], -1, p)
-        rows[top] = [x * inv % p for x in rows[top]]
-        for i in range(n):
-            if i != top and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[top])]
-        pivots.append(col)
-    basis = []
-    for free in range(n):
-        if free not in pivots:
-            v = [0] * n
-            v[free] = 1
-            for i, col in enumerate(pivots):
-                v[col] = -rows[i][free] % p
-            basis.append(_strip(v))
-    return basis
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """Lift f = g h and s g + t h = 1 from mod m to mod m**2, h monic
-    (von zur Gathen-Gerhard, Algorithm 15.10)."""
-    mm = m * m
-    e = _mod(_sub(f, _mul(g, h)), mm)
-    q, r = _divmod(_mul(s, e), h, mm)
-    g = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
-    h = _mod(_add(h, r), mm)
-    b = _mod(_sub(_add(_mul(s, g), _mul(t, h)), (1,)), mm)
-    c, d = _divmod(_mul(s, b), h, mm)
-    s = _mod(_sub(s, d), mm)
-    t = _mod(_sub(t, _add(_mul(t, b), _mul(c, g))), mm)
-    return g, h, s, t
-
-
-def _hensel_lift(f, us, p, modulus):
-    """Monic lifts mod modulus (a power of p) of the monic factors us of
-    f = lc(f) * prod(us) mod p, lifting one split of us in two at a time."""
-    if len(us) == 1:
-        return [_monic(f, modulus)]
-    k = len(us) // 2
-    g, h = (f[-1],), (1,)
-    for u in us[:k]:
-        g = _mod(_mul(g, u), p)
-    for u in us[k:]:
-        h = _mod(_mul(h, u), p)
-    s, t = _gcdex(g, h, p)
-    m = p
-    while m < modulus:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m *= m
-    return (_hensel_lift(_mod(g, modulus), us[:k], p, modulus)
-            + _hensel_lift(_mod(h, modulus), us[k:], p, modulus))
-
-
-def _zassenhaus(f):
-    """The irreducible factors over Z of a square-free primitive integer
-    polynomial f with a positive leading coefficient."""
-    n = len(f) - 1
-    if n == 1:
-        return [f]
-    df = _deriv(f)
-    p = 2
-    while f[-1] % p == 0 or len(_gcd(_mod(f, p), _mod(df, p), p)) > 1:
-        p += 1
-        while any(p % k == 0 for k in range(2, isqrt(p) + 1)):
-            p += 1
-    us = _berlekamp(_monic(_mod(f, p), p), p)
-    if len(us) == 1:
-        return [f]
-    # a factor g of f has |lc(f)/lc(g) * g|_inf <= 2**n |f|_2 lc(f) (Mignotte)
-    bound = 2 ** n * (isqrt(sum(c * c for c in f)) + 1) * f[-1]
-    modulus = p
-    while modulus <= 2 * bound:
-        modulus *= p
-    lifted = _hensel_lift(f, us, p, modulus)
-    factors, size = [], 1
-    while 2 * size <= len(lifted):
-        for subset in combinations(range(len(lifted)), size):
-            g = (f[-1],)
-            for i in subset:
-                g = _mod(_mul(g, lifted[i]), modulus)
-            g = _primitive([c - modulus if 2 * c > modulus else c for c in g])
-            q, r = _divmod(f, g)
-            if not r:
-                factors.append(g)
-                f = tuple(int(c) for c in q)
-                lifted = [u for i, u in enumerate(lifted) if i not in subset]
-                break
-        else:
-            size += 1
-    return factors + [f]
-
-
-def _factor_list(f):
-    """The pairs (irreducible factor, multiplicity) of f over Q of positive
-    degree, each factor primitive over Z with a positive leading coefficient."""
-    return [(g, i) for a, i in _squarefree(f) for g in _zassenhaus(_primitive(a))]
 
 
 def _expr_str(coeffs) -> str:
@@ -391,6 +250,10 @@ class DPData(NamedTuple):
                 raise QuasimapError(
                     f"component {i + 1} must have {dims[i]} coordinates"
                 )
+            if any(len(c) > MAX_COEFFICIENTS for c in vec):
+                raise QuasimapError(
+                    f"component {i + 1} has a polynomial of more than "
+                    f"{MAX_COEFFICIENTS} coefficients")
             vec = tuple(_trim(c) for c in vec)
             if all(not c for c in vec):
                 raise QuasimapError(f"component {i + 1} is the zero vector")
@@ -444,7 +307,9 @@ class DPData(NamedTuple):
 
 
 class DefectDivisor(NamedTuple):
-    # sorted tuple of (irreducible factor string, its degree, coweight)
+    # sorted tuple of (factor string, its degree, coweight): the factors are
+    # square-free and pairwise coprime, one per coweight, and each root of a
+    # factor is a defect point of that coweight
     finite_points: tuple
     at_infinity: tuple    # coweight
 
@@ -532,17 +397,28 @@ def _component_gcd(vec):
 
 
 def defect_divisor(data: DPData) -> DefectDivisor:
-    """Finite defects from gcd factorizations, infinity from degree deficit."""
+    """Finite defects from a coprime refinement of the component gcds,
+    infinity from the degree deficit."""
     validate_dp(data)
     rank = data.rank
-    factor_orders = {}
+    # pairwise coprime square-free monic polynomials, each with the
+    # multiplicity vector of its roots; each new part is split from the
+    # old ones by gcds
+    parts = []
     for i in range(rank):
-        for factor, mult in _factor_list(_component_gcd(data.components[i])):
-            key = (_expr_str(factor), _poly_degree(factor))
-            factor_orders.setdefault(key, [0] * rank)[i] += mult
-    finite = tuple(sorted(
-        (*key, tuple(orders)) for key, orders in factor_orders.items()
-    ))
+        for a, m in _squarefree(_component_gcd(data.components[i])):
+            mult = tuple(m if k == i else 0 for k in range(rank))
+            refined = []
+            for b, vec in parts:
+                g = _gcd(a, b)
+                a, b = _divmod(a, g)[0], _divmod(b, g)[0]
+                refined += [(g, tuple(x + y for x, y in zip(vec, mult))), (b, vec)]
+            parts = [(p, vec) for p, vec in refined + [(a, mult)] if len(p) > 1]
+    merged = {}
+    for p, vec in parts:
+        merged[vec] = _mul(merged.get(vec, (1,)), p)
+    finite = tuple(sorted((_expr_str(_primitive(p)), _poly_degree(p), vec)
+                          for vec, p in merged.items()))
     at_inf = tuple(
         data.degrees[i] - data.component_degree(i) for i in range(rank)
     )

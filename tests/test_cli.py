@@ -1,5 +1,7 @@
 """CLI behavior: dispatch, exit codes, determinism, and the result cache."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -10,10 +12,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, seed, settings, strategies as st
 from jobspecs import JOBSPECS
 
 from silc import pieri
 from silc.cli import COMMANDS, COMMON, main
+from silc.quasimap import MAX_COEFFICIENT_DIGITS, MAX_COEFFICIENTS
 
 
 @pytest.fixture()
@@ -522,6 +526,139 @@ def test_qmap_defect_prints_primitive_integer_factors(runner):
     assert res.stdout == ('{"at_infinity":[1],"finite_points":[{"factor":'
                           '"2*z - 1","multiplicity":[1]}],"total":[2]}\n')
 
+
+
+def test_qmap_defect_gives_one_factor_per_multiplicity_vector(runner):
+    """z and z - 1 are both simple zeros of the one component, so they share
+    one factor: over an algebraically closed field the defect is a divisor,
+    and the factors are not split further over Q."""
+    data = json.dumps({"rank": 1, "degrees": [3], "components": [
+        {"weight": 1, "polys": [["0", "-1", "1"], ["0", "0", "-1", "1"]]}]})
+    res = invoke(runner, ["qmap", "defect", "--rank", "1", "--data", data])
+    assert res.exit_code == 0
+    assert res.stdout == ('{"at_infinity":[0],"finite_points":[{"factor":'
+                          '"z**2 - z","multiplicity":[1]}],"total":[2]}\n')
+
+
+N = MAX_COEFFICIENT_DIGITS
+# 3,000-digit u1 and c23 in rank 2: each prints, but their product in the
+# contraction residual has more digits than Python prints
+DP_A2_HUGE = json.dumps({"rank": 2, "degrees": [1, 2], "components": [
+    {"weight": 1, "polys": [["9" * 3000], ["0", "1"], ["0"]]},
+    {"weight": 2, "polys": [["1"], ["0", "1"], ["9" * 3000]]}]})
+
+
+def dp_a1(*polys):
+    return json.dumps({"rank": 1, "degrees": [max(map(len, polys)) - 1],
+                       "components": [{"weight": 1, "polys": list(polys)}]})
+
+
+@pytest.mark.parametrize("cmd", ["validate", "defect", "eval"])
+@pytest.mark.parametrize("rank, data, accepted", [
+    (1, dp_a1(["9" * N], ["1"]), True),
+    (1, dp_a1(["1" + "0" * N], ["1"]), False),
+    (1, dp_a1([10 ** N - 1], ["1"]), True),
+    (1, dp_a1([-10 ** N], ["1"]), False),
+    (1, dp_a1(["1/" + "9" * N], ["1"]), True),
+    (1, dp_a1(["1/1" + "0" * N], ["1"]), False),
+    (1, dp_a1(["0." + "0" * (N - 2) + "1"], ["1"]), True),
+    (1, dp_a1(["0." + "0" * (N - 1) + "1"], ["1"]), False),
+    (1, dp_a1(["1"] * MAX_COEFFICIENTS, ["1"]), True),
+    (1, dp_a1(["1"] * (MAX_COEFFICIENTS + 1), ["1"]), False),
+    (2, DP_A2_HUGE, False),
+], ids=["digits", "digits-over", "json-int", "json-int-over", "denominator",
+        "denominator-over", "decimal", "decimal-over", "coefficients",
+        "coefficients-over", "huge-residual"])
+def test_qmap_size_limits(runner, cmd, rank, data, accepted):
+    res = runner.invoke(main, ["qmap", cmd, "--rank", str(rank), "--data",
+                               data, "--no-cache"])
+    if accepted:
+        assert res.exit_code == 0, res.output
+        return
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, res.stderr
+    assert f"more than {N} digits" in errors[0] or (
+        f"more than {MAX_COEFFICIENTS} coefficients" in errors[0])
+
+
+FUZZ_ODD = st.sampled_from([None, True, 1.5, "1", "x", [], {}, -1, 10 ** 30])
+# coefficients that parse, up to the digit limit, and ones that do not
+FUZZ_GOOD = st.one_of(st.just(0), st.integers(-3, 3), st.sampled_from([
+    "2", "-1", "3/2", "-4/6", "0/7", " 1/2 ", "0.25", "1_0", "9" * N,
+    "-" + "9" * N, "1/" + "9" * N, 10 ** N - 1]))
+FUZZ_BAD = st.one_of(FUZZ_ODD, st.sampled_from([
+    "1/0", "1e5", "2E-3", "-1e1000000000", "nan", "inf", "", "1" + "0" * N,
+    "1/1" + "0" * N, "0." + "0" * N + "1", "9" * 3000, 10 ** N, -10 ** N]))
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """A qmap argv whose --data is well formed for rank 1 or 2 but for at
+    most one fault: a wrong rank, weight, shape, coefficient or degree, a
+    missing key, broken JSON, or a command line that does not match."""
+    cmd = draw(st.sampled_from(["validate", "defect", "eval"]))
+    rank = draw(st.sampled_from([1, 2]))
+    payload = {"rank": rank, "degrees": draw(st.lists(
+        st.integers(0, 6), min_size=rank, max_size=rank)), "components": [
+        {"weight": i + 1, "polys": draw(st.lists(
+            st.lists(FUZZ_GOOD, min_size=1, max_size=4), min_size=dim, max_size=dim))}
+        for i, dim in enumerate((2,) if rank == 1 else (3, 3))]}
+    comp = draw(st.sampled_from(payload["components"]))
+    fault = draw(st.sampled_from([None, None, "rank", "weight", "polys",
+                                  "coefficient", "degrees", "key", "text", "flag"]))
+    if fault == "rank":
+        payload["rank"] = draw(st.one_of(FUZZ_ODD, st.integers(0, 3)))
+    elif fault == "weight":
+        comp["weight"] = draw(st.one_of(FUZZ_ODD, st.integers(0, 3)))
+    elif fault == "polys":
+        comp["polys"] = draw(st.one_of(
+            FUZZ_ODD, st.lists(st.lists(FUZZ_GOOD, max_size=2), max_size=4),
+            st.sampled_from([MAX_COEFFICIENTS, MAX_COEFFICIENTS + 1]).map(
+                lambda n: [["1"] * n] * len(comp["polys"]))))
+    elif fault == "coefficient":
+        draw(st.sampled_from(comp["polys"])).append(draw(FUZZ_BAD))
+    elif fault == "degrees":
+        payload["degrees"] = draw(st.one_of(FUZZ_ODD, st.lists(
+            st.one_of(st.integers(-2, 40), FUZZ_ODD), max_size=3)))
+    elif fault == "key":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    text = json.dumps(payload)
+    if fault == "text":
+        text = draw(st.sampled_from([
+            "", "{", "[1, 2]", "null", text[:-1], text.replace('"2"', "9" * 5000)]))
+    argv = ["qmap", cmd, "--rank", str(rank), "--data", text, "--no-cache"]
+    if fault == "flag":
+        argv += draw(st.sampled_from([["--rank", str(3 - rank)], ["--rank", "0"],
+                                      ["--type", "B", "--rank", "2"], ["--at", "1"]]))
+    return argv + draw(st.sampled_from([[], ["--at", "inf"], ["--at", "0"]])
+                       if cmd == "eval" else st.just([]))
+
+
+def run_in_process(argv):
+    """silc's exit code, stdout and stderr, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(32)
+@settings(max_examples=500, deadline=None)
+@given(fuzz_argvs())
+def test_qmap_exit_code_contract_on_fuzzed_data(argv):
+    """Every --data payload exits 0, 2 or 3, never with a traceback, and
+    prints JSON on exits 0 and 3."""
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2, 3) and "Traceback" not in err, (code, err)
+    if code == 2:
+        assert out == "" and "Error: " in err
+    else:
+        json.loads(out)
 
 # the compute modules a job of each golden group loads, beyond the ones
 # `import silc.cli` loads for every job

@@ -1,20 +1,29 @@
 """The exact polynomial arithmetic of silc.quasimap against sympy.
 
-sympy is a test-only oracle: the factor lists, gcds, quotients and printed
-strings of random small polynomials over Q, products of repeated factors
-among them, must equal what sympy computes over QQ.
+sympy is a test-only oracle: the gcds, quotients and printed strings of
+random small polynomials over Q, products of repeated factors among them,
+must equal what sympy computes over QQ, and a defect divisor must be the
+coprime refinement of sympy's factor lists of the component gcds.
 """
 
+import itertools
+import json
 import random
+import re
+import sys
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, seed, settings, strategies as st
 
-from silc.quasimap import (_divmod, _expr_str, _factor_list, _gcd, _monic,
-                           _mul, _poly_degree, _strip)
+from qm_random import random_dp
+from silc.quasimap import (MAX_COEFFICIENT_DIGITS, MAX_COEFFICIENTS, DPData,
+                           InvalidDPError, _divmod, _expr_str, _gcd, _mul,
+                           _strip, defect_divisor, validate_dp)
 
 Z = sympy.Symbol("z")
 
@@ -46,20 +55,63 @@ def products(draw):
     return f
 
 
+def check_refinement(data):
+    """The defect of data is the coprime refinement of sympy's factor lists
+    of the component gcds: pairwise coprime square-free factors, printed as
+    sympy prints them, with each irreducible factor of a gcd dividing
+    exactly one of them, whose multiplicity vector is that factor's."""
+    div = defect_divisor(data)
+    gcds = [reduce(sympy.Poly.gcd, [oracle(c) for c in vec])
+            for vec in data.components]
+    factors = []
+    for text, degree, mult in div.finite_points:
+        f = sympy.Poly(sympy.sympify(text), Z, domain=sympy.QQ)
+        assert str(f.as_expr()) == text and f.degree() == degree
+        coeffs = f.all_coeffs()
+        assert all(c.is_integer for c in coeffs) and coeffs[0] > 0
+        assert sympy.gcd_list(coeffs) == 1
+        assert f.gcd(f.diff(Z)).degree() == 0
+        factors.append((f, mult))
+    for (f, m), (g, n) in itertools.combinations(factors, 2):
+        assert f.gcd(g).degree() == 0 and m != n
+    orders = {}
+    for i, g in enumerate(gcds):
+        for p, m in g.factor_list()[1]:
+            orders.setdefault(p.monic(), [0] * data.rank)[i] = m
+    for p, vec in orders.items():
+        hits = [mult for f, mult in factors if f.rem(p).is_zero]
+        assert hits == [tuple(vec)]
+    for i, g in enumerate(gcds):
+        product = oracle((Fraction(1),))
+        for f, mult in factors:
+            product *= f ** mult[i]
+        assert product.monic() == g.monic()
+    for i in range(data.rank):
+        deficit = data.degrees[i] - data.component_degree(i)
+        assert div.at_infinity[i] == deficit
+        assert div.total()[i] == deficit + sum(
+            deg * mult[i] for _, deg, mult in div.finite_points)
+    return div
+
+
+def rank2(f, g):
+    """Rank-2 data whose component gcds are f and g: (f, 0, 0) pairs to 0
+    with (g, 0, 0)."""
+    return DPData.make(2, ((f, (), ()), (g, (), ())),
+                       (len(f) - 1, len(g) - 1))
+
+
 @seed(13)
 @settings(max_examples=120, deadline=None)
-@given(products())
-def test_factor_list_matches_sympy(f):
-    mine = [(_expr_str(g), _poly_degree(g), m) for g, m in _factor_list(f)]
-    theirs = [(str(g.as_expr()), g.degree(), m)
-              for g, m in oracle(f).factor_list()[1]]
-    assert sorted(mine) == sorted(theirs)
-    product = (Fraction(1),)
-    for g, m in _factor_list(f):
-        assert all(type(c) is int for c in g) and g[-1] > 0
-        for _ in range(m):
-            product = _mul(product, g)
-    assert _monic(product) == _monic(f)
+@given(products(), products())
+def test_defect_refines_the_factor_lists_of_drawn_products(f, g):
+    check_refinement(rank2(f, g))
+
+
+def test_defect_refines_the_factor_lists_of_random_data():
+    rng = random.Random(31)
+    for _ in range(60):
+        check_refinement(random_dp(rng, rng.choice((1, 2))))
 
 
 @seed(13)
@@ -95,19 +147,58 @@ def test_printer_pins_sympy_term_order(coeffs, text):
     assert _expr_str(coeffs) == text == str(oracle(coeffs).as_expr())
 
 
-@pytest.mark.parametrize("expr", [
-    # irreducible over Q but split into linear and quadratic factors mod
-    # every prime, so every subset of the lifted factors is tried
-    Z**8 - 40 * Z**6 + 352 * Z**4 - 960 * Z**2 + 576,
-    Z**12 - 1,
-    (Z**4 + 1) * (Z**4 - 2) * (2 * Z - 1)**3 * (Z**2 + Z + 1)**2,
-    sympy.prod([k * Z - k - 1 for k in range(1, 7)]),
-])
-def test_factor_list_of_many_modular_factors(expr):
-    f = tuple(Fraction(str(c)) for c in reversed(
+def poly(expr):
+    return tuple(Fraction(str(c)) for c in reversed(
         sympy.Poly(expr, Z, domain=sympy.QQ).all_coeffs()))
-    assert sorted((_expr_str(g), m) for g, m in _factor_list(f)) == sorted(
-        (str(g.as_expr()), m) for g, m in oracle(f).factor_list()[1])
+
+
+MANY_MODULAR_FACTORS = {
+    # irreducible over Q but split into linear and quadratic factors mod
+    # every prime
+    "sd8": Z**8 - 40 * Z**6 + 352 * Z**4 - 960 * Z**2 + 576,
+    "z12": Z**12 - 1,
+    "powers": (Z**4 + 1) * (Z**4 - 2) * (2 * Z - 1)**3 * (Z**2 + Z + 1)**2,
+    "linear": sympy.prod([k * Z - k - 1 for k in range(1, 7)]),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.product(
+    MANY_MODULAR_FACTORS, repeat=2), ids=str)
+def test_defect_refines_the_factor_lists_of_many_modular_factors(first, second):
+    check_refinement(rank2(poly(MANY_MODULAR_FACTORS[first]),
+                           poly(MANY_MODULAR_FACTORS[second])))
+
+
+def test_defect_of_a_swinnerton_dyer_gcd_is_one_factor():
+    """The minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 + sqrt11 has
+    degree 32 and splits mod every prime into at least 16 factors, whose
+    subsets a factoring over Q would have to recombine."""
+    path = Path(__file__).parent / "data" / "qmap_swinnerton_dyer.json"
+    div = check_refinement(DPData.from_json(json.loads(path.read_text())))
+    minimal = sympy.minimal_polynomial(
+        sum(sympy.sqrt(p) for p in (2, 3, 5, 7, 11)), Z)
+    assert div.finite_points == ((str(minimal), 32, (1,)),)
+
+
+def test_a_residual_at_the_size_limits_prints():
+    """A rank-2 residual coefficient sums products of input coefficients.
+    With a distinct prime of the largest size allowed as the denominator of
+    every coefficient, its denominator is the product of them all, and it
+    must still print under Python's int-to-str digit limit."""
+    primes, p = [], 10 ** MAX_COEFFICIENT_DIGITS
+    for _ in range(6 * MAX_COEFFICIENTS):
+        p = sympy.prevprime(p)
+        primes.append(p)
+    coords = [[f"1/{primes.pop()}" for _ in range(MAX_COEFFICIENTS)]
+              for _ in range(6)]
+    data = DPData.from_json({
+        "rank": 2, "degrees": [MAX_COEFFICIENTS - 1] * 2,
+        "components": [{"weight": 1, "polys": coords[:3]},
+                       {"weight": 2, "polys": coords[3:]}]})
+    with pytest.raises(InvalidDPError) as err:
+        validate_dp(data)
+    longest = max(map(len, re.findall(r"\d+", str(err.value))))
+    assert 4000 < longest <= sys.get_int_max_str_digits()
 
 
 def test_gcd_of_high_degree():
