@@ -13,29 +13,22 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from silc.pieri import h0_dimension
 from silc.rootdata import root_datum
 from silc.weylgroup import weyl_group
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_degree: int = 3
-    max_twist: int = 4
-
-
-def run(cfg: SweepConfig):
+def run(max_degree, max_twist):
     datum = root_datum("A", 1)
     wg = weyl_group(datum)
     e = wg.identity
     print(f"{'d':>3} {'m':>3} {'h0':>8} {'binomial':>8}  status")
     start = time.monotonic()
     ok = True
-    for d in range(1, cfg.max_degree + 1):
+    for d in range(1, max_degree + 1):
         v = wg.element([1], (d,))
-        for m in range(1, cfg.max_twist + 1):
+        for m in range(1, max_twist + 1):
             got = h0_dimension(datum, v, e, (m,))
             want = math.comb(2 * d + 1 + m, m)
             ok = ok and got == want
@@ -50,7 +43,7 @@ def main():
     parser.add_argument("--max-degree", type=int, default=3)
     parser.add_argument("--max-twist", type=int, default=4)
     args = parser.parse_args()
-    if not run(SweepConfig(max_degree=args.max_degree, max_twist=args.max_twist)):
+    if not run(args.max_degree, args.max_twist):
         sys.exit(1)
 
 

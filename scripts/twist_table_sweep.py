@@ -11,32 +11,21 @@ Usage: python3 scripts/twist_table_sweep.py --type A --rank 2 --lam 1,1
 """
 
 import argparse
-from dataclasses import dataclass
 
 from silc.pieri import compute_pieri
 from silc.rootdata import root_datum
 from silc.semiinf import si_order
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    kind: str = "A"
-    rank: int = 2
-    lam: tuple = (1, 1)
-    radius: int = 1
-    q_hi: int = 2
-
-
-def run(cfg: SweepConfig):
-    datum = root_datum(cfg.kind, cfg.rank)
+def run(kind, rank, lam, radius, q_hi):
+    datum = root_datum(kind, rank)
     so = si_order(datum)
     wg = so.wg
-    box = so.box(wg.identity, cfg.radius)
-    print(f"{cfg.kind}{cfg.rank} lam={cfg.lam} window=(0,{cfg.q_hi}): "
-          f"{len(box)} elements")
+    box = so.box(wg.identity, radius)
+    print(f"{kind}{rank} lam={lam} window=(0,{q_hi}): {len(box)} elements")
     print(f"{'w':>14} {'#support':>8} {'mass':>6}  anchored a^w_w")
     for w in box:
-        table = compute_pieri(datum, w, cfg.lam, (0, cfg.q_hi))
+        table = compute_pieri(datum, w, lam, (0, q_hi))
         mass = sum(a.total() for _, a in table.coeffs)
         base = table.coefficient(w)
         print(f"{wg.format(w):>14} {len(table.support()):>8} {mass:>6}  "
@@ -53,8 +42,7 @@ def main():
     parser.add_argument("--q-hi", type=int, default=2)
     args = parser.parse_args()
     lam = tuple(int(t) for t in args.lam.split(","))
-    run(SweepConfig(kind=args.kind, rank=args.rank, lam=lam,
-                    radius=args.radius, q_hi=args.q_hi))
+    run(args.kind, args.rank, lam, args.radius, args.q_hi)
 
 
 if __name__ == "__main__":

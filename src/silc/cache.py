@@ -2,10 +2,10 @@
 
 Keys are sha256 hashes of the canonical JSON of (command, Cartan matrix,
 parameters, code version, digest of the package sources); payloads are the
-exact result objects.  Writes go
-through a temporary file and an atomic rename, so concurrent invocations can
-only ever observe complete entries.  An unwritable or corrupted cache is
-never a hard failure: the computation simply proceeds without it.
+exact result objects.  Writes go through a temporary file named after the
+process and an atomic rename, so concurrent invocations can only ever
+observe complete entries.  An unwritable or corrupted cache is never a hard
+failure: the computation simply proceeds without it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
-import time
 from functools import lru_cache
 
 from . import __version__
@@ -79,15 +77,14 @@ def load(key: str):
 
 def store(key: str, payload) -> None:
     """Write the payload atomically; warn and skip on unwritable targets."""
-    directory = cache_dir()
-    entry = {"key": key, "payload": payload, "created_at": time.time()}
+    path = _entry_path(key)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        os.makedirs(cache_dir(), exist_ok=True)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
-            os.replace(tmp, _entry_path(key))
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump({"key": key, "payload": payload}, fh, sort_keys=True)
+            os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

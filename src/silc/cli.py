@@ -62,8 +62,20 @@ def _choice(*values):
     return parse
 
 
+# four times the longest reduced word of a supported type (B16 and C16, 256
+# letters); a longer word is refused before any product is formed
+MAX_WORD_LETTERS = 1024
+
+
+def _bound_word(text):
+    """Refuse text of more than MAX_WORD_LETTERS comma-separated letters."""
+    if text.count(",") >= MAX_WORD_LETTERS:
+        raise ValueError(f"a word has more than {MAX_WORD_LETTERS} letters")
+
+
 def _ints(datum, text):
     """Comma-separated integers, every letter nonempty; blank text is ()."""
+    _bound_word(text)
     return tuple(int(t) for t in text.split(",")) if text.strip() else ()
 
 
@@ -100,7 +112,14 @@ def _built_window(datum, text):
 
 def _dp(datum, text):
     from .quasimap import DPData
-    dp = DPData.from_json(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # Python's limit on int-from-str conversion
+        raise QuasimapError("the data holds an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+    dp = DPData.from_json(obj)
     if datum.cartan != root_datum("A", dp.rank).cartan:
         raise QuasimapError(
             f"data of rank {dp.rank} needs --type A --rank {dp.rank}"
@@ -114,6 +133,7 @@ def _dp_file(datum, path):
 
 
 def _element(datum, text):
+    _bound_word(text.partition("@")[0])
     return weyl_group(datum).parse(text)
 
 

@@ -17,8 +17,8 @@ multiple with a positive leading coefficient, as sympy's ``str`` prints it
 
 A polynomial in z is the tuple of its coefficients, lowest degree first,
 with no trailing zero; ``()`` is zero.  The coefficients are Fractions.
-Square-free parts follow Yun, and gcds go through the heuristic integer gcd
-of Char, Geddes and Gonnet.  Nothing depends on randomness.
+Square-free parts follow Yun, and gcds are primitive remainder sequences.
+Nothing depends on randomness.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from reprlib import repr as brief  # data may hold long strings and lists
 from typing import NamedTuple
 
 from .errors import QuasimapError
@@ -64,7 +65,7 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, str) and "e" in x.lower():
         # refused before Fraction parses it: "1e1000000000" is a
         # billion-digit integer
-        raise QuasimapError(f"coefficient {x!r} is in exponent notation")
+        raise QuasimapError(f"coefficient {brief(x)} is in exponent notation")
     if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         try:
             q = Fraction(x)
@@ -77,7 +78,7 @@ def _to_fraction(x) -> Fraction:
             raise QuasimapError(
                 f"a coefficient has more than {MAX_COEFFICIENT_DIGITS} digits "
                 "in its numerator or denominator")
-    raise QuasimapError(f"coefficient {x!r} is not an exact rational")
+    raise QuasimapError(f"coefficient {brief(x)} is not an exact rational")
 
 
 def _trim(coeffs):
@@ -134,49 +135,21 @@ def _divmod(a, b):
     return _strip(q), _strip(r)
 
 
-def _monic(a):
-    return _divmod(a, (a[-1],))[0] if a else a
-
-
 def _gcd(a, b):
-    """The monic gcd over Q.  The heuristic gcd goes first: Euclid's
-    remainders over Q grow so fast that degree 100 takes seconds."""
-    if a and b:
-        g = _heuristic_gcd(_primitive(a), _primitive(b))
-        if g:
-            return _monic(g)
+    """The monic gcd over Q, by a primitive remainder sequence (Collins,
+    J. ACM 14, 1967; Knuth, TAOCP 2, 4.6.1): each divisor is replaced by
+    its primitive integer multiple and divides the previous one by integer
+    pseudo-division, so the coefficients grow as subresultants do, not
+    exponentially as in Euclid's algorithm over Q."""
     while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a)
-
-
-def _heuristic_gcd(f, g):
-    """The gcd over Z of primitive f and g, read off the integer gcd of
-    their values at a large xi (Char-Geddes-Gonnet; Geddes-Czapor-Labahn,
-    *Algorithms for Computer Algebra*, 7.7): the xi-adic digits of that gcd
-    give a candidate, which is the gcd if it divides f and g.  () when six
-    values of xi all fail."""
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
-    for _ in range(6):
-        h = gcd(_value(f, xi), _value(g, xi))
-        digits = []
-        while h:
-            c = h % xi
-            c = c - xi if 2 * c > xi else c
-            digits.append(c)
-            h = (h - c) // xi
-        cand = _primitive(digits)
-        if not _divmod(f, cand)[1] and not _divmod(g, cand)[1]:
-            return cand
-        xi = xi * 73794 // 27011
-    return ()
-
-
-def _value(f, x):
-    v = 0
-    for c in reversed(f):
-        v = v * x + c
-    return v
+        b, r = _primitive(b), list(a)
+        while len(r) >= len(b):
+            # r <- lc(b) r - c z^k b cancels the top coefficient c of r
+            c, k = r.pop(), len(r) - len(b) + 1
+            r = [x * b[-1] - (c * b[i - k] if i >= k else 0)
+                 for i, x in enumerate(r)]
+        a, b = b, _strip(r)
+    return tuple(Fraction(c, a[-1]) for c in a)
 
 
 def _squarefree(f):
@@ -229,6 +202,17 @@ def _expr_str(coeffs) -> str:
     return out
 
 
+def _field(obj, key, where, kind=object):
+    """obj[key] of a JSON object, or an error that names the key."""
+    if not isinstance(obj, dict):
+        raise QuasimapError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise QuasimapError(f"{where} has no {key!r}")
+    if not isinstance(obj[key], kind):
+        raise QuasimapError(f"{key!r} in {where} must be a {kind.__name__}")
+    return obj[key]
+
+
 class DPData(NamedTuple):
     """One polynomial vector per fundamental weight, plus target degrees."""
 
@@ -259,7 +243,7 @@ class DPData(NamedTuple):
                 raise QuasimapError(f"component {i + 1} is the zero vector")
             comps.append(vec)
         if any(type(d) is not int for d in degrees):
-            raise QuasimapError(f"degrees {list(degrees)!r} must be integers")
+            raise QuasimapError(f"degrees {brief(list(degrees))} must be integers")
         return DPData(rank, tuple(comps), tuple(degrees))
 
     def component_degree(self, i) -> int:
@@ -281,29 +265,28 @@ class DPData(NamedTuple):
 
     @staticmethod
     def from_json(obj) -> "DPData":
-        if not isinstance(obj, dict):
-            raise QuasimapError("data must be a JSON object")
-        rank = obj["rank"]
+        rank = _field(obj, "rank", "data")
         if type(rank) is not int or rank not in (1, 2):
-            raise QuasimapError(f"rank {rank!r} not supported (1 or 2 only)")
+            raise QuasimapError(f"rank {brief(rank)} not supported (1 or 2 only)")
         comps = [None] * rank
-        for entry in obj["components"]:
-            i = entry["weight"]
+        for entry in _field(obj, "components", "data", list):
+            i = _field(entry, "weight", "a component")
             if type(i) is not int or i not in range(1, rank + 1):
-                raise QuasimapError(f"component weight {i!r} is outside 1..{rank}")
+                raise QuasimapError(
+                    f"component weight {brief(i)} is outside 1..{rank}")
             if comps[i - 1] is not None:
                 raise QuasimapError(f"component weight {i} is given twice")
-            polys = entry["polys"]
-            if not isinstance(polys, list) or not all(
-                    isinstance(poly, list) for poly in polys):
+            polys = _field(entry, "polys", f"component weight {i}", list)
+            if not all(isinstance(poly, list) for poly in polys):
                 raise QuasimapError(
                     f"polys of component weight {i} must be lists of "
-                    f"coefficients, not {polys!r}")
+                    f"coefficients, not {brief(polys)}")
             comps[i - 1] = tuple(tuple(poly) for poly in polys)
         for i, comp in enumerate(comps, start=1):
             if comp is None:
                 raise QuasimapError(f"component weight {i} is missing")
-        return DPData.make(rank, tuple(comps), tuple(obj["degrees"]))
+        degrees = _field(obj, "degrees", "data", list)
+        return DPData.make(rank, tuple(comps), tuple(degrees))
 
 
 class DefectDivisor(NamedTuple):

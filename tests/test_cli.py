@@ -16,7 +16,7 @@ from hypothesis import given, seed, settings, strategies as st
 from jobspecs import JOBSPECS
 
 from silc import pieri
-from silc.cli import COMMANDS, COMMON, main
+from silc.cli import COMMANDS, COMMON, MAX_WORD_LETTERS, main
 from silc.quasimap import MAX_COEFFICIENT_DIGITS, MAX_COEFFICIENTS
 
 
@@ -250,6 +250,41 @@ def test_unwritable_cache_is_bypassed(monkeypatch):
     assert json.loads(res.stdout) == {"result": True}
 
 
+def test_the_cache_writes_without_tempfile(tmp_path):
+    """Without site-packages, whose .pth files may load them first, neither
+    `import silc.cli` nor a cached job loads tempfile, shutil or random, and
+    the job leaves its entry and no temporary file."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from silc.cli import main\n"
+            "modules = ('tempfile', 'shutil', 'random')\n"
+            "print(*[m for m in modules if m in sys.modules])\n"
+            "main(['order', 'le', '--rank', '1', '--w', '1@0', '--v', 'e@0'])\n"
+            "print(*[m for m in modules if m in sys.modules])\n")
+    res = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src),
+                              "SILC_CACHE": str(tmp_path / "cache")})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["", '{"result":true}', ""]
+    (entry,) = os.listdir(tmp_path / "cache")
+    assert entry.endswith(".json")
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch,
+                                                       capsys):
+    from silc import cache
+
+    def refuse(src, dst):
+        raise PermissionError("refused")
+
+    monkeypatch.setenv("SILC_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(os, "replace", refuse)
+    cache.store("0" * 64, {"result": True})
+    assert os.listdir(tmp_path / "cache") == []
+    assert "warning: cache bypassed (refused)" in capsys.readouterr().err
+
+
 def test_cache_key_includes_source_digest(runner, tmp_path, monkeypatch):
     from silc import cache
 
@@ -404,6 +439,41 @@ def test_every_subcommand_keeps_the_exit_code_contract(runner, args):
         repr(res.exception)
     if res.exit_code == 3:
         assert "error" in json.loads(res.stdout)
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    (cmd, flag) for cmd, (base, _) in CONTRACT.items()
+    for flag in ("--w", "--v", "--word") if flag in base] + [("dim parabolic", "--j")])
+def test_a_word_of_more_than_1024_letters_is_refused(runner, monkeypatch, cmd, flag):
+    """Every element word, char demazure's --word and dim parabolic's --j:
+    1,025 letters exit 2 as the option is parsed, before any product is
+    formed."""
+    from silc.weylgroup import WeylGroup
+
+    real = WeylGroup.finite_from_word
+
+    def finite_from_word(self, word):
+        assert len(word) <= MAX_WORD_LETTERS
+        return real(self, word)
+
+    monkeypatch.setattr(WeylGroup, "finite_from_word", finite_from_word)
+    base, _ = CONTRACT[cmd]
+    value = ",".join(["1"] * (MAX_WORD_LETTERS + 1))
+    if flag in base:  # an element keeps its translation
+        value += "".join(base[base.index(flag) + 1].partition("@")[1:])
+    res = runner.invoke(main, cmd.split() + base + [flag, value, "--no-cache"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert f"Error: Invalid value for '{flag}': a word has more than 1024 letters" \
+        in res.stderr
+
+
+def test_a_word_of_1024_letters_is_accepted(runner):
+    """s1 taken 1,024 times is the identity."""
+    word = ",".join(["1"] * MAX_WORD_LETTERS)
+    args = ["order", "le", "--rank", "1", "--v", "1@0", "--no-cache"]
+    res = invoke(runner, args + ["--w", f"{word}@0"])
+    assert res.exit_code == 0
+    assert res.stdout == invoke(runner, args + ["--w", "e@0"]).stdout
 
 
 ORDER_LE = ["order", "le", "--rank", "1", "--w", "1@0"]
@@ -580,6 +650,45 @@ def test_qmap_size_limits(runner, cmd, rank, data, accepted):
     assert len(errors) == 1, res.stderr
     assert f"more than {N} digits" in errors[0] or (
         f"more than {MAX_COEFFICIENTS} coefficients" in errors[0])
+
+
+POLYS_A1 = [["0", "1"], ["1"]]
+HUGE_INT = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"components": [{"weight": 1, "polys": POLYS_A1}], "degrees": [1]},
+     "data has no 'rank'"),
+    ({"rank": 1, "degrees": [1]}, "data has no 'components'"),
+    ({"rank": 1, "components": [{"weight": 1, "polys": POLYS_A1}]},
+     "data has no 'degrees'"),
+    ({"rank": 1, "components": [{"polys": POLYS_A1}], "degrees": [1]},
+     "a component has no 'weight'"),
+    ({"rank": 1, "components": [{"weight": 1}], "degrees": [1]},
+     "component weight 1 has no 'polys'"),
+    ({"rank": 1, "components": None, "degrees": [1]},
+     "'components' in data must be a list"),
+    ({"rank": 1, "components": [{"weight": 1, "polys": POLYS_A1}],
+      "degrees": None}, "'degrees' in data must be a list"),
+    ({"rank": 1, "components": [{"weight": 1, "polys": "x" * 5000}],
+      "degrees": [1]}, "'polys' in component weight 1 must be a list"),
+    ({"rank": 1, "components": [{"weight": 1, "polys": [["x" * 5000], ["1"]]}],
+      "degrees": [1]}, "is not an exact rational"),
+    ('{"rank": 1, "components": [{"weight": 1, "polys": [[%s], ["1"]]}], '
+     '"degrees": [0]}' % HUGE_INT,
+     f"an integer of more than {sys.get_int_max_str_digits()} digits"),
+], ids=["rank", "components", "degrees", "weight", "polys", "null-components",
+        "null-degrees", "long-polys", "long-coefficient", "huge-json-int"])
+def test_malformed_qmap_data_names_what_is_wrong(runner, data, message):
+    """One short Error: line that names the missing or malformed key and
+    echoes no long value."""
+    text = data if isinstance(data, str) else json.dumps(data)
+    res = runner.invoke(main, ["qmap", "defect", "--rank", "1", "--data", text,
+                               "--no-cache"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], res.stderr
+    assert len(res.stderr) < 300 and "set_int_max_str_digits" not in res.stderr
 
 
 FUZZ_ODD = st.sampled_from([None, True, 1.5, "1", "x", [], {}, -1, 10 ** 30])

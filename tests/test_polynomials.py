@@ -2,8 +2,9 @@
 
 sympy is a test-only oracle: the gcds, quotients and printed strings of
 random small polynomials over Q, products of repeated factors among them,
-must equal what sympy computes over QQ, and a defect divisor must be the
-coprime refinement of sympy's factor lists of the component gcds.
+must equal what sympy computes over QQ, and so must the gcds of
+polynomials at the size limits of quasi-map data; a defect divisor must be
+the coprime refinement of sympy's factor lists of the component gcds.
 """
 
 import itertools
@@ -14,7 +15,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
-from unittest import mock
 
 import pytest
 import sympy
@@ -22,8 +22,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from qm_random import random_dp
 from silc.quasimap import (MAX_COEFFICIENT_DIGITS, MAX_COEFFICIENTS, DPData,
-                           InvalidDPError, _divmod, _expr_str, _gcd, _mul,
-                           _strip, defect_divisor, validate_dp)
+                           InvalidDPError, _deriv, _divmod, _expr_str, _gcd,
+                           _mul, _strip, defect_divisor, validate_dp)
 
 Z = sympy.Symbol("z")
 
@@ -120,8 +120,6 @@ def test_defect_refines_the_factor_lists_of_random_data():
 def test_gcd_and_division_match_sympy(a, b):
     g = _gcd(a, b)
     assert oracle(g) == oracle(a).gcd(oracle(b))
-    with mock.patch("silc.quasimap._heuristic_gcd", return_value=()):
-        assert _gcd(a, b) == g   # Euclid's algorithm, the fallback
     q, r = _divmod(a, b)
     assert (oracle(q), oracle(r)) == oracle(a).div(oracle(b))
     assert _divmod(_mul(a, b), b) == (a, ())
@@ -180,6 +178,19 @@ def test_defect_of_a_swinnerton_dyer_gcd_is_one_factor():
     assert div.finite_points == ((str(minimal), 32, (1,)),)
 
 
+def test_defect_of_wedge_data_near_the_size_limits():
+    """Rank-2 data u = (2z - 1)**2 (z**2 + 3) p, c = u ^ x, with p of degree
+    26 and x of degree 4, both random: c has 35 coefficients and some of 20
+    digits, and the planted factors are the whole defect."""
+    path = Path(__file__).parent / "data" / "qmap_wedge_near_limits.json"
+    data = DPData.from_json(json.loads(path.read_text()))
+    coeffs = [c for vec in data.components for p in vec for c in p]
+    assert max(len(str(abs(c))) for c in coeffs) == MAX_COEFFICIENT_DIGITS
+    assert len(data.components[1][0]) == MAX_COEFFICIENTS
+    div = check_refinement(data)
+    assert div.finite_points == (("2*z - 1", 1, (2, 2)), ("z**2 + 3", 2, (1, 1)))
+
+
 def test_a_residual_at_the_size_limits_prints():
     """A rank-2 residual coefficient sums products of input coefficients.
     With a distinct prime of the largest size allowed as the denominator of
@@ -202,10 +213,37 @@ def test_a_residual_at_the_size_limits_prints():
 
 
 def test_gcd_of_high_degree():
-    """A degree-6 common factor of two degree-200 polynomials; Euclid over Q
-    alone takes minutes here."""
+    """A degree-6 common factor of two degree-200 polynomials: Euclid's
+    remainders over Q would take minutes here, while the primitive
+    remainders stay small."""
     rng = random.Random(5)
     common = tuple(Fraction(rng.randint(-5, 5)) for _ in range(6)) + (1,)
     a, b = (_mul(common, tuple(Fraction(rng.randint(-9, 9))
                                for _ in range(200)) + (1,)) for _ in range(2))
     assert oracle(_gcd(a, b)) == oracle(a).gcd(oracle(b))
+
+
+def at_the_limits(rng):
+    """MAX_COEFFICIENTS random coefficients, each one digit short of the
+    limit."""
+    digits = MAX_COEFFICIENT_DIGITS - 1
+    return tuple(Fraction(rng.choice((-1, 1)) * rng.randrange(
+        10 ** (digits - 1), 10 ** digits)) for _ in range(MAX_COEFFICIENTS))
+
+
+LIMIT_F, LIMIT_G = (at_the_limits(random.Random(seed)) for seed in (34, 35))
+PLANTED = poly((3 * Z**2 - 5 * Z + 7) * (2 * Z + 9))
+
+
+@pytest.mark.parametrize("a, b, degree", [
+    (LIMIT_F, LIMIT_G, 0),
+    (_mul(LIMIT_F, PLANTED), _mul(LIMIT_G, PLANTED), 3),
+    (LIMIT_F, _deriv(LIMIT_F), 0),
+], ids=["coprime", "planted-factor", "derivative"])
+def test_gcd_at_the_input_limits_matches_sympy(a, b, degree):
+    """Degree-34 polynomials with 19-digit coefficients, near the size
+    limits of quasi-map data: coprime, with a planted common factor, and a
+    polynomial against its derivative."""
+    g = _gcd(a, b)
+    assert oracle(g) == oracle(a).gcd(oracle(b))
+    assert len(g) - 1 == degree
