@@ -19,6 +19,7 @@ along a word for w0.
 
 from __future__ import annotations
 
+from reprlib import repr as brief  # a word may be long option text
 from typing import NamedTuple
 
 from .errors import CharacterError, InconsistencyError
@@ -190,7 +191,7 @@ def demazure_word(datum: RootDatum, word, f: GradedCharacter) -> GradedCharacter
     word = tuple(word)
     for i in word:
         if not 0 <= i <= r:
-            raise CharacterError(f"Demazure index {i} out of range 0..{r}")
+            raise CharacterError(f"Demazure index {brief(i)} out of range 0..{r}")
     # Digit width.  Every weight a step emits lies on the segment from wt to
     # s_i wt (for i = 0 from wt to s_theta wt: s_0 acts on weights as
     # s_theta), and the convex hull of a W-stable set is W-stable, so every

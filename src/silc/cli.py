@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+from reprlib import repr as brief  # an Error: line shortens long option text
 
 from . import cache as cachemod
 from .errors import (CharacterError, InconsistencyError, QuasimapError,
@@ -50,14 +51,14 @@ def _int(datum, text):
 
 def _positive(datum, text):
     if int(text) < 1:
-        raise ValueError(f"{text} is smaller than the minimum 1")
+        raise ValueError(f"{brief(int(text))} is smaller than the minimum 1")
     return int(text)
 
 
 def _choice(*values):
     def parse(datum, text):
         if text not in values:
-            raise ValueError(f"{text!r} is not one of {', '.join(values)}")
+            raise ValueError(f"{brief(text)} is not one of {', '.join(values)}")
         return text
     return parse
 
@@ -90,9 +91,9 @@ def _window(datum, text):
     try:
         lo, hi = (int(t) for t in text.split(":"))
     except ValueError:
-        raise ValueError(f"window must look like 0:4, got {text!r}") from None
+        raise ValueError(f"window must look like 0:4, got {brief(text)}") from None
     if hi < lo:
-        raise ValueError(f"window {text!r} is reversed: lo:hi needs lo <= hi")
+        raise ValueError(f"window {brief(text)} is reversed: lo:hi needs lo <= hi")
     return lo, hi
 
 
@@ -106,20 +107,13 @@ def _built_window(datum, text):
     """A window whose every degree from 0 up is computed: hi is bounded."""
     lo, hi = _window(datum, text)
     if hi > MAX_WINDOW_HI:
-        raise ValueError(f"window {text!r} ends above the maximum {MAX_WINDOW_HI}")
+        raise ValueError(f"window {brief(text)} ends above the maximum {MAX_WINDOW_HI}")
     return lo, hi
 
 
 def _dp(datum, text):
     from .quasimap import DPData
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # Python's limit on int-from-str conversion
-        raise QuasimapError("the data holds an integer of more than "
-                            f"{sys.get_int_max_str_digits()} digits") from None
-    dp = DPData.from_json(obj)
+    dp = DPData.from_json(json.loads(text))
     if datum.cartan != root_datum("A", dp.rank).cartan:
         raise QuasimapError(
             f"data of rank {dp.rank} needs --type A --rank {dp.rank}"
@@ -216,6 +210,8 @@ def _parse(table, raw, datum):
         try:
             values[flag] = None if text is None else parse(datum, text)
         except PARSE_ERRORS as exc:
+            if "set_int_max_str_digits" in str(exc):  # Python's int-from-str limit
+                exc = f"an integer of more than {sys.get_int_max_str_digits()} digits"
             raise UsageError(f"Invalid value for '{flag}': {exc}")
     return values
 

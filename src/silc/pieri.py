@@ -59,6 +59,7 @@ dominant mu against an independent loop model of the modules.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add
 from typing import NamedTuple
 
@@ -79,22 +80,13 @@ def _extremal(datum, w, lam):
 
 
 def smt_character(datum: RootDatum, v: AffineWeylElement, w: AffineWeylElement,
-                  lam, window=FULL_WINDOW) -> GradedCharacter:
+                  lam) -> GradedCharacter:
     """Graded character of the sections of the lambda-twist on the Richardson
     variety cut out by v (bottom) and w (top): the twist coefficients
     a^u_w(lambda) summed over v <= u <= w.
     """
-    lam = tuple(lam)
-    if not datum.is_dominant(lam):
-        raise CharacterError(f"weight {lam} is not dominant")
-    if not si_order(datum).si_le(v, w):
-        return GradedCharacter.zero(window)
-    coeffs, pk = _twist_coefficients(datum, w, lam, FULL_WINDOW, v)
-    total = {}
-    for a in coeffs.values():
-        for k, c in a.items():
-            total[k] = total.get(k, 0) + c
-    return pk.unpack(total, window)
+    total, pk = _coefficient_sum(datum, w, tuple(lam), FULL_WINDOW, v)
+    return pk.unpack(total, FULL_WINDOW)
 
 
 def h0_dimension(datum: RootDatum, v, w, lam) -> int:
@@ -115,15 +107,9 @@ def gch_global_weyl(datum: RootDatum, w: AffineWeylElement, lam, window) -> Grad
     translates every x with it and leaves each coefficient as it is.
     """
     lam = tuple(lam)
-    if not datum.is_dominant(lam):
-        raise CharacterError(f"weight {lam} is not dominant")
     # built from degree 0, where the coefficients start, then cut to the window
     built = (0, max(window[1], 1))
-    coeffs, pk = _twist_coefficients(datum, _extremal(datum, w, lam)[0], lam, built)
-    total = {}
-    for a in coeffs.values():
-        for k, c in a.items():
-            total[k] = total.get(k, 0) + c
+    total, pk = _coefficient_sum(datum, _extremal(datum, w, lam)[0], lam, built)
     # negated weights: each digit d = wt + bound becomes 2 bound - d
     low, top = pk.degree(1) - 1, pk.weight((0,) * datum.rank, 2 * pk.bound)
     return pk.unpack({k + top - 2 * (k & low): c for k, c in total.items()}, window)
@@ -161,20 +147,25 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
     coefficient is nonzero on the window, by the formula of the module
     docstring.
 
+    The one check of a twist, in this order: lam is dominant; bottom, if
+    given, lies below w, or there are no coefficients; lam is of type A, or
+    zero, which takes no step and is answered in every type.
+
     Translating x by alpha_{i*}^vee moves it down and raises its degree, so
     the walk along k stops at the first x that is not above bottom or whose
-    term leaves the window.  The zero twist takes no step, so it is answered
-    in every type.
-
-    Each step adds packed terms into one dict per x, with weight digits
-    bounded by |lam| (module docstring).  Returns ({x: packed terms}, pk),
-    which the callers unpack once per coefficient or once per sum.
+    term leaves the window.  Each step adds packed terms into one dict per
+    x, with weight digits bounded by |lam| (module docstring).  Returns
+    ({x: packed terms}, pk), unpacked once per coefficient or once per sum.
     """
-    if any(lam):
-        require_type_a(datum)
+    if not datum.is_dominant(lam):
+        raise CharacterError(f"weight {lam} is not dominant")
     so = si_order(datum)
     rank = datum.rank
     pk = _Packing(rank, sum(lam))
+    if bottom is not None and not so.si_le(bottom, w):
+        return {}, pk
+    if any(lam):
+        require_type_a(datum)
     lo, hi, one = pk.degree(window[0]), pk.degree(window[1]), pk.degree(1)
     coeffs = {w: pk.pack(GradedCharacter.one(rank, window))}
     for i, m in enumerate(lam, start=1):
@@ -207,6 +198,15 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
     return coeffs, pk
 
 
+def _coefficient_sum(datum, w, lam, window, bottom=None):
+    """(the sum of the packed twist coefficients, pk)."""
+    coeffs, pk = _twist_coefficients(datum, w, lam, window, bottom)
+    total = Counter()
+    for a in coeffs.values():
+        total.update(a)
+    return total, pk
+
+
 def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
                   depth=None) -> PieriTable:
     """Twist coefficients a^u_w(lambda) for all u within the window.
@@ -217,8 +217,6 @@ def compute_pieri(datum: RootDatum, w: AffineWeylElement, lam, window,
     on the window [lo, hi) then cuts it.  depth is accepted and changes nothing.
     """
     lam = tuple(lam)
-    if not datum.is_dominant(lam):
-        raise CharacterError(f"weight {lam} is not dominant")
     window = tuple(window)
     built = (0, max(window[1], 1))
     full, pk = _twist_coefficients(datum, w, lam, built)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 from operator import mul
+from reprlib import repr as brief  # a rank or type may be long option text
 from typing import NamedTuple
 
 from .errors import RootDataError
@@ -111,7 +112,7 @@ def _builtin_cartan(kind: str, rank: int):
             a[i - 1][j - 1] = -1
             a[j - 1][i - 1] = -1
     else:
-        raise RootDataError(f"unknown Cartan type {kind!r}")
+        raise RootDataError(f"unknown Cartan type {brief(kind)}")
     return tuple(tuple(row) for row in a)
 
 
@@ -252,9 +253,9 @@ def root_datum(kind: str, rank: int) -> RootDatum:
     """Root datum for a named series, cached.  A rank outside 1..MAX_RANK
     is rejected before any matrix is built."""
     if rank < 1:
-        raise RootDataError(f"rank {rank} is below the minimum 1")
+        raise RootDataError(f"rank {brief(rank)} is below the minimum 1")
     if rank > MAX_RANK:
-        raise RootDataError(f"rank {rank} is above the maximum {MAX_RANK}")
+        raise RootDataError(f"rank {brief(rank)} is above the maximum {MAX_RANK}")
     return RootDatum(CartanMatrix(_builtin_cartan(kind, rank)))
 
 

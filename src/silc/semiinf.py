@@ -146,29 +146,28 @@ class SemiInfiniteOrder:
                 self._roots_by_places[(ones[0], ones[-1] + 1)] = alpha
         perm = u.perm
         n = len(perm)
-        edges = []  # (height, -i, i, j, quantum), sorting as the roots do
+        zero = (0,) * self.datum.rank
+        intern = self.wg._intern_perm
+        got = []
         for i, a in enumerate(perm):
             above = None    # least sigma(k) > a, i < k < j
             least = a       # least sigma(k), i < k < j, while all are below a
             for j in range(i + 1, n):
                 b = perm[j]
                 if b > a:
-                    if above is None or b < above:
-                        edges.append((j - i, -i, i, j, False))
-                        above = b
                     least = None
+                    if above is not None and above < b:
+                        continue
+                    above, quantum = b, False
                 elif least is not None and b < least:
-                    edges.append((j - i, -i, i, j, True))
-                    least = b
-        edges.sort()
-        zero = (0,) * self.datum.rank
-        intern = self.wg._intern_perm
-        got = []
-        for _, _, i, j, quantum in edges:
-            alpha = self._roots_by_places[(i, j)]
-            y = list(perm)
-            y[i], y[j] = y[j], y[i]
-            got.append((alpha, intern(tuple(y)), alpha.coroot if quantum else zero))
+                    least, quantum = b, True
+                else:
+                    continue
+                # an edge: u times the transposition of places i and j
+                alpha = self._roots_by_places[(i, j)]
+                y = list(perm)
+                y[i], y[j] = b, a
+                got.append((alpha, intern(tuple(y)), alpha.coroot if quantum else zero))
         return got
 
     def _covers(self, v: AffineWeylElement):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import gt, sub
+from reprlib import repr as brief  # a word may be long option text
 from typing import NamedTuple
 
 from .rootdata import (
@@ -236,7 +237,7 @@ class WeylGroup:
         out = self.id_finite
         for i in word:
             if not 1 <= i <= self.datum.rank:
-                raise RootDataError(f"finite reflection index {i} out of range")
+                raise RootDataError(f"finite reflection index {brief(i)} out of range")
             out = out * self._simple_finite[i - 1]
         return out
 
@@ -354,7 +355,7 @@ class WeylGroup:
         if not at:
             beta = [0] * self.datum.rank
         elif bpart.strip() == "":
-            raise RootDataError(f"no translation after '@' in {text!r}")
+            raise RootDataError(f"no translation after '@' in {brief(text)}")
         else:
             beta = [int(t) for t in bpart.split(",")]
         if len(beta) != self.datum.rank:

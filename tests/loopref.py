@@ -151,8 +151,8 @@ def richardson_blocks(datum, xv, xw, lam):
 
 
 def richardson_character(datum, v, w, lam, window=FULL_WINDOW):
-    """smt_character(datum, v, w, lam, window) for v <= w and a strictly
-    dominant (or zero) lam, from the loop model."""
+    """smt_character(datum, v, w, lam).truncate(window) for v <= w and a
+    strictly dominant (or zero) lam, from the loop model."""
     xv, _ = _extremal(datum, v, lam)[:2]
     xw, d_w = _extremal(datum, w, lam)[:2]
     blocks = richardson_blocks(datum, xv, xw, lam)

@@ -123,7 +123,8 @@ def test_section_restriction_tower(a1, wg_a1, so_a1, wword, lam):
     interval = so_a1.si_interval(deepest, w, 3)
     assert interval and interval[-1] == deepest
     window = (0, 3)
-    chars = {v.key(): smt_character(a1, v, w, lam, window) for v in interval}
+    chars = {v.key(): smt_character(a1, v, w, lam).truncate(window)
+             for v in interval}
     for v1 in interval:
         for v2 in interval:
             if v1 != v2 and so_a1.si_le(v1, v2):

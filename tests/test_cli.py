@@ -357,6 +357,35 @@ def test_zero_twist_global_weyl_outside_type_a(runner):
     assert json.loads(res.stdout)["terms"] == [{"q": 0, "wt": [0, 0], "c": 1}]
 
 
+@pytest.mark.parametrize("args, code, stdout", [
+    (["h0", "--rank", "1", "--v", "1@1", "--w", "e@0", "--lam", "-1"],
+     2, ""),
+    (["h0", "--type", "B", "--rank", "2", "--v", "e@0,0", "--w", "e@1,1",
+      "--lam", "-1,0"], 2, ""),
+    (["h0", "--type", "B", "--rank", "2", "--v", "e@0,0", "--w", "e@1,1",
+      "--lam", "1,1"], 0, '{"dim":0}\n'),
+    (["h0", "--type", "B", "--rank", "2", "--v", "e@1,1", "--w", "e@0,0",
+      "--lam", "0,0"], 0, '{"dim":1}\n'),
+    (["char", "gweyl", "--type", "B", "--rank", "2", "--w", "e@0,0",
+      "--lam", "-1,0", "--window", "0:2"], 2, ""),
+    (["pieri", "--type", "B", "--rank", "2", "--w", "e@0,0", "--lam", "-1,0",
+      "--window", "0:2"], 2, ""),
+    (["pieri", "--rank", "2", "--w", "e@0,0", "--lam", "1,-1", "--window", "0:2"],
+     2, ""),
+], ids=["h0-not-dominant", "h0-not-dominant-before-empty", "h0-empty-before-type",
+        "h0-zero-twist-B2", "gweyl-not-dominant-before-type",
+        "pieri-not-dominant-before-type", "pieri-not-dominant"])
+def test_section_entry_points_check_in_one_order(runner, args, code, stdout):
+    """h0, char gweyl and pieri check a twist in one order: the weight is
+    dominant, then [v, w] is nonempty (an empty one has no sections), then
+    a nonzero weight is of type A (test_library_input_errors_are_usage_errors
+    pins the type A cases)."""
+    res = runner.invoke(main, args + ["--no-cache"])
+    assert (res.exit_code, res.stdout) == (code, stdout), res.output
+    if code:
+        assert "Error: weight" in res.stderr and "is not dominant" in res.stderr
+
+
 # every subcommand: a valid A1 argv, and the options appended to it (the
 # parser keeps the last value of a repeated option) that make it malformed, of a
 # non-A type, out of range, or inverted (a reversed window or pair)
@@ -689,6 +718,93 @@ def test_malformed_qmap_data_names_what_is_wrong(runner, data, message):
     errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and message in errors[0], res.stderr
     assert len(res.stderr) < 300 and "set_int_max_str_digits" not in res.stderr
+
+
+def _one_short_error(res):
+    """The Error: line of a run that exits 2 with exactly one, under 300
+    bytes and without Python's advice to raise its digit limit."""
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, res.stderr
+    assert len(errors[0].encode()) < 300, errors[0][:300]
+    assert "set_int_max_str_digits" not in res.stderr
+    return errors[0]
+
+
+OVER = "9" * (sys.get_int_max_str_digits() + 700)  # 5,000 digits by default
+WITHIN = "9" * 4000
+A1_WINDOW = ["--rank", "1", "--lam", "1", "--window", "0:2"]
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--lam", ["char", "weyl", "--rank", "1", "--lam", OVER]),
+    ("--rank", ["char", "weyl", "--rank", OVER, "--lam", "1"]),
+    ("--q", ["char", "demazure", "--word", "1", *A1_WINDOW, "--q", OVER]),
+    ("--beta", ["dim", "parabolic", "--rank", "1", "--beta", OVER, "--w", "e"]),
+    ("--height-bound", ["order", "covers", "--rank", "1", "--v", "e@0",
+                        "--height-bound", OVER]),
+    ("--radius", ["order", "interval", "--rank", "1", "--v", "e@0", "--w", "e@0",
+                  "--radius", OVER]),
+    ("--depth", ["pieri", "--w", "e@0", *A1_WINDOW, "--depth", OVER]),
+    ("--word", ["char", "demazure", "--word", f"1,{OVER}", *A1_WINDOW]),
+    ("--j", ["dim", "parabolic", "--rank", "1", "--beta", "1", "--w", "e",
+             "--j", OVER]),
+    ("--w", ["order", "le", "--rank", "1", "--w", f"1@{OVER}", "--v", "e@0"]),
+    ("--w", ["order", "le", "--rank", "1", "--w", f"{OVER}@0", "--v", "e@0"]),
+    ("--w", ["dim", "parabolic", "--rank", "1", "--beta", "1", "--w", OVER]),
+    ("--lam", ["char", "weyl", "--rank", "1", "--lam", "9_" * len(OVER) + "9"]),
+    ("--data-file", ["qmap", "eval", "--rank", "1", "--data-file", "HUGE"]),
+], ids=["lam", "rank", "q", "beta", "height-bound", "radius", "depth", "word", "j",
+        "translation", "element-word", "finite-word", "underscores", "data-file"])
+def test_an_integer_past_the_digit_limit_is_refused_in_one_message(
+        runner, tmp_path, monkeypatch, flag, args):
+    """Every integer option, element and quasi-map data refuses an integer
+    that Python will not convert with one message that names the limit."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "HUGE").write_text(
+        '{"rank": 1, "components": [{"weight": 1, "polys": [[%s], ["1"]]}], '
+        '"degrees": [0]}' % OVER)
+    error = _one_short_error(runner.invoke(main, args + ["--no-cache"]))
+    assert error == (f"Error: Invalid value for '{flag}': an integer of more "
+                     f"than {sys.get_int_max_str_digits()} digits")
+
+
+H0_A1 = ["h0", "--rank", "1", "--v", "e@0", "--w", "e@0", "--lam", "1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    *[(cmd + ["--window", f"0:{OVER}"], "window must look like 0:4") for cmd in (
+        H0_A1, ["char", "demazure", "--word", "1", *A1_WINDOW],
+        ["char", "gweyl", "--w", "e@0", *A1_WINDOW], ["pieri", "--w", "e@0", *A1_WINDOW])],
+    (["char", "gweyl", "--w", "e@0", *A1_WINDOW, "--window", f"0:{WITHIN}"],
+     "ends above the maximum 400"),
+    (["pieri", "--w", "e@0", *A1_WINDOW, "--window", f"0:{WITHIN}"],
+     "ends above the maximum 400"),
+    (["char", "demazure", "--word", "1", *A1_WINDOW, "--window", f"{WITHIN}:0"],
+     "is reversed"),
+    (H0_A1 + ["--window", WITHIN], "window must look like 0:4"),
+    (["char", "weyl", "--rank", WITHIN, "--lam", "1"], "above the maximum 16"),
+    (["char", "weyl", "--rank", f"-{WITHIN}", "--lam", "1"], "below the minimum 1"),
+    (["order", "le", "--rank", "1", "--w", f"{WITHIN}@0", "--v", "e@0"],
+     "finite reflection index"),
+    (["order", "le", "--rank", "1", "--w", f"{WITHIN}@", "--v", "e@0"],
+     "no translation after '@'"),
+    (["char", "demazure", "--word", WITHIN, *A1_WINDOW], "Demazure index"),
+    (["order", "covers", "--rank", "1", "--v", "e@0", "--height-bound", f"-{WITHIN}"],
+     "is smaller than the minimum 1"),
+    (["char", "weyl", "--type", WITHIN, "--rank", "1", "--lam", "1"],
+     "unknown Cartan type"),
+    (["char", "weyl", "--rank", "1", "--lam", "1", "--output", WITHIN],
+     "is not one of json, csv, pretty"),
+], ids=["h0-window-over", "demazure-window-over", "gweyl-window-over",
+        "pieri-window-over", "gweyl-window-end", "pieri-window-end",
+        "reversed-window", "window-shape", "rank-above", "rank-below", "reflection-index", "no-translation",
+        "demazure-index", "height-bound", "type", "output"])
+def test_an_error_line_shortens_a_long_option_value(runner, args, message):
+    """An Error: line that echoes an option value shortens a long one, as
+    reprlib.repr does, so it stays under 300 bytes."""
+    error = _one_short_error(runner.invoke(main, args + ["--no-cache"]))
+    assert message in error and "..." in error
 
 
 FUZZ_ODD = st.sampled_from([None, True, 1.5, "1", "x", [], {}, -1, 10 ** 30])

@@ -369,7 +369,7 @@ def test_exhaustion_matches_global_module(a1, wg_a1):
     window = (0, 3)
     full = gch_global_weyl(a1, wg_a1.affine_from_finite(wg_a1.w0), lam, window)
     v = wg_a1.element([1], (4,))
-    got = smt_character(a1, v, e, lam, window)
+    got = smt_character(a1, v, e, lam).truncate(window)
     # qbar-layer k of the sections matches the negated q-layer k of the module
     for k in range(*window):
         sections = q_layer(got, k)
@@ -408,7 +408,7 @@ def test_smt_equals_interval_sum_of_coefficients(rank, lam, window, depth, extra
         if loopref.strictly_dominant(lam):
             got = loopref.richardson_character(datum, v, e, lam, window)
         else:
-            got = smt_character(datum, v, e, lam, window)
+            got = smt_character(datum, v, e, lam).truncate(window)
         assert dict(got.terms) == dict(expect.terms), wg.format(v)
 
 
@@ -431,7 +431,7 @@ def test_section_sums_match_the_unpacked_coefficients(rank, w_text, v_texts, lam
         for window in [(-1, 2), (0, 3), (1, 4)]:
             table = compute_pieri(datum, w, lam, window)
             for v in vs:
-                got = smt_character(datum, v, w, lam, window)
+                got = smt_character(datum, v, w, lam).truncate(window)
                 assert got == _interval_sum(so, table, v, window), (lam, window, v_texts)
             dual = GradedCharacter.zero(window)
             for _, a in compute_pieri(datum, w_w0, lam, window).coeffs:
@@ -618,16 +618,16 @@ def test_tables_at_the_digit_bound_satisfy_the_product_identity(rank, lam, windo
 
 @pytest.mark.parametrize("lam", [(2, 1), (2, 2)], ids=["(2,1)", "(2,2)"])
 def test_full_window_sections_at_the_digit_bound(a2, wg_a2, lam):
-    """smt_character's default window starts far below degree 0.  On it the
-    sections on [w0 t_(1,1), e], whose weights reach the digit bound, are
-    the loop model's, and every window cuts them, also one below zero."""
+    """smt_character's window, the full one, starts far below degree 0.  On
+    it the sections on [w0 t_(1,1), e], whose weights reach the digit bound,
+    are the loop model's, and so is every cut of them, also one below zero."""
     v, e = wg_a2.parse("1,2,1@1,1"), wg_a2.identity
     got = smt_character(a2, v, e, lam)
     assert got.window == FULL_WINDOW and FULL_WINDOW[0] < 0
     assert got == loopref.richardson_character(a2, v, e, lam)
     assert max(map(abs, _coordinates([got]))) == sum(lam)
     for window in [(-3, 0), (-3, 2), (1, 3)]:
-        assert smt_character(a2, v, e, lam, window) == got.truncate(window)
+        assert got.truncate(window) == loopref.richardson_character(a2, v, e, lam, window)
 
 
 @pytest.mark.parametrize("kind", ["B", "C", "G"])

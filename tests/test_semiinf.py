@@ -419,10 +419,10 @@ def test_weight_is_read_off_the_coset_walk(kind, rank):
                                        ("A", 5), ("A", 7), ("B", 2), ("G", 2)])
 def test_covers_of_finite_follow_the_lengths_of_matrix_products(kind, rank):
     """The edges read off a permutation are those that the lengths of the
-    matrix products u*s_alpha give, in the same root order and with the same
-    shifts, below every element of A1-A5 and 200 seeded elements of A7.  B2
-    and G2, which find their edges by those lengths, check the reference
-    itself."""
+    matrix products u*s_alpha give, with the same shifts, below every
+    element of A1-A5 and 200 seeded elements of A7; the permutation yields
+    them in the order it finds them.  B2 and G2, which find their edges by
+    those lengths, check the reference itself."""
     so = SemiInfiniteOrder(weyl_group(root_datum(kind, rank)))
     if rank == 7:
         elements = matrixref.sampled_elements(so.wg, 200, 40, seed=7)
@@ -433,7 +433,7 @@ def test_covers_of_finite_follow_the_lengths_of_matrix_products(kind, rank):
     for u, (root_mat, _, _) in elements.items():
         got = [(alpha, y.root_mat, shift)
                for alpha, y, shift in so._covers_of_finite(u)]
-        assert got == ref.covers(root_mat), so.wg.reduced_word_finite(u)
+        assert sorted(got) == sorted(ref.covers(root_mat)), so.wg.reduced_word_finite(u)
         edges += len(got)
     if (kind, rank) == ("A", 5):
         assert (len(elements), edges) == (720, 6264)
