@@ -23,7 +23,7 @@ from reprlib import repr as brief  # a word may be long option text
 from typing import NamedTuple
 
 from .errors import CharacterError, InconsistencyError
-from .rootdata import RootDatum, vec_add, vec_dot, vec_sub
+from .rootdata import RootDatum, brief_vector, vec_add, vec_dot, vec_sub
 
 
 FULL_WINDOW = (-(10 ** 9), 10 ** 9)
@@ -270,7 +270,7 @@ def weyl_character(datum: RootDatum, lam) -> GradedCharacter:
     """
     lam = tuple(lam)
     if not datum.is_dominant(lam):
-        raise CharacterError(f"weight {lam} is not dominant")
+        raise CharacterError(f"weight {brief_vector(lam)} is not dominant")
     r = datum.rank
     d = datum.cartan.symmetrizer()
     pos = datum.positive_roots()

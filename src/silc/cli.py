@@ -37,8 +37,18 @@ COMPUTATION_ERRORS = (InconsistencyError,)
 PARSE_ERRORS = (ValueError, KeyError, TypeError, OSError) + USAGE_ERRORS
 
 
+# in the message of Python's int-from-str digit limit
+DIGIT_LIMIT = "set_int_max_str_digits"
+
+
 class UsageError(Exception):
     """A command line that cannot run; it exits 2, as USAGE_ERRORS do."""
+
+
+def _clip(token):
+    """A command-line token as given, or its ends around '...' when it is
+    longer than the 30 letters to which reprlib.repr shortens text."""
+    return token if len(token) <= 30 else f"{token[:13]}...{token[-14:]}"
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +100,9 @@ def _vector(datum, text):
 def _window(datum, text):
     try:
         lo, hi = (int(t) for t in text.split(":"))
-    except ValueError:
+    except ValueError as exc:
+        if DIGIT_LIMIT in str(exc):  # _parse names the limit
+            raise
         raise ValueError(f"window must look like 0:4, got {brief(text)}") from None
     if hi < lo:
         raise ValueError(f"window {brief(text)} is reversed: lo:hi needs lo <= hi")
@@ -122,8 +134,12 @@ def _dp(datum, text):
 
 
 def _dp_file(datum, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _dp(datum, fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # as OSError prints itself, the path shortened
+        raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {brief(path)}") from None
+    return _dp(datum, text)
 
 
 def _element(datum, text):
@@ -195,8 +211,8 @@ def _collect(command, args):
             if raw[flag] is None:
                 raise UsageError(f"Option '{flag}' requires an argument.")
         else:
-            raise UsageError(f"No such option: {token}" if token.startswith("-")
-                             else f"Got unexpected extra argument ({token})")
+            raise UsageError(f"No such option: {_clip(token)}" if token.startswith("-")
+                             else f"Got unexpected extra argument ({_clip(token)})")
     return raw, no_cache
 
 
@@ -210,7 +226,7 @@ def _parse(table, raw, datum):
         try:
             values[flag] = None if text is None else parse(datum, text)
         except PARSE_ERRORS as exc:
-            if "set_int_max_str_digits" in str(exc):  # Python's int-from-str limit
+            if DIGIT_LIMIT in str(exc):
                 exc = f"an integer of more than {sys.get_int_max_str_digits()} digits"
             raise UsageError(f"Invalid value for '{flag}': {exc}")
     return values
@@ -282,7 +298,7 @@ def main(argv=None):
             _help(" ".join(words[:words.index("--help")]))
         if command not in COMMANDS:
             raise UsageError("Missing command." if command in ("", *GROUPS)
-                             else f"No such command '{command}'.")
+                             else f"No such command '{_clip(command)}'.")
         run(command, args[len(words):])
     except (UsageError, *USAGE_ERRORS) as exc:
         prog = f"silc {command}" if command in (*COMMANDS, *GROUPS) else "silc"

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 from .charring import FULL_WINDOW, GradedCharacter, _Packing
 from .errors import CharacterError, InconsistencyError
-from .rootdata import RootDatum, require_type_a, vec_neg
+from .rootdata import RootDatum, brief_vector, require_type_a, vec_neg
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, weyl_group
 
@@ -158,7 +158,7 @@ def _twist_coefficients(datum, w, lam, window, bottom=None):
     ({x: packed terms}, pk), unpacked once per coefficient or once per sum.
     """
     if not datum.is_dominant(lam):
-        raise CharacterError(f"weight {lam} is not dominant")
+        raise CharacterError(f"weight {brief_vector(lam)} is not dominant")
     so = si_order(datum)
     rank = datum.rank
     pk = _Packing(rank, sum(lam))

@@ -30,7 +30,7 @@ from reprlib import repr as brief  # data may hold long strings and lists
 from typing import NamedTuple
 
 from .errors import QuasimapError
-from .rootdata import RootDatum, vec_dot
+from .rootdata import RootDatum, brief_vector, vec_dot
 from .semiinf import si_order
 from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
@@ -460,7 +460,7 @@ def dim_parabolic(datum: RootDatum, J, beta, w: FiniteWeylElement) -> int:
     wg = weyl_group(datum)
     J = tuple(sorted(set(J)))
     if any(b < 0 for b in beta):
-        raise QuasimapError(f"beta {beta} is not a nonnegative coroot sum")
+        raise QuasimapError(f"beta {brief_vector(beta)} is not a nonnegative coroot sum")
     for j in J:
         sj = wg.finite_from_word([j])
         if wg.length_finite(w * sj) < wg.length_finite(w):

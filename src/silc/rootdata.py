@@ -44,6 +44,12 @@ def vec_dot(a, b):
     return sum(map(mul, a, b))
 
 
+def brief_vector(vec):
+    """str(tuple(vec)) with each coordinate shortened as reprlib.repr does;
+    reprlib.repr of the tuple would drop the coordinates past the sixth."""
+    return f"({', '.join(map(brief, vec))}{',' * (len(vec) == 1)})"
+
+
 def mat_vec(m, v):
     return tuple(vec_dot(row, v) for row in m)
 

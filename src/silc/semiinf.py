@@ -10,18 +10,8 @@ positive root alpha let y = u*s_alpha:
 - if l(y) = l(u) + 1 - 2<rho, alpha^vee>, then y*t_{beta + alpha^vee} is a
   cover (a quantum edge).
 
-Either way the si-length grows by one.  In type A_r no product needs to be
-formed to find the edges: with sigma the permutation of u
-(FiniteWeylElement.perm) and alpha = eps_i - eps_j, i < j, let b count the
-places k, i < k < j, with sigma(k) between sigma(i) and sigma(j).  Then
-u -> u*s_alpha is a Bruhat edge iff sigma(i) < sigma(j) and b = 0, and a
-quantum edge iff sigma(i) > sigma(j) and b = j - i - 1 (Brenti-Fomin-
-Postnikov; Postnikov, arXiv:math/0410147).  Only the y of the edges found
-are formed.  Other types find the edges by the lengths of all u*s_alpha,
-and the tests check the type A rule against those lengths, computed with
-matrices.  Each way builds its table of positive roots (the reflections
-s_alpha, or the places i, j of each alpha) on first use, and a type A
-element builds its root matrix only when a sort by key() reads it.
+Either way the si-length grows by one.  WeylGroup.edges lists these edges
+out of u.
 
 A QBG path weighs the sum of the coroots of its quantum edges.  All
 shortest paths from v to w weigh the same, wt(v => w), and every other
@@ -63,13 +53,11 @@ class SemiInfiniteOrder:
     """The semi-infinite order of one root datum: si-length, covers, order,
     down-sets and intervals.
 
-    Three memos keep what the searches reuse, each keyed by finite Weyl group
-    elements, because the covers below u*t_beta and the shape of everything
-    below it do not depend on beta (right translation equivariance):
+    The edges below u*t_beta, and so the shape of everything below it, do
+    not depend on beta (right translation equivariance); WeylGroup.edges
+    keeps them per finite part u.  Two memos keep what the searches reuse,
+    each keyed by finite Weyl group elements:
 
-    - ``_finite_covers``: finite part u -> the edges below every u*t_beta,
-      as (positive root alpha, u*s_alpha, translation shift).  At most |W|
-      keys; an entry holds at most one edge per positive root.
     - ``_nearest``: (finite part u, weight lam) -> the element nearest to
       u*t_0 in each coset of the stabilizer of lam.  At most |W| keys for
       each weight asked; the library asks only fundamental weights, so at
@@ -81,9 +69,6 @@ class SemiInfiniteOrder:
     def __init__(self, wg: WeylGroup):
         self.wg = wg
         self.datum: RootDatum = wg.datum
-        self._finite_covers = {}
-        self._reflections = None
-        self._roots_by_places = None
         self._nearest = {}
         self._weights = {}
 
@@ -97,82 +82,9 @@ class SemiInfiniteOrder:
 
     # -- covers --------------------------------------------------------------
 
-    def _covers_of_finite(self, u):
-        """(positive root alpha, y = u*s_alpha, translation shift) for each
-        edge below u*t_beta: the shift is 0 on a Bruhat edge and alpha^vee on
-        a quantum edge.
-
-        The edges do not depend on beta, so they are computed once per u, in
-        the order of the positive roots.  In type A they are read off the
-        permutation of u (module docstring), and only their y are formed.
-        """
-        got = self._finite_covers.get(u)
-        if got is None:
-            if u.perm is None:
-                got = self._covers_by_length(u)
-            else:
-                got = self._covers_by_permutation(u)
-            self._finite_covers[u] = got
-        return got
-
-    def _covers_by_length(self, u):
-        """The edges of u, from the lengths of u*s_alpha for every alpha."""
-        wg = self.wg
-        if self._reflections is None:
-            self._reflections = tuple(
-                (alpha, wg.reflection_by_root(alpha))
-                for alpha in self.datum.positive_roots())
-        lu = wg.length_finite(u)
-        zero = (0,) * self.datum.rank
-        got = []
-        for alpha, s_alpha in self._reflections:
-            y = u * s_alpha
-            step = wg.length_finite(y) - lu
-            if step == 1:
-                got.append((alpha, y, zero))
-            elif step == 1 - 2 * sum(alpha.coroot):
-                got.append((alpha, y, alpha.coroot))
-        return got
-
-    def _covers_by_permutation(self, u):
-        """The edges of a type A element u, from its permutation sigma: for
-        each i, scan j > i, keeping the least value above sigma(i) and, while
-        every value so far is below sigma(i), the least value."""
-        if self._roots_by_places is None:
-            # eps_i - eps_j, i < j, has coordinates 1 on places i..j-1
-            self._roots_by_places = {}
-            for alpha in self.datum.positive_roots():
-                ones = [k for k, c in enumerate(alpha.coords) if c]
-                self._roots_by_places[(ones[0], ones[-1] + 1)] = alpha
-        perm = u.perm
-        n = len(perm)
-        zero = (0,) * self.datum.rank
-        intern = self.wg._intern_perm
-        got = []
-        for i, a in enumerate(perm):
-            above = None    # least sigma(k) > a, i < k < j
-            least = a       # least sigma(k), i < k < j, while all are below a
-            for j in range(i + 1, n):
-                b = perm[j]
-                if b > a:
-                    least = None
-                    if above is not None and above < b:
-                        continue
-                    above, quantum = b, False
-                elif least is not None and b < least:
-                    least, quantum = b, True
-                else:
-                    continue
-                # an edge: u times the transposition of places i and j
-                alpha = self._roots_by_places[(i, j)]
-                y = list(perm)
-                y[i], y[j] = b, a
-                got.append((alpha, intern(tuple(y)), alpha.coroot if quantum else zero))
-        return got
-
     def _covers(self, v: AffineWeylElement):
         """The elements one cover below v."""
-        for _, y, shift in self._covers_of_finite(v.finite):
+        for _, y, shift in self.wg.edges(v.finite):
             yield AffineWeylElement(y, vec_add(v.translation, shift))
 
     def nearest_below(self, u: AffineWeylElement, lam):
@@ -198,7 +110,7 @@ class SemiInfiniteOrder:
             while level:
                 below = []
                 for y, shift in level:
-                    for _, z, step in self._covers_of_finite(y):
+                    for _, z, step in self.wg.edges(y):
                         mu = z.act_weight(lam)
                         if mu not in found:
                             found[mu] = (z, vec_add(shift, step))
@@ -223,7 +135,7 @@ class SemiInfiniteOrder:
         out = [(AffineRoot(u.act_root(alpha.coords), u.act_coweight(alpha.coroot),
                            int(any(shift))),
                 AffineWeylElement(y, vec_add(v.translation, shift)))
-               for alpha, y, shift in self._covers_of_finite(u)]
+               for alpha, y, shift in self.wg.edges(u)]
         return sorted(out, key=lambda pair: pair[1].key())
 
     def down_set(self, top: AffineWeylElement, cap, steps=None):
@@ -254,7 +166,7 @@ class SemiInfiniteOrder:
         got, queue = search
         while w not in got:
             y = queue.popleft()
-            for _, x, shift in self._covers_of_finite(y):
+            for _, x, shift in self.wg.edges(y):
                 if x not in got:
                     got[x] = vec_add(got[y], shift)
                     queue.append(x)

@@ -40,7 +40,7 @@ class FiniteWeylElement:
     Fomin-Postnikov; Postnikov, arXiv:math/0410147): u -> u*t_ij, i < j,
     is a Bruhat edge iff perm[i] < perm[j] with no perm[k], i < k < j,
     between them, and a quantum edge iff perm[i] > perm[j] with every one
-    between them (semiinf).  Lazy: the inverse is made when first asked
+    between them (WeylGroup.edges).  Lazy: the inverse is made when first asked
     for, and root_mat and coweight_mat, which agree in type A, are built
     from perm only when read: by key(), and so by every sort order, and by
     act_root and act_coweight.
@@ -55,12 +55,13 @@ class FiniteWeylElement:
     - the inverse, for act_weight and WeylGroup.compose: the simple
       reflections of a reduced word, reversed.  Left descents need none.
 
-    The length, the number of positive roots sent to negative ones, is
-    counted when first asked for.
+    The length, the number of positive roots sent to negative ones, and the
+    edges of the quantum Bruhat graph out of u (WeylGroup.edges) are found
+    when first asked for: outside type A from the heights ht(u(beta)).
     """
 
     __slots__ = ("_group", "perm", "_root_mat", "_coweight_mat", "_length",
-                 "_inverse", "_products", "_reflection")
+                 "_inverse", "_products", "_reflection", "_edges")
 
     def __init__(self, group: "WeylGroup", root_mat=None, perm=None):
         self._group = group
@@ -70,6 +71,7 @@ class FiniteWeylElement:
         self._length = None
         self._inverse = None
         self._products = {}
+        self._edges = None
         # (beta, <beta^vee, alpha_j>_j) when this is the reflection s_beta
         # of a matrix element, set by reflection_by_root
         self._reflection = None
@@ -118,11 +120,8 @@ class FiniteWeylElement:
             if p is not None:
                 self._length = sum(x > y for i, x in enumerate(p) for y in p[i + 1:])
             else:
-                # u(alpha) is negative iff its height is; column sums of
-                # root_mat are the heights of the u(alpha_j)
-                heights = tuple(map(sum, zip(*self._root_mat)))
-                self._length = sum(vec_dot(heights, rc) < 0
-                                   for rc in self._group._pos_roots)
+                # u(beta) is negative iff its height is
+                self._length = sum(h < 0 for h in self._group._root_heights(self))
         return self._length
 
     def inverse(self) -> "FiniteWeylElement":
@@ -309,6 +308,94 @@ class WeylGroup:
 
     def length_finite(self, u: FiniteWeylElement) -> int:
         return u.length()
+
+    def _root_heights(self, u: FiniteWeylElement):
+        """ht(u(beta)) for each positive root beta, outside type A: column sums
+        of the root matrix are the heights of the u(alpha_j)."""
+        return mat_vec(self._pos_roots, tuple(map(sum, zip(*u._root_mat))))
+
+    # -- the quantum Bruhat graph ----------------------------------------------
+
+    def edges(self, u: FiniteWeylElement):
+        """(positive root alpha, y = u*s_alpha, shift) for each edge of the
+        quantum Bruhat graph out of u: shift 0 on a Bruhat edge, l(y) = l(u)
+        + 1, and alpha^vee on a quantum edge, l(y) = l(u) + 1 - 2<rho,
+        alpha^vee>.  Found once per u, forming only the y of the edges: in
+        type A in the order a scan of the permutation meets them, elsewhere
+        in the order of the positive roots."""
+        got = u._edges
+        if got is None:
+            got = u._edges = (self._edges_by_heights(u) if u.perm is None
+                              else self._edges_by_permutation(u))
+        return got
+
+    @cached_property
+    def _reflection_table(self):
+        """Outside type A, for each positive root alpha: alpha, its place
+        among the positive roots, s_alpha, the (place k, <beta_k, alpha^vee>)
+        of each positive root beta_k pairing nonzero, and 1 - 2<rho, alpha^vee>."""
+        table = []
+        for a, alpha in enumerate(self.datum.positive_roots()):
+            s_alpha = self.reflection_by_root(alpha)
+            pairs = [(k, c) for k, c in enumerate(
+                mat_vec(self._pos_roots, s_alpha._reflection[1])) if c]
+            table.append((alpha, a, s_alpha, pairs, 1 - 2 * sum(alpha.coroot)))
+        return table
+
+    def _edges_by_heights(self, u):
+        """With h_beta = ht(u(beta)), u*s_alpha sends beta to a root of height
+        h_beta - <beta, alpha^vee> h_alpha, so l(u*s_alpha) - l(u) counts the
+        signs that flip among the beta pairing nonzero with alpha^vee (the
+        length counts inversions: Bjorner-Brenti, Combinatorics of Coxeter
+        Groups, ch. 4)."""
+        h = self._root_heights(u)
+        zero = (0,) * self.datum.rank
+        got = []
+        for alpha, a, s_alpha, pairs, quantum in self._reflection_table:
+            ha = h[a]
+            step = sum((h[k] < c * ha) - (h[k] < 0) for k, c in pairs)
+            if step == 1:
+                got.append((alpha, u * s_alpha, zero))
+            elif step == quantum:
+                got.append((alpha, u * s_alpha, alpha.coroot))
+        return got
+
+    @cached_property
+    def _roots_by_places(self):
+        """In type A, {(i, j): eps_i - eps_j} for i < j, the positive root
+        with coordinates 1 on places i..j-1."""
+        return {(a.coords.index(1), a.coords.index(1) + sum(a.coords)): a
+                for a in self.datum.positive_roots()}
+
+    def _edges_by_permutation(self, u):
+        """The edges out of a type A element u, from its permutation sigma:
+        for each i, scan j > i, keeping the least value above sigma(i) and,
+        while every value so far is below sigma(i), the least value."""
+        perm = u.perm
+        n = len(perm)
+        zero = (0,) * self.datum.rank
+        places, intern = self._roots_by_places, self._intern_perm
+        got = []
+        for i, a in enumerate(perm):
+            above = None    # least sigma(k) > a, i < k < j
+            least = a       # least sigma(k), i < k < j, while all are below a
+            for j in range(i + 1, n):
+                b = perm[j]
+                if b > a:
+                    least = None
+                    if above is not None and above < b:
+                        continue
+                    above, quantum = b, False
+                elif least is not None and b < least:
+                    least, quantum = b, True
+                else:
+                    continue
+                # an edge: u times the transposition of places i and j
+                alpha = places[(i, j)]
+                y = list(perm)
+                y[i], y[j] = b, a
+                got.append((alpha, intern(tuple(y)), alpha.coroot if quantum else zero))
+        return got
 
     # -- reduced words -------------------------------------------------------
 

@@ -82,7 +82,7 @@ class Matrices:
     def covers(self, root_mat):
         """(alpha, root matrix of u*s_alpha, shift) for each edge of the
         quantum Bruhat graph below u, by the lengths of the products: the
-        reference for SemiInfiniteOrder._covers_of_finite."""
+        reference for WeylGroup.edges."""
         lu = self.length(root_mat)
         zero = (0,) * self.datum.rank
         out = []

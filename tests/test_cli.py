@@ -734,6 +734,7 @@ def _one_short_error(res):
 OVER = "9" * (sys.get_int_max_str_digits() + 700)  # 5,000 digits by default
 WITHIN = "9" * 4000
 A1_WINDOW = ["--rank", "1", "--lam", "1", "--window", "0:2"]
+H0_A1 = ["h0", "--rank", "1", "--v", "e@0", "--w", "e@0", "--lam", "1"]
 
 
 @pytest.mark.parametrize("flag, args", [
@@ -754,8 +755,12 @@ A1_WINDOW = ["--rank", "1", "--lam", "1", "--window", "0:2"]
     ("--w", ["dim", "parabolic", "--rank", "1", "--beta", "1", "--w", OVER]),
     ("--lam", ["char", "weyl", "--rank", "1", "--lam", "9_" * len(OVER) + "9"]),
     ("--data-file", ["qmap", "eval", "--rank", "1", "--data-file", "HUGE"]),
+    *[("--window", cmd + ["--window", f"0:{OVER}"]) for cmd in (
+        H0_A1, ["char", "demazure", "--word", "1", *A1_WINDOW],
+        ["char", "gweyl", "--w", "e@0", *A1_WINDOW], ["pieri", "--w", "e@0", *A1_WINDOW])],
 ], ids=["lam", "rank", "q", "beta", "height-bound", "radius", "depth", "word", "j",
-        "translation", "element-word", "finite-word", "underscores", "data-file"])
+        "translation", "element-word", "finite-word", "underscores", "data-file",
+        "h0-window", "demazure-window", "gweyl-window", "pieri-window"])
 def test_an_integer_past_the_digit_limit_is_refused_in_one_message(
         runner, tmp_path, monkeypatch, flag, args):
     """Every integer option, element and quasi-map data refuses an integer
@@ -769,13 +774,11 @@ def test_an_integer_past_the_digit_limit_is_refused_in_one_message(
                      f"than {sys.get_int_max_str_digits()} digits")
 
 
-H0_A1 = ["h0", "--rank", "1", "--v", "e@0", "--w", "e@0", "--lam", "1"]
+# a weight of rank 7 whose seventh coordinate is long and negative
+LAM_7 = ",".join(["1"] * 6 + [f"-{WITHIN}"])
 
 
 @pytest.mark.parametrize("args, message", [
-    *[(cmd + ["--window", f"0:{OVER}"], "window must look like 0:4") for cmd in (
-        H0_A1, ["char", "demazure", "--word", "1", *A1_WINDOW],
-        ["char", "gweyl", "--w", "e@0", *A1_WINDOW], ["pieri", "--w", "e@0", *A1_WINDOW])],
     (["char", "gweyl", "--w", "e@0", *A1_WINDOW, "--window", f"0:{WITHIN}"],
      "ends above the maximum 400"),
     (["pieri", "--w", "e@0", *A1_WINDOW, "--window", f"0:{WITHIN}"],
@@ -796,15 +799,48 @@ H0_A1 = ["h0", "--rank", "1", "--v", "e@0", "--w", "e@0", "--lam", "1"]
      "unknown Cartan type"),
     (["char", "weyl", "--rank", "1", "--lam", "1", "--output", WITHIN],
      "is not one of json, csv, pretty"),
-], ids=["h0-window-over", "demazure-window-over", "gweyl-window-over",
-        "pieri-window-over", "gweyl-window-end", "pieri-window-end",
+    (["char", "weyl", "--rank", "1", "--lam", "1", f"--{WITHIN}"],
+     "No such option: --999"),
+    (["char", "weyl", "--rank", "1", "--lam=1", WITHIN],
+     "Got unexpected extra argument (999"),
+    ([WITHIN, "--rank", "1"], "No such command '999"),
+    (["char", "weyl", "--rank", "7", "--lam", LAM_7],
+     "weight (1, 1, 1, 1, 1, 1, -999"),
+    (["pieri", "--rank", "7", "--w", "e@" + ",".join("0" * 7), "--lam", LAM_7,
+      "--window", "0:1"], "weight (1, 1, 1, 1, 1, 1, -999"),
+    (["dim", "parabolic", "--rank", "1", "--beta", f"-{WITHIN}", "--w", "e"],
+     "beta (-999"),
+    (["qmap", "eval", "--rank", "1", "--data-file", "x" * 4000], "'xxx"),
+], ids=["gweyl-window-end", "pieri-window-end",
         "reversed-window", "window-shape", "rank-above", "rank-below", "reflection-index", "no-translation",
-        "demazure-index", "height-bound", "type", "output"])
+        "demazure-index", "height-bound", "type", "output", "option", "extra-argument",
+        "command", "weight", "pieri-weight", "beta", "data-file"])
 def test_an_error_line_shortens_a_long_option_value(runner, args, message):
-    """An Error: line that echoes an option value shortens a long one, as
-    reprlib.repr does, so it stays under 300 bytes."""
+    """An Error: line that echoes an option value, a path or a command-line
+    token shortens a long one, as reprlib.repr does (a vector coordinate by
+    coordinate, keeping those past the sixth), so it stays under 300 bytes."""
     error = _one_short_error(runner.invoke(main, args + ["--no-cache"]))
     assert message in error and "..." in error
+
+
+@pytest.mark.parametrize("args, error", [
+    (["char", "weyl", "--rank", "1", "--lam", "1", "--lam2=3"],
+     "Error: No such option: --lam2=3"),
+    (["char", "weyl", "--rank", "1", "--lam", "1", "extra"],
+     "Error: Got unexpected extra argument (extra)"),
+    (["order", "lt", "--rank", "1"], "Error: No such command 'order lt'."),
+    (["char", "weyl", "--rank", "1", "--lam", "-1"], "Error: weight (-1,) is not dominant"),
+    (["dim", "parabolic", "--rank", "2", "--beta", "1,-1", "--w", "e"],
+     "Error: beta (1, -1) is not a nonnegative coroot sum"),
+    (["qmap", "eval", "--rank", "1", "--data-file", "no-such-file"],
+     "Error: Invalid value for '--data-file': [Errno 2] No such file or directory: "
+     "'no-such-file'"),
+], ids=["option", "extra-argument", "command", "rank-1-weight", "beta", "data-file"])
+def test_an_error_line_echoes_a_short_value_whole(runner, tmp_path, monkeypatch,
+                                                   args, error):
+    """The shortening leaves a short token, vector or path as it was."""
+    monkeypatch.chdir(tmp_path)
+    assert _one_short_error(runner.invoke(main, args + ["--no-cache"])) == error
 
 
 FUZZ_ODD = st.sampled_from([None, True, 1.5, "1", "x", [], {}, -1, 10 ** 30])

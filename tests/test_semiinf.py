@@ -415,25 +415,37 @@ def test_weight_is_read_off_the_coset_walk(kind, rank):
                                  so.wg.reduced_word_finite(w))
 
 
+# seeded sample sizes; every element of the other groups is checked
+_EDGE_SAMPLES = {("A", 7): 200, ("E", 6): 300, ("E", 7): 100, ("E", 8): 50}
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
-                                       ("A", 5), ("A", 7), ("B", 2), ("G", 2)])
+                                       ("A", 5), ("A", 7), ("B", 2), ("G", 2),
+                                       ("B", 3), ("C", 3), ("D", 4), ("F", 4),
+                                       ("E", 6), ("E", 7), ("E", 8)])
 def test_covers_of_finite_follow_the_lengths_of_matrix_products(kind, rank):
-    """The edges read off a permutation are those that the lengths of the
-    matrix products u*s_alpha give, with the same shifts, below every
-    element of A1-A5 and 200 seeded elements of A7; the permutation yields
-    them in the order it finds them.  B2 and G2, which find their edges by
-    those lengths, check the reference itself."""
+    """The edges of WeylGroup.edges are those that the lengths of the matrix
+    products u*s_alpha give, with the same shifts: below every element of
+    A1-A5, B2, G2, B3, C3, D4 and F4, 200 seeded elements of A7, and 300,
+    100 and 50 seeded elements of E6, E7 and E8.  A permutation yields them
+    in the order it finds them; the root heights of other types yield them
+    in the order of the positive roots, as the reference does."""
     so = SemiInfiniteOrder(weyl_group(root_datum(kind, rank)))
-    if rank == 7:
-        elements = matrixref.sampled_elements(so.wg, 200, 40, seed=7)
-    else:
+    sample = _EDGE_SAMPLES.get((kind, rank))
+    if sample is None:
         elements = matrixref.all_elements(so.wg)
+    elif kind == "A":
+        elements = matrixref.sampled_elements(so.wg, sample, 40, seed=7)
+    else:
+        elements = matrixref.distinct_elements(so.wg, sample, seed=rank)
     ref = matrixref.Matrices(so.datum)
     edges = 0
     for u, (root_mat, _, _) in elements.items():
-        got = [(alpha, y.root_mat, shift)
-               for alpha, y, shift in so._covers_of_finite(u)]
-        assert sorted(got) == sorted(ref.covers(root_mat)), so.wg.reduced_word_finite(u)
+        got = [(alpha, y.root_mat, shift) for alpha, y, shift in so.wg.edges(u)]
+        want = ref.covers(root_mat)
+        if kind == "A":
+            got, want = sorted(got), sorted(want)
+        assert got == want, so.wg.reduced_word_finite(u)
         edges += len(got)
     if (kind, rank) == ("A", 5):
         assert (len(elements), edges) == (720, 6264)
