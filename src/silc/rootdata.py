@@ -45,9 +45,9 @@ def vec_dot(a, b):
 
 
 def brief_vector(vec):
-    """str(tuple(vec)) with each coordinate shortened as reprlib.repr does;
-    reprlib.repr of the tuple would drop the coordinates past the sixth."""
-    return f"({', '.join(map(brief, vec))}{',' * (len(vec) == 1)})"
+    """str(tuple(vec)), a coordinate past 12 characters cut as reprlib.repr cuts."""
+    cut = [s if len(s) <= 12 else f"{s[:4]}...{s[-5:]}" for s in map(str, vec)]
+    return f"({', '.join(cut)}{',' * (len(vec) == 1)})"
 
 
 def mat_vec(m, v):

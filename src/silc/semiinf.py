@@ -26,19 +26,24 @@ If: a shortest path reaches w*t_{gamma + wt(v => w)}; and at every y the
 1 - 2<rho, alpha_i^vee> = -1, so it adds alpha_i^vee, and any element of
 Q^vee_+ can be appended this way.
 
+wt(v => w) is read off coset walks (SemiInfiniteOrder._walk), as if shortest
+paths projected to the parabolic QBG of each W/W_k (Lenart-Naito-Sagaki-
+Schilling-Shimozono, arXiv:1211.2042).  That is checked, not cited:
+tests/test_semiinf.py compares it with the search through all of W.
+
 Intervals and down-sets lie in a finite region, since translations only
 gain positive coroots on the way down, and are walks through it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
+from collections import defaultdict, deque
+from functools import lru_cache, reduce
 from itertools import product
-from operator import add, ge, sub
+from operator import add, ge, itemgetter, sub
 from typing import NamedTuple
 
-from .rootdata import RootDatum, vec_add, vec_dot
+from .rootdata import RootDatum, mat_identity, vec_add, vec_dot
 from .weylgroup import AffineWeylElement, WeylGroup, weyl_group
 
 
@@ -55,22 +60,18 @@ class SemiInfiniteOrder:
 
     The edges below u*t_beta, and so the shape of everything below it, do
     not depend on beta (right translation equivariance); WeylGroup.edges
-    keeps them per finite part u.  Two memos keep what the searches reuse,
-    each keyed by finite Weyl group elements:
-
-    - ``_nearest``: (finite part u, weight lam) -> the element nearest to
-      u*t_0 in each coset of the stabilizer of lam.  At most |W| keys for
-      each weight asked; the library asks only fundamental weights, so at
-      most rank*|W| in all.  An entry holds |W lam| elements.
-    - ``_weights``: finite part v -> ({w: wt(v => w)}, queue) of the search
-      down from v.  At most |W| keys, each with at most |W| weights.
+    keeps them per finite part u.  One memo keeps the coset walks, per
+    (finite part u, weight lam), each with at most |W lam| elements; the
+    library walks only fundamental weights, so at most rank*|W| walks.  si_le
+    keeps the weights wt(v => w) it has read, per v and w.
     """
 
     def __init__(self, wg: WeylGroup):
         self.wg = wg
         self.datum: RootDatum = wg.datum
-        self._nearest = {}
-        self._weights = {}
+        self._units = mat_identity(self.datum.rank)  # the fundamental weights
+        self._walks = {}
+        self._least = defaultdict(dict)
 
     # -- length --------------------------------------------------------------
 
@@ -87,38 +88,44 @@ class SemiInfiniteOrder:
         for _, y, shift in self.wg.edges(v.finite):
             yield AffineWeylElement(y, vec_add(v.translation, shift))
 
-    def nearest_below(self, u: AffineWeylElement, lam):
-        """{mu: m} for each weight mu of the orbit W lam, with m the element
-        below u with m.finite(lam) = mu that the fewest covers reach from u.
+    def _walk(self, u, lam, stop=None):
+        """{mu: (m, shift)} for the weights mu of W lam (lam dominant, nonzero)
+        met by the coset walk from the finite part u, m the first element met
+        with m(lam) = mu and shift the sum of the quantum coroots on its way:
+        a breadth-first search that steps on only from the first element met
+        in each coset of lam's stabilizer (|W lam| steps, not |W|), run until
+        it meets stop or ends.  z(lam) sums the rows z(varpi_k) of z^{-1}'s
+        coweight matrix, lam_k of row k; alpha^vee pairing to 0 keeps it."""
+        walk = self._walks.get((u, lam))
+        if walk is None:
+            rows = [k for k, c in enumerate(lam) for _ in range(c)]
+            if len(rows) == 1:  # lam = varpi_k: both are read at place k
+                image = pairing = itemgetter(*rows)
+            else:
+                def image(m): return reduce(vec_add, map(m.__getitem__, rows))
+                def pairing(coroot): return vec_dot(coroot, lam)
+            start = (u, (0,) * self.datum.rank)
+            walk = self._walks[(u, lam)] = ({image(u.inverse().coweight_mat): start},
+                                            deque([start]), image, pairing)
+        found, queue, image, pairing = walk
+        while stop not in found and queue:
+            y, shift = queue.popleft()
+            for alpha, z, step in self.wg.edges(y):
+                if pairing(alpha.coroot):
+                    mu = image(z.inverse().coweight_mat)
+                    if mu not in found:
+                        found[mu] = (z, vec_add(shift, step))
+                        queue.append(found[mu])
+        return found
 
-        A breadth-first search on finite parts, memoized per (u.finite, lam),
-        that goes on only from the first element it meets in each coset of
-        the stabilizer of lam, so it makes one step from each of |W lam|
-        elements, not from all of W.  That the nearest elements are reached
-        through one another is an observation, not a cited theorem:
-        tests/test_semiinf.py checks it against the search through all of W.
-        The nearest element of each coset is unique (the tilted Bruhat
-        theorem, arXiv:1402.2203), and all shortest paths of the quantum
-        Bruhat graph between two elements carry the same translation
-        (Postnikov), so the order of the search does not matter.
-        """
-        got = self._nearest.get((u.finite, lam))
-        if got is None:
-            start = (u.finite, (0,) * self.datum.rank)
-            found = {u.finite.act_weight(lam): start}
-            level = [start]
-            while level:
-                below = []
-                for y, shift in level:
-                    for _, z, step in self.wg.edges(y):
-                        mu = z.act_weight(lam)
-                        if mu not in found:
-                            found[mu] = (z, vec_add(shift, step))
-                            below.append(found[mu])
-                level = below
-            got = self._nearest[(u.finite, lam)] = tuple(found.items())
+    def nearest_below(self, u: AffineWeylElement, lam):
+        """{mu: m} for each weight mu of W lam, m the element below u with
+        m.finite(lam) = mu that the fewest covers reach from u: the coset walk
+        from u.finite, run to its end.  That it reaches them is checked, not
+        cited (tests/test_semiinf.py); each is unique (tilted Bruhat theorem,
+        arXiv:1402.2203), and all shortest paths to it carry one shift (Postnikov)."""
         return {mu: AffineWeylElement(y, tuple(map(add, u.translation, shift)))
-                for mu, (y, shift) in got}
+                for mu, (y, shift) in self._walk(u.finite, lam).items()}
 
     def si_covers_below(self, v: AffineWeylElement, height_bound: int = 2):
         """All (alpha, s_alpha v) one step below v in the semi-infinite order,
@@ -158,23 +165,16 @@ class SemiInfiniteOrder:
     # -- order ---------------------------------------------------------------
 
     def _weight(self, v, w):
-        """wt(v => w), by a breadth-first search down from v (its first path to
-        w is a shortest one), kept per v and taken only as far as w."""
-        search = self._weights.get(v)
-        if search is None:
-            search = self._weights[v] = ({v: (0,) * self.datum.rank}, deque([v]))
-        got, queue = search
-        while w not in got:
-            y = queue.popleft()
-            for _, x, shift in self.wg.edges(y):
-                if x not in got:
-                    got[x] = vec_add(got[y], shift)
-                    queue.append(x)
-        return got[w]
+        """wt(v => w), coordinate k read off the walk for varpi_k from v at the
+        coset of w, whose weight w(varpi_k) is row k of w^{-1}'s coweight matrix."""
+        return tuple([self._walk(v, unit, row)[row][1][k] for k, (unit, row)
+                      in enumerate(zip(self._units, w.inverse().coweight_mat))])
 
     def si_le(self, w: AffineWeylElement, v: AffineWeylElement) -> bool:
         """True iff w <=_si v (w deeper or equal), by the module's criterion."""
-        least = self._weight(v.finite, w.finite)
+        least = self._least[v.finite].get(w.finite)
+        if least is None:
+            least = self._least[v.finite][w.finite] = self._weight(v.finite, w.finite)
         # beta_w - beta_v >= least coordinatewise; map keeps the loop in C
         return all(map(ge, map(sub, w.translation, v.translation), least))
 

@@ -776,6 +776,8 @@ def test_an_integer_past_the_digit_limit_is_refused_in_one_message(
 
 # a weight of rank 7 whose seventh coordinate is long and negative
 LAM_7 = ",".join(["1"] * 6 + [f"-{WITHIN}"])
+# a weight of rank 16, every coordinate long and negative
+LAM_16 = ",".join([f"-{WITHIN}"] * 16)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -808,17 +810,19 @@ LAM_7 = ",".join(["1"] * 6 + [f"-{WITHIN}"])
      "weight (1, 1, 1, 1, 1, 1, -999"),
     (["pieri", "--rank", "7", "--w", "e@" + ",".join("0" * 7), "--lam", LAM_7,
       "--window", "0:1"], "weight (1, 1, 1, 1, 1, 1, -999"),
+    (["char", "weyl", "--rank", "16", "--lam", LAM_16], "weight (-999...99999, -999"),
     (["dim", "parabolic", "--rank", "1", "--beta", f"-{WITHIN}", "--w", "e"],
      "beta (-999"),
     (["qmap", "eval", "--rank", "1", "--data-file", "x" * 4000], "'xxx"),
 ], ids=["gweyl-window-end", "pieri-window-end",
         "reversed-window", "window-shape", "rank-above", "rank-below", "reflection-index", "no-translation",
         "demazure-index", "height-bound", "type", "output", "option", "extra-argument",
-        "command", "weight", "pieri-weight", "beta", "data-file"])
+        "command", "weight", "pieri-weight", "rank-16-weight", "beta", "data-file"])
 def test_an_error_line_shortens_a_long_option_value(runner, args, message):
     """An Error: line that echoes an option value, a path or a command-line
     token shortens a long one, as reprlib.repr does (a vector coordinate by
-    coordinate, keeping those past the sixth), so it stays under 300 bytes."""
+    coordinate, keeping those past the sixth, so that 16 long coordinates
+    fit), so it stays under 300 bytes."""
     error = _one_short_error(runner.invoke(main, args + ["--no-cache"]))
     assert message in error and "..." in error
 

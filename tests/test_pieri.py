@@ -22,9 +22,10 @@ from silc.pieri import (
     h0_dimension,
     smt_character,
 )
+from silc.quasimap import dim_richardson
 from silc.rootdata import root_datum, vec_neg
 from silc.semiinf import si_order
-from silc.weylgroup import weyl_group
+from silc.weylgroup import AffineWeylElement, weyl_group
 
 
 def base_weight(wg, w, lam):
@@ -587,6 +588,48 @@ def test_a3_richardson_sections_match_loop_model(a3, v_text, lam, dim):
     got = smt_character(a3, v, e, lam)
     assert got == loopref.richardson_character(a3, v, e, lam)
     assert got.total() == dim
+
+
+def _differences(values):
+    return [b - a for a, b in zip(values, values[1:])]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_hilbert_polynomial_has_the_richardson_dimension(rank):
+    """The vanishing theorem as a check: for a Richardson variety X between
+    v and w and a regular dominant lambda, n -> h0(X, O(n lambda)) is a
+    polynomial of degree dim X (Snapper), so h0 at n = 0 is 1, its finite
+    differences of order dim X + 1 vanish, and those of order dim X are one
+    positive constant, the degree of X.  This holds dim richardson, a
+    difference of si-lengths that needs si_le, against h0, a sum of twist
+    coefficients.  Six seeded comparable pairs per rank, beta_w in
+    {0, 1}^rank and beta_v - beta_w in {0, 1}^rank, lambda in {1, 2}^rank,
+    n from 0 to dim X + 2; only pairs of dimension 1 to 4 are kept, since
+    h0 grows fast with n (an 8-dimensional A3 pair takes 35 s)."""
+    datum = root_datum("A", rank)
+    so = si_order(datum)
+    finite = [x.finite for x in so.box(so.wg.identity, 0)]
+    rng = random.Random(rank)
+    dims = []
+    while len(dims) < 6:
+        w = AffineWeylElement(rng.choice(finite),
+                              tuple(rng.randrange(2) for _ in range(rank)))
+        v = AffineWeylElement(rng.choice(finite),
+                              tuple(b + rng.randrange(2) for b in w.translation))
+        lam = tuple(rng.randint(1, 2) for _ in range(rank))
+        if not (so.si_le(v, w) and 1 <= dim_richardson(datum, v, w) <= 4):
+            continue
+        dim = dim_richardson(datum, v, w)
+        values = [h0_dimension(datum, v, w, tuple(n * c for c in lam))
+                  for n in range(dim + 3)]
+        where = (so.wg.format(v), so.wg.format(w), lam)
+        assert values[0] == 1, where
+        for _ in range(dim):
+            values = _differences(values)
+        assert len(set(values)) == 1 and values[0] > 0, where
+        assert _differences(values) == [0, 0], where
+        dims.append(dim)
+    assert max(dims) >= 2, dims
 
 
 def test_a3_sections_beyond_the_loop_model(a3):
