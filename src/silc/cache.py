@@ -68,9 +68,9 @@ def load(key: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
-    if entry.get("key") != key:
+    if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     return entry.get("payload")
 

@@ -38,9 +38,9 @@ gain positive coroots on the way down, and are walks through it.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import add, ge, itemgetter, sub
+from operator import add, ge, sub
 from typing import NamedTuple
 
 from .rootdata import RootDatum, mat_identity, vec_add, vec_dot
@@ -94,25 +94,18 @@ class SemiInfiniteOrder:
         with m(lam) = mu and shift the sum of the quantum coroots on its way:
         a breadth-first search that steps on only from the first element met
         in each coset of lam's stabilizer (|W lam| steps, not |W|), run until
-        it meets stop or ends.  z(lam) sums the rows z(varpi_k) of z^{-1}'s
-        coweight matrix, lam_k of row k; alpha^vee pairing to 0 keeps it."""
+        it meets stop or ends.  An edge whose alpha^vee pairs to 0 with lam
+        stays in the coset."""
         walk = self._walks.get((u, lam))
         if walk is None:
-            rows = [k for k, c in enumerate(lam) for _ in range(c)]
-            if len(rows) == 1:  # lam = varpi_k: both are read at place k
-                image = pairing = itemgetter(*rows)
-            else:
-                def image(m): return reduce(vec_add, map(m.__getitem__, rows))
-                def pairing(coroot): return vec_dot(coroot, lam)
             start = (u, (0,) * self.datum.rank)
-            walk = self._walks[(u, lam)] = ({image(u.inverse().coweight_mat): start},
-                                            deque([start]), image, pairing)
-        found, queue, image, pairing = walk
+            walk = self._walks[(u, lam)] = ({u.act_weight(lam): start}, deque([start]))
+        found, queue = walk
         while stop not in found and queue:
             y, shift = queue.popleft()
             for alpha, z, step in self.wg.edges(y):
-                if pairing(alpha.coroot):
-                    mu = image(z.inverse().coweight_mat)
+                if vec_dot(alpha.coroot, lam):
+                    mu = z.act_weight(lam)
                     if mu not in found:
                         found[mu] = (z, vec_add(shift, step))
                         queue.append(found[mu])
@@ -166,9 +159,9 @@ class SemiInfiniteOrder:
 
     def _weight(self, v, w):
         """wt(v => w), coordinate k read off the walk for varpi_k from v at the
-        coset of w, whose weight w(varpi_k) is row k of w^{-1}'s coweight matrix."""
-        return tuple([self._walk(v, unit, row)[row][1][k] for k, (unit, row)
-                      in enumerate(zip(self._units, w.inverse().coweight_mat))])
+        coset of w, whose weight is w(varpi_k)."""
+        return tuple([self._walk(v, unit, mu := w.act_weight(unit))[mu][1][k]
+                      for k, unit in enumerate(self._units)])
 
     def si_le(self, w: AffineWeylElement, v: AffineWeylElement) -> bool:
         """True iff w <=_si v (w deeper or equal), by the module's criterion."""

@@ -2,14 +2,15 @@
 
 An affine element is stored in the normal form (u, beta) for u * t_beta with
 u in the finite Weyl group and beta in the coroot lattice.  Multiplication
-follows t_beta * u = u * t_{u^{-1} beta}.
+follows t_beta * u = u * t_{u^{-1} beta}.  No inverse is formed: u^{-1} beta
+pairs with varpi_k as beta pairs with u(varpi_k), a weight action.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import gt, sub
+from operator import mul, sub
 from reprlib import repr as brief  # a word may be long option text
 from typing import NamedTuple
 
@@ -21,7 +22,6 @@ from .rootdata import (
     mat_identity,
     mat_mul,
     mat_vec,
-    vec_add,
     vec_dot,
 )
 
@@ -34,16 +34,14 @@ class FiniteWeylElement:
 
     In type A_r an element u is its permutation ``perm`` of 0..r, with
     u(eps_k) = eps_perm[k] and alpha_i = eps_{i-1} - eps_i.  Products
-    compose permutations, the length counts inversions, weights move by
-    permuting eps-coordinates, and left descents are the descents of the
-    inverse permutation.  The quantum Bruhat graph is read off perm too (Brenti-
+    compose permutations, the length counts inversions, and weights move by
+    permuting eps-coordinates.  The quantum Bruhat graph is read off perm too (Brenti-
     Fomin-Postnikov; Postnikov, arXiv:math/0410147): u -> u*t_ij, i < j,
     is a Bruhat edge iff perm[i] < perm[j] with no perm[k], i < k < j,
     between them, and a quantum edge iff perm[i] > perm[j] with every one
-    between them (WeylGroup.edges).  Lazy: the inverse is made when first asked
-    for, and root_mat and coweight_mat, which agree in type A, are built
-    from perm only when read: by key(), and so by every sort order, and by
-    act_root and act_coweight.
+    between them (WeylGroup.edges).  Lazy: root_mat and coweight_mat, which
+    agree in type A, are built from perm only when read: by key(), and so
+    by every sort order, and by act_root and act_coweight.
 
     In other types perm is None and the element stores one matrix,
     root_mat, its action on the simple-root basis (columns = images of
@@ -52,8 +50,8 @@ class FiniteWeylElement:
     - coweight_mat, the action on the simple-coroot basis: u(alpha_j^vee)
       = u(alpha_j) / d_j, d the symmetrizer, so its entry (i, j) is
       root_mat's times d_i / d_j;
-    - the inverse, for act_weight and WeylGroup.compose: the simple
-      reflections of a reduced word, reversed.  Left descents need none.
+    - the weight action (act_weight): the r coroots u^{-1}(alpha_i^vee),
+      each a signed positive coroot read off the root heights.
 
     The length, the number of positive roots sent to negative ones, and the
     edges of the quantum Bruhat graph out of u (WeylGroup.edges) are found
@@ -61,7 +59,7 @@ class FiniteWeylElement:
     """
 
     __slots__ = ("_group", "perm", "_root_mat", "_coweight_mat", "_length",
-                 "_inverse", "_products", "_reflection", "_edges")
+                 "_weight_rows", "_products", "_reflection", "_edges")
 
     def __init__(self, group: "WeylGroup", root_mat=None, perm=None):
         self._group = group
@@ -69,7 +67,7 @@ class FiniteWeylElement:
         self._root_mat = root_mat
         self._coweight_mat = None
         self._length = None
-        self._inverse = None
+        self._weight_rows = None
         self._products = {}
         self._edges = None
         # (beta, <beta^vee, alpha_j>_j) when this is the reflection s_beta
@@ -124,21 +122,6 @@ class FiniteWeylElement:
                 self._length = sum(h < 0 for h in self._group._root_heights(self))
         return self._length
 
-    def inverse(self) -> "FiniteWeylElement":
-        inv = self._inverse
-        if inv is None:
-            wg = self._group
-            if self.perm is None:
-                # u = s_i1 ... s_ik, so u^{-1} = s_ik ... s_i1
-                inv = wg.finite_from_word(wg.reduced_word_finite(self)[::-1])
-            else:
-                q = [0] * len(self.perm)
-                for k, x in enumerate(self.perm):
-                    q[x] = k
-                inv = wg._intern_perm(tuple(q))
-            self._inverse, inv._inverse = inv, self
-        return inv
-
     def act_root(self, coords):
         return mat_vec(self.root_mat, coords)
 
@@ -146,10 +129,20 @@ class FiniteWeylElement:
         return mat_vec(self.coweight_mat, beta)
 
     def act_weight(self, lam):
+        """u(lam), lam and the result in fundamental-weight coordinates."""
         if self.perm is None:
-            # <alpha_i^vee, u lam> = <u^{-1} alpha_i^vee, lam>
-            return tuple(vec_dot(col, lam)
-                         for col in zip(*self.inverse().coweight_mat))
+            # <alpha_i^vee, u lam> = <u^{-1} alpha_i^vee, lam>, and u^{-1}
+            # alpha_i^vee = h beta^vee for the one positive root beta with
+            # u(beta) = h alpha_i, h = ht(u(beta)) = +-1
+            rows = self._weight_rows
+            if rows is None:
+                wg, rows = self._group, [None] * len(self._root_mat)
+                for beta, h in zip(wg.datum.positive_roots(), wg._root_heights(self)):
+                    if h * h == 1:
+                        rows[self.act_root(beta.coords).index(h)] = tuple(
+                            h * c for c in beta.coroot)
+                rows = self._weight_rows = tuple(rows)
+            return tuple([sum(map(mul, row, lam)) for row in rows])
         # varpi_i = eps_0 + ... + eps_{i-1}, so lam has eps-coordinate
         # lam_k + ... + lam_{r-1} at k, which u moves to perm[k]; adjacent
         # differences return to weight coordinates
@@ -208,13 +201,13 @@ class WeylGroup:
         self._two_rho = tuple(map(sum, zip(*self._pos_roots)))
         self._symmetrizer = tuple(datum.cartan.symmetrizer())
         self._elements = {}
-        ident = mat_identity(r)
+        self._units = mat_identity(r)  # simple roots, and fundamental weights
         if is_type_a(datum):
             self.id_finite = self._intern_perm(tuple(range(r + 1)))
         else:
-            self.id_finite = self._intern(ident)
+            self.id_finite = self._intern(self._units)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
-        self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in ident)
+        self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in self._units)
 
     # -- constructors --------------------------------------------------------
 
@@ -296,10 +289,12 @@ class WeylGroup:
     # -- group law -----------------------------------------------------------
 
     def compose(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-        # (u1 t_b1)(u2 t_b2) = u1 u2 t_{u2^{-1} b1 + b2}
-        u = x.finite * y.finite
-        beta = vec_add(y.finite.inverse().act_coweight(x.translation), y.translation)
-        return AffineWeylElement(u, beta)
+        """(u1 t_b1)(u2 t_b2) = u1 u2 t_{u2^{-1} b1 + b2}, coordinate k of
+        u2^{-1} b1 being <u2^{-1} b1, varpi_k> = <b1, u2(varpi_k)>."""
+        u2 = y.finite
+        beta = tuple(vec_dot(x.translation, u2.act_weight(unit)) + b
+                     for unit, b in zip(self._units, y.translation))
+        return AffineWeylElement(x.finite * u2, beta)
 
     def affine_from_finite(self, u: FiniteWeylElement) -> AffineWeylElement:
         return AffineWeylElement(u, self.identity.translation)
@@ -400,13 +395,11 @@ class WeylGroup:
     # -- reduced words -------------------------------------------------------
 
     def _left_descents(self, u: FiniteWeylElement):
-        """For i = 1..r, whether l(s_i u) < l(u), i.e. u^{-1} alpha_i < 0:
-        in type A, the permutation of u^{-1} descends at place i-1;
-        otherwise <alpha_i^vee, u(2 rho)> = <u^{-1} alpha_i^vee, 2 rho> < 0,
-        which needs no inverse."""
+        """For i = 1..r, whether l(s_i u) < l(u), i.e. u^{-1} alpha_i < 0,
+        i.e. <alpha_i^vee, u(rho)> = <u^{-1} alpha_i^vee, rho> < 0: in type
+        A by act_weight, otherwise from the root matrix as u(2 rho)."""
         if u.perm is not None:
-            inv = u.inverse()
-            return list(map(gt, inv.perm, inv.perm[1:]))
+            return [p < 0 for p in u.act_weight(self.datum.rho)]
         return [p < 0 for p in mat_vec(self.datum.cartan.entries,
                                        mat_vec(u._root_mat, self._two_rho))]
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import matrixref
 import oracle
 from qlayer import q_layer
 from subword import Subword
@@ -21,7 +22,7 @@ from silc.charring import (
 from silc.errors import InconsistencyError
 from silc.pieri import gch_global_weyl
 from silc.rootdata import CartanMatrix, root_datum, vec_add
-from silc.weylgroup import weyl_group
+from silc.weylgroup import AffineWeylElement, weyl_group
 
 from loopref import shift_q
 
@@ -416,17 +417,24 @@ def test_gweyl_degree_zero_layer_is_weyl_character(a1, a2):
         assert q_layer(got, 0) == q_layer(weyl_character(datum, lam), 0)
 
 
-def test_gweyl_demazure_one_step_recursion(a2):
-    """ch of the submodule grows by D_i when a simple reflection is added."""
-    wg = weyl_group(a2)
-    lam = (1, 1)
-    window = (0, 2)
-    for word in ([1], [2, 1], [1, 2, 1]):
-        shorter = wg.affine_from_finite(wg.finite_from_word(word[1:]))
-        longer = wg.affine_from_finite(wg.finite_from_word(word))
-        lhs = gch_global_weyl(a2, longer, lam, window)
-        rhs = demazure_word(a2, (word[0],), gch_global_weyl(a2, shorter, lam, window))
-        assert lhs == rhs
+def test_gweyl_demazure_one_step_recursion():
+    """Kato's recursion: D_i gch(u t_beta) = gch(s_i u t_beta) when
+    l(s_i u) > l(u), and D_i gch(u t_beta) = gch(u t_beta) otherwise, for
+    every finite part u of A2 and A3, three dominant lam each, beta =
+    (1, ..., 1) and (-1, 0, ..., 0), and every i."""
+    window = (0, 5)
+    for lams in ([(1, 0), (1, 1), (2, 1)], [(0, 1, 0), (1, 0, 1), (1, 1, 1)]):
+        rank = len(lams[0])
+        datum, betas = root_datum("A", rank), [(1,) * rank, (-1,) + (0,) * (rank - 1)]
+        wg = weyl_group(datum)
+        for u, lam, beta in itertools.product(matrixref.all_elements(wg), lams, betas):
+            here = gch_global_weyl(datum, AffineWeylElement(u, beta), lam, window)
+            for i in range(1, rank + 1):
+                y = wg.finite_from_word([i]) * u
+                up = (gch_global_weyl(datum, AffineWeylElement(y, beta), lam, window)
+                      if y.length() > u.length() else here)
+                assert demazure_word(datum, (i,), here) == up, (
+                    wg.format(AffineWeylElement(u, beta)), lam, i)
 
 
 def test_gweyl_product_surjectivity_bound(a1):

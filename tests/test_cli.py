@@ -230,15 +230,18 @@ def test_cache_round_trip_and_byte_equality(runner, tmp_path):
 
 
 def test_corrupted_cache_self_heals(runner, tmp_path):
-    first = invoke(runner, CACHED_ARGS)
-    cache_dir = tmp_path / "cache"
-    (entry,) = list(cache_dir.iterdir())
-    entry.write_text("{not json")
-    second = invoke(runner, CACHED_ARGS)
-    assert second.exit_code == 0
-    assert second.stdout == first.stdout
-    # the entry was rewritten with valid content
-    assert json.loads(entry.read_text())["payload"]
+    """Broken JSON, JSON that is no object and JSON nested past the
+    recursion limit are each a miss: recomputed and rewritten."""
+    invoke(runner, CACHED_ARGS)
+    (entry,) = list((tmp_path / "cache").iterdir())
+    nocache = invoke(runner, CACHED_ARGS + ["--no-cache"])
+    for text in ["{not json", "[]", '"x"', "null", "[" * 100_000]:
+        entry.write_text(text)
+        again = invoke(runner, CACHED_ARGS)
+        assert again.exit_code == 0
+        assert again.stdout == nocache.stdout
+        # the entry was rewritten with valid content
+        assert json.loads(entry.read_text())["payload"]
 
 
 def test_unwritable_cache_is_bypassed(monkeypatch):
@@ -924,6 +927,76 @@ def test_qmap_exit_code_contract_on_fuzzed_data(argv):
         assert out == "" and "Error: " in err
     else:
         json.loads(out)
+
+
+@st.composite
+def element_argvs(draw):
+    """An argv of a subcommand that reads elements u_word@beta, in A1, A2,
+    B2, C2 or G2, well formed but for at most one token: a bad letter, an
+    '@' with no translation, a wrong coordinate count, a word of
+    MAX_WORD_LETTERS + 1 letters, a non-dominant lambda or a reversed
+    window.  pieri and char gweyl run outside type A, at lambda = 0."""
+    kind, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]))
+
+    def vector(lo=0, hi=2, size=rank):
+        return ",".join(map(str, draw(st.lists(st.integers(lo, hi), min_size=size,
+                                               max_size=size))))
+
+    def word():
+        return ",".join(map(str, draw(st.lists(st.integers(1, rank), max_size=5)))) or "e"
+
+    def element():
+        return f"{word()}@{vector(-1, 1)}"
+
+    def zero():
+        return vector(0, 0)
+
+    long_word = ",".join(["1"] * (MAX_WORD_LETTERS + 1))
+    bad = {
+        element: ["x@" + zero(), f"0@{zero()}", f"{rank + 1}@{zero()}", "1,,1@" + zero(),
+                  "1@", "e@ ", f"e@{vector(size=rank + 1)}", f"1@{vector(size=rank - 1)}",
+                  f"{long_word}@{zero()}", "e@1.5" + ",0" * (rank - 1)],
+        word: ["x", "0", str(rank + 1), "1,", long_word],
+        vector: [vector(size=rank + 1), "-1" + ",0" * (rank - 1), "1,x", ""],
+        zero: ["-1" + ",0" * (rank - 1), vector(size=rank + 1)],
+        "window": ["3:1", "0", "a:b", "0:401"],
+        "j": ["x", "0", str(rank + 1), "1,,2"],
+    }
+    commands = {
+        "order le": {"--w": element, "--v": element},
+        "order covers": {"--v": element},
+        "order interval": {"--v": element, "--w": element},
+        "dim richardson": {"--v": element, "--w": element},
+        "dim parabolic": {"--j": "j", "--beta": vector, "--w": word},
+        "h0": {"--v": element, "--w": element, "--lam": vector, "--window": "window"},
+    }
+    if kind != "A":
+        commands["pieri"] = commands["char gweyl"] = {
+            "--w": element, "--lam": zero, "--window": "window"}
+    cmd = draw(st.sampled_from(sorted(commands)))
+    valid = {"j": lambda: ",".join(map(str, draw(st.sets(st.integers(1, rank))))),
+             "window": lambda: f"0:{draw(st.integers(0, 3))}"}
+    options = {flag: valid.get(make, make)() for flag, make in commands[cmd].items()}
+    fault = draw(st.sampled_from([None, *options]))
+    if fault is not None:
+        options[fault] = draw(st.sampled_from(bad[commands[cmd][fault]]))
+    argv = cmd.split() + ["--type", kind, "--rank", str(rank), "--no-cache"]
+    return argv + [token for flag, text in options.items() for token in (flag, text)]
+
+
+@seed(37)
+@settings(max_examples=800, deadline=None)
+@given(element_argvs())
+def test_element_exit_code_contract_on_fuzzed_tokens(argv):
+    """Every element-grammar command line exits 0, 2 or 3, never with a
+    traceback, and prints JSON on exits 0 and 3."""
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2, 3) and "Traceback" not in err, (code, err)
+    if code == 2:
+        assert out == "" and "Error: " in err
+    else:
+        json.loads(out)
+
 
 # the compute modules a job of each golden group loads, beyond the ones
 # `import silc.cli` loads for every job

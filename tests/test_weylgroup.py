@@ -133,10 +133,15 @@ def test_associativity_random(wg_a2):
         assert wg.compose(wg.compose(a, b), c) == wg.compose(a, wg.compose(b, c))
 
 
+def _inverse(wg, u):
+    """u^{-1}, from a reduced word of u reversed."""
+    return wg.finite_from_word(wg.reduced_word_finite(u)[::-1])
+
+
 def test_inverse(wg):
     x = wg.compose(simple_affine(wg, 0), wg.element([1], tuple([1] * wg.datum.rank)))
     # (u t_beta)^{-1} = u^{-1} t_{-u beta}
-    inv = AffineWeylElement(x.finite.inverse(),
+    inv = AffineWeylElement(_inverse(wg, x.finite),
                             vec_neg(x.finite.act_coweight(x.translation)))
     assert wg.compose(x, inv) == wg.identity
     assert wg.compose(inv, x) == wg.identity
@@ -330,7 +335,7 @@ def test_finite_elements_are_interned(wg_a2):
     elements = _all_finite(wg)
     assert len(elements) == 8
     for u in elements:
-        assert u.inverse() * u is wg.id_finite
+        assert _inverse(wg, u) * u is wg.id_finite
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +423,10 @@ def _all_finite(wg):
 @pytest.mark.parametrize("kind,rank", ALL_TYPES + [("C", 3)])
 def test_products_by_reflections_match_matrix_products(kind, rank):
     """u * s_beta is a rank-one update of u's root matrix, and the
-    coweight matrix and inverse derived from it are those of the product.
-    On a fresh group built by every reflection, so that elements are first
-    made that way, both matrices equal the matrix products."""
+    coweight matrix derived from it is that of the product.  On a fresh
+    group built by every reflection, so that elements are first made that
+    way, both matrices equal the matrix products, and the element of the
+    reversed reduced word inverts both."""
     wg = WeylGroup(root_datum(kind, rank))
     reflections = [wg.reflection_by_root(beta) for beta in wg.datum.positive_roots()]
     ident = mat_identity(rank)
@@ -438,8 +444,8 @@ def test_products_by_reflections_match_matrix_products(kind, rank):
                     nxt.append(x)
         frontier = nxt
     for x in seen:
-        assert mat_mul(x.root_mat, x.inverse().root_mat) == ident
-        assert mat_mul(x.coweight_mat, x.inverse().coweight_mat) == ident
+        assert mat_mul(x.root_mat, _inverse(wg, x).root_mat) == ident
+        assert mat_mul(x.coweight_mat, _inverse(wg, x).coweight_mat) == ident
 
 
 @pytest.mark.parametrize("kind,rank,sample", [
@@ -449,9 +455,10 @@ def test_reflections_on_either_side_match_the_matrix_formulas(kind, rank, sample
     """s_beta * x and x * s_beta, each a rank-one update of x's root
     matrix, equal the products of matrixref's matrices along words, for
     every reflection and every element (B2, B3, C3, G2) or 200 seeded ones
-    (F4, E6) of a fresh group; and the inverse of s_beta * x, derived from
-    a reduced word, is x^{-1} * s_beta."""
+    (F4, E6) of a fresh group; and the weight action of s_beta * x, derived
+    from its root heights, is that of x followed by s_beta's."""
     wg = WeylGroup(root_datum(kind, rank))
+    lams = [wg.datum.rho, tuple(range(-1, rank - 1))]
     if sample is None:
         elements = matrixref.all_elements(wg)
     else:
@@ -464,7 +471,8 @@ def test_reflections_on_either_side_match_the_matrix_formulas(kind, rank, sample
             for got, (left, right) in ((s * x, (s_mats, x_mats)), (x * s, (x_mats, s_mats))):
                 assert got.root_mat == mat_mul(left[0], right[0])
                 assert got.coweight_mat == mat_mul(left[1], right[1])
-            assert (s * x).inverse() is x.inverse() * s
+            for lam in lams:
+                assert (s * x).act_weight(lam) == s.act_weight(x.act_weight(lam))
 
 
 def test_serialization_roundtrip(wg):
@@ -518,12 +526,12 @@ _SAMPLED = {("A", 7): 200, ("F", 4): 150, ("E", 6): 150}
                                        ("A", 7), ("B", 2), ("G", 2), ("C", 3),
                                        ("D", 4), ("F", 4), ("E", 6)])
 def test_elements_follow_the_matrix_formulas(kind, rank):
-    """Products, inverses, lengths, the three actions, key() and reduced
-    words equal those of the matrices made along a word: every element of
-    A1-A4, B2, G2, C3 and D4, and seeded elements of A7, F4 and E6.  In
-    type A the element is its permutation; elsewhere it is its root matrix,
-    and its coweight matrix, inverse, weight action and left descents are
-    derived from that one matrix."""
+    """Products, lengths, the three actions, key() and reduced words equal
+    those of the matrices made along a word, and a reduced word reversed
+    gives the inverse matrix: every element of A1-A4, B2, G2, C3 and D4,
+    and seeded elements of A7, F4 and E6.  In type A the element is its
+    permutation; elsewhere it is its root matrix, and its coweight matrix,
+    weight action and left descents are derived from that one matrix."""
     wg = weyl_group(root_datum(kind, rank))
     sample = _SAMPLED.get((kind, rank))
     if sample is None:
@@ -542,8 +550,8 @@ def test_elements_follow_the_matrix_formulas(kind, rank):
         assert u.root_mat == root_mat
         assert u.coweight_mat == coweight_mat
         assert AffineWeylElement(u, vectors[0]).key() == (root_mat, vectors[0])
-        assert mat_mul(root_mat, u.inverse().root_mat) == ident
-        assert u.inverse().inverse() is u
+        assert mat_mul(root_mat, _inverse(wg, u).root_mat) == ident
+        assert _inverse(wg, _inverse(wg, u)) is u
         assert u.length() == ref.length(root_mat)
         for vec in vectors:
             assert u.act_weight(vec) == mat_vec(weight_mat, vec)
