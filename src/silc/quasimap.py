@@ -474,5 +474,6 @@ def dim_parabolic(datum: RootDatum, J, beta, w: FiniteWeylElement) -> int:
     outside = [datum.root_to_weight(rt.coords) for rt in datum.positive_roots()
                if any(rt.coords[k] for k in range(datum.rank) if k + 1 not in J)]
     two_rho_j = tuple(map(sum, zip(*outside))) or (0,) * datum.rank
-    w0_beta = wg.w0.act_coweight(beta)
-    return len(outside) - vec_dot(w0_beta, two_rho_j) - wg.length_finite(w)
+    # <w0 beta, 2 rho_J> = <beta, w0(2 rho_J)>, since w0 is an involution
+    return (len(outside) - vec_dot(beta, wg.w0.act_weight(two_rho_j))
+            - wg.length_finite(w))

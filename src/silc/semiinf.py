@@ -50,7 +50,6 @@ from .weylgroup import AffineWeylElement, WeylGroup, weyl_group
 class AffineRoot(NamedTuple):
     """Real affine root gamma + n*delta (gamma a finite root)."""
     root_coords: tuple  # finite part, simple-root basis
-    coroot: tuple       # finite coroot of the finite part
     delta_coeff: int
 
 
@@ -132,8 +131,7 @@ class SemiInfiniteOrder:
         if height_bound < 1:
             raise ValueError("height_bound must be >= 1")
         u = v.finite
-        out = [(AffineRoot(u.act_root(alpha.coords), u.act_coweight(alpha.coroot),
-                           int(any(shift))),
+        out = [(AffineRoot(u.act_root(alpha.coords), int(any(shift))),
                 AffineWeylElement(y, vec_add(v.translation, shift)))
                for alpha, y, shift in self.wg.edges(u)]
         return sorted(out, key=lambda pair: pair[1].key())

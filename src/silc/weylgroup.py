@@ -1,9 +1,11 @@
 """Finite and affine Weyl group arithmetic.
 
-An affine element is stored in the normal form (u, beta) for u * t_beta with
-u in the finite Weyl group and beta in the coroot lattice.  Multiplication
-follows t_beta * u = u * t_{u^{-1} beta}.  No inverse is formed: u^{-1} beta
-pairs with varpi_k as beta pairs with u(varpi_k), a weight action.
+A finite element stores one form, its permutation in type A and its root
+matrix in other types, and acts on roots and on weights.  An affine element
+is stored in the normal form (u, beta) for u * t_beta with u in the finite
+Weyl group and beta in the coroot lattice.  Multiplication follows
+t_beta * u = u * t_{u^{-1} beta}.  No inverse is formed: u^{-1} beta pairs
+with varpi_k as beta pairs with u(varpi_k), a weight action.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ class FiniteWeylElement:
     """Element of the finite Weyl group, interned by its WeylGroup.
 
     A group keeps one object per element, so equality and hashing are by
-    identity.
+    identity.  An element stores one form and acts on two bases: on roots in
+    simple-root coordinates (act_root) and on weights in fundamental-weight
+    coordinates (act_weight).
 
     In type A_r an element u is its permutation ``perm`` of 0..r, with
     u(eps_k) = eps_perm[k] and alpha_i = eps_{i-1} - eps_i.  Products
@@ -39,33 +43,27 @@ class FiniteWeylElement:
     Fomin-Postnikov; Postnikov, arXiv:math/0410147): u -> u*t_ij, i < j,
     is a Bruhat edge iff perm[i] < perm[j] with no perm[k], i < k < j,
     between them, and a quantum edge iff perm[i] > perm[j] with every one
-    between them (WeylGroup.edges).  Lazy: root_mat and coweight_mat, which
-    agree in type A, are built from perm only when read: by key(), and so
-    by every sort order, and by act_root and act_coweight.
+    between them (WeylGroup.edges).  Lazy: root_mat is built from perm only
+    when read: by key(), and so by every sort order, and by act_root.
 
-    In other types perm is None and the element stores one matrix,
+    In other types perm is None and the element stores its root matrix,
     root_mat, its action on the simple-root basis (columns = images of
     alpha_j); a product with a reflection on either side is a rank-one
-    update of it.  The rest is derived when first read, then kept:
-    - coweight_mat, the action on the simple-coroot basis: u(alpha_j^vee)
-      = u(alpha_j) / d_j, d the symmetrizer, so its entry (i, j) is
-      root_mat's times d_i / d_j;
-    - the weight action (act_weight): the r coroots u^{-1}(alpha_i^vee),
-      each a signed positive coroot read off the root heights.
+    update of it.  The weight action is derived when first read, then kept:
+    the r coroots u^{-1}(alpha_i^vee), each a signed positive coroot read
+    off the root heights.
 
     The length, the number of positive roots sent to negative ones, and the
     edges of the quantum Bruhat graph out of u (WeylGroup.edges) are found
     when first asked for: outside type A from the heights ht(u(beta)).
     """
 
-    __slots__ = ("_group", "perm", "_root_mat", "_coweight_mat", "_length",
+    __slots__ = ("_group", "perm", "_root_mat", "_length",
                  "_weight_rows", "_products", "_reflection", "_edges")
 
-    def __init__(self, group: "WeylGroup", root_mat=None, perm=None):
+    def __init__(self, group: "WeylGroup", key):
         self._group = group
-        self.perm = perm
-        self._root_mat = root_mat
-        self._coweight_mat = None
+        self.perm, self._root_mat = (key, None) if group._by_perm else (None, key)
         self._length = None
         self._weight_rows = None
         self._products = {}
@@ -80,23 +78,12 @@ class FiniteWeylElement:
             self._root_mat = _perm_matrix(self.perm)
         return self._root_mat
 
-    @property
-    def coweight_mat(self):
-        if self._coweight_mat is None:
-            rm, d = self.root_mat, self._group._symmetrizer
-            self._coweight_mat = rm if self.perm is not None else tuple(
-                tuple(x * di // dj for x, dj in zip(row, d)) for row, di in zip(rm, d))
-        return self._coweight_mat
-
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         got = self._products.get(other)
         if got is None:
-            if self.perm is not None:
-                got = self._group._intern_perm(
-                    tuple(map(self.perm.__getitem__, other.perm)))
-            else:
-                got = self._group._intern(self._matrix_product(other))
-            self._products[other] = got
+            got = self._products[other] = self._group._intern(
+                self._matrix_product(other) if self.perm is None
+                else tuple(map(self.perm.__getitem__, other.perm)))
         return got
 
     def _matrix_product(self, other):
@@ -124,9 +111,6 @@ class FiniteWeylElement:
 
     def act_root(self, coords):
         return mat_vec(self.root_mat, coords)
-
-    def act_coweight(self, beta):
-        return mat_vec(self.coweight_mat, beta)
 
     def act_weight(self, lam):
         """u(lam), lam and the result in fundamental-weight coordinates."""
@@ -186,11 +170,11 @@ class AffineWeylElement(NamedTuple):
 class WeylGroup:
     """Weyl-group operations bound to one root datum.
 
-    The group interns finite elements lazily, mapping each permutation (in
-    type A) or root matrix (in other types) it meets to its one
+    The group interns finite elements lazily, mapping each key it meets, a
+    permutation in type A and a root matrix in other types, to its one
     FiniteWeylElement: small groups fill up completely, and E8
     (|W| ~ 7*10^8) is never listed.  A new group holds the identity and the
-    simple reflections; w0 and w0_word are built when first read.
+    simple reflections; w0 is built when first read.
     """
 
     def __init__(self, datum: RootDatum):
@@ -199,30 +183,21 @@ class WeylGroup:
         # positive roots in root coordinates, and their sum 2 rho
         self._pos_roots = tuple(rt.coords for rt in datum.positive_roots())
         self._two_rho = tuple(map(sum, zip(*self._pos_roots)))
-        self._symmetrizer = tuple(datum.cartan.symmetrizer())
         self._elements = {}
         self._units = mat_identity(r)  # simple roots, and fundamental weights
-        if is_type_a(datum):
-            self.id_finite = self._intern_perm(tuple(range(r + 1)))
-        else:
-            self.id_finite = self._intern(self._units)
+        self._by_perm = is_type_a(datum)  # whether a key is a permutation
+        self.id_finite = self._intern(tuple(range(r + 1)) if self._by_perm else self._units)
         self.identity = AffineWeylElement(self.id_finite, tuple(0 for _ in range(r)))
         self._simple_finite = tuple(self.reflection_by_root(Root(e, e)) for e in self._units)
 
     # -- constructors --------------------------------------------------------
 
-    def _intern_perm(self, perm) -> FiniteWeylElement:
-        """The type A element with this permutation."""
-        got = self._elements.get(perm)
+    def _intern(self, key) -> FiniteWeylElement:
+        """The element with this key: its permutation in type A, its root
+        matrix in other types."""
+        got = self._elements.get(key)
         if got is None:
-            got = self._elements[perm] = FiniteWeylElement(self, perm=perm)
-        return got
-
-    def _intern(self, root_mat) -> FiniteWeylElement:
-        """The element with this root matrix, outside type A."""
-        got = self._elements.get(root_mat)
-        if got is None:
-            got = self._elements[root_mat] = FiniteWeylElement(self, root_mat)
+            got = self._elements[key] = FiniteWeylElement(self, key)
         return got
 
     def finite_from_word(self, word) -> FiniteWeylElement:
@@ -243,13 +218,13 @@ class WeylGroup:
         """s_gamma for a (positive or negative) finite root."""
         d = self.datum
         r = d.rank
-        if self.id_finite.perm is not None:
+        if self._by_perm:
             # gamma = +-(eps_i - eps_j): the transposition of i and j
             support = [k for k, c in enumerate(root.coords) if c]
             perm = list(range(r + 1))
             i, j = support[0], support[-1] + 1
             perm[i], perm[j] = j, i
-            return self._intern_perm(tuple(perm))
+            return self._intern(tuple(perm))
         # s_gamma = 1 - gamma <., gamma^vee>, with <gamma^vee, alpha_j> =
         # sum_k gamma^vee_k a[k][j]
         b = tuple(root.coords)
@@ -258,33 +233,17 @@ class WeylGroup:
         got._reflection = (b, c)
         return got
 
-    def _build_w0(self):
-        """Longest finite element and a reduced word for it: multiply by the
-        smallest left ascent until none is left.  The indices, in the order
-        taken, are the word; it equals reduced_word_finite(w0).  Run once,
-        on the first read of w0 or w0_word; outside type A each step is a
-        reflection on the left, so one rank-one update."""
-        w = self.id_finite
-        word = []
-        while True:
-            descents = self._left_descents(w)
-            if all(descents):
-                return w, tuple(word)
-            i = descents.index(False)
-            word.append(i + 1)
-            w = self._simple_finite[i] * w
-
     @cached_property
-    def _w0_and_word(self):
-        return self._build_w0()
-
-    @property
     def w0(self) -> FiniteWeylElement:
-        return self._w0_and_word[0]
-
-    @property
-    def w0_word(self):
-        return self._w0_and_word[1]
+        """The longest finite element, built on first read: multiply by the
+        smallest left ascent until none is left.  Outside type A each step is
+        a reflection on the left, so one rank-one update."""
+        w = self.id_finite
+        descents = self._left_descents(w)
+        while not all(descents):
+            w = self._simple_finite[descents.index(False)] * w
+            descents = self._left_descents(w)
+        return w
 
     # -- group law -----------------------------------------------------------
 
@@ -369,7 +328,7 @@ class WeylGroup:
         perm = u.perm
         n = len(perm)
         zero = (0,) * self.datum.rank
-        places, intern = self._roots_by_places, self._intern_perm
+        places, intern = self._roots_by_places, self._intern
         got = []
         for i, a in enumerate(perm):
             above = None    # least sigma(k) > a, i < k < j

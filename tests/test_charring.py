@@ -226,7 +226,8 @@ def test_weyl_character_of_a_large_a1_weight(a1):
 def _demazure_weyl_character(datum, lam):
     """ch V(lam) by the Demazure character formula along the word for w0."""
     f = GradedCharacter.monomial(0, lam, 1, (0, 1))
-    return demazure_word(datum, weyl_group(datum).w0_word, f)
+    wg = weyl_group(datum)
+    return demazure_word(datum, wg.reduced_word_finite(wg.w0), f)
 
 
 def _fundamental_weights(rank):

@@ -931,11 +931,12 @@ def test_qmap_exit_code_contract_on_fuzzed_data(argv):
 
 @st.composite
 def element_argvs(draw):
-    """An argv of a subcommand that reads elements u_word@beta, in A1, A2,
-    B2, C2 or G2, well formed but for at most one token: a bad letter, an
-    '@' with no translation, a wrong coordinate count, a word of
-    MAX_WORD_LETTERS + 1 letters, a non-dominant lambda or a reversed
-    window.  pieri and char gweyl run outside type A, at lambda = 0."""
+    """An argv of a subcommand that reads elements u_word@beta, words or
+    weights, in A1, A2, B2, C2 or G2, well formed but for at most one token:
+    a bad letter, an '@' with no translation, a wrong coordinate count, a
+    word of MAX_WORD_LETTERS + 1 letters, a trailing comma, a non-dominant
+    lambda or a reversed window.  pieri and char gweyl run outside type A,
+    at lambda = 0; char demazure reads affine words, letters 0..rank."""
     kind, rank = draw(st.sampled_from([("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]))
 
     def vector(lo=0, hi=2, size=rank):
@@ -948,6 +949,9 @@ def element_argvs(draw):
     def element():
         return f"{word()}@{vector(-1, 1)}"
 
+    def affine_word():
+        return ",".join(map(str, draw(st.lists(st.integers(0, rank), max_size=5))))
+
     def zero():
         return vector(0, 0)
 
@@ -957,10 +961,12 @@ def element_argvs(draw):
                   "1@", "e@ ", f"e@{vector(size=rank + 1)}", f"1@{vector(size=rank - 1)}",
                   f"{long_word}@{zero()}", "e@1.5" + ",0" * (rank - 1)],
         word: ["x", "0", str(rank + 1), "1,", long_word],
+        affine_word: ["x", str(rank + 1), "1,"],
         vector: [vector(size=rank + 1), "-1" + ",0" * (rank - 1), "1,x", ""],
         zero: ["-1" + ",0" * (rank - 1), vector(size=rank + 1)],
         "window": ["3:1", "0", "a:b", "0:401"],
         "j": ["x", "0", str(rank + 1), "1,,2"],
+        "q": ["x"],
     }
     commands = {
         "order le": {"--w": element, "--v": element},
@@ -973,9 +979,16 @@ def element_argvs(draw):
     if kind != "A":
         commands["pieri"] = commands["char gweyl"] = {
             "--w": element, "--lam": zero, "--window": "window"}
-    cmd = draw(st.sampled_from(sorted(commands)))
+    # drawn after the others: sampled_from favours early entries, and these
+    # two would take most draws from the element commands
+    characters = {"char weyl": {"--lam": vector},
+                  "char demazure": {"--word": affine_word, "--lam": vector, "--q": "q",
+                                    "--window": "window"}}
+    cmd = draw(st.sampled_from(sorted(commands) + list(characters)))
+    commands.update(characters)
     valid = {"j": lambda: ",".join(map(str, draw(st.sets(st.integers(1, rank))))),
-             "window": lambda: f"0:{draw(st.integers(0, 3))}"}
+             "window": lambda: f"0:{draw(st.integers(0, 3))}",
+             "q": lambda: str(draw(st.integers(0, 2)))}
     options = {flag: valid.get(make, make)() for flag, make in commands[cmd].items()}
     fault = draw(st.sampled_from([None, *options]))
     if fault is not None:
@@ -985,7 +998,7 @@ def element_argvs(draw):
 
 
 @seed(37)
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(element_argvs())
 def test_element_exit_code_contract_on_fuzzed_tokens(argv):
     """Every element-grammar command line exits 0, 2 or 3, never with a

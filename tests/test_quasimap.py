@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import matrixref
 from qm_random import random_dp
 
 from silc.quasimap import (
@@ -22,7 +23,7 @@ from silc.quasimap import (
     validate_dp,
     wedge,
 )
-from silc.rootdata import RootDataError
+from silc.rootdata import RootDataError, mat_vec, root_datum, vec_dot
 from silc.semiinf import si_order
 from silc.weylgroup import weyl_group
 
@@ -247,3 +248,30 @@ def test_dim_parabolic_rejects_non_minimal(a2):
     with pytest.raises(QuasimapError):
         dim_parabolic(a2, (1,), (1, 1), wg.finite_from_word([1]))
 
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 5), ("E", 6), ("B", 3), ("G", 2)])
+def test_dim_parabolic_outside_type_a(kind, rank):
+    """dim_parabolic is |outside| - <w0 beta, 2 rho_J> - l(w), with w0 beta
+    from matrixref's coweight matrix along w0's word and l(w) from w's root
+    matrix, for seeded J, beta and minimal w; w0 != -1 in A3, D5 and E6."""
+    datum = root_datum(kind, rank)
+    wg = weyl_group(datum)
+    ref = matrixref.Matrices(datum)
+    w0_root_mat, w0_coweight_mat, _ = ref.of_word(wg.reduced_word_finite(wg.w0))
+    assert ref.length(w0_root_mat) == len(datum.positive_roots())
+    rng = random.Random(rank)
+    for _ in range(6):
+        J = sorted(rng.sample(range(1, rank + 1), rng.randint(0, rank - 1)))
+        beta = tuple(rng.randint(0, 3) for _ in range(rank))
+        # a random word, times each right descent in J until w is minimal in wW_J
+        word = [rng.randint(1, rank) for _ in range(rng.randint(0, 12))]
+        while descent := next((j for j in J if ref.length(ref.of_word(word + [j])[0])
+                               < ref.length(ref.of_word(word)[0])), None):
+            word.append(descent)
+        outside = [datum.root_to_weight(rt.coords) for rt in datum.positive_roots()
+                   if any(c for k, c in enumerate(rt.coords) if k + 1 not in J)]
+        two_rho_j = [sum(col) for col in zip(*outside)] or [0] * rank
+        expected = (len(outside) - vec_dot(mat_vec(w0_coweight_mat, beta), two_rho_j)
+                    - ref.length(ref.of_word(word)[0]))
+        assert dim_parabolic(datum, J, beta, wg.finite_from_word(word)) == expected, (
+            J, beta, word)

@@ -95,9 +95,14 @@ def test_weyl_invariance_of_pairing(data):
     u = weyl_group(datum).finite_from_word(
         data.draw(st.lists(st.integers(1, r), max_size=6)))
     lam = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
-    beta = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
-    assert (vec_dot(u.act_coweight(beta), u.act_weight(lam))
-            == vec_dot(beta, lam))
+    alpha = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
+    # (alpha, lam) = sum_j alpha_j d_j lam_j, alpha in the simple-root basis
+    d = datum.cartan.symmetrizer()
+
+    def form(a, m):
+        return sum(x * dj * y for x, dj, y in zip(a, d, m))
+
+    assert form(u.act_root(alpha), u.act_weight(lam)) == form(alpha, lam)
 
 
 def test_theta_is_highest(datum):

@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings, strategies as st
 import matrixref
 from subword import Subword
 
-from silc.rootdata import Root, root_datum
+from silc.rootdata import Root, root_datum, vec_neg
 from silc.semiinf import SemiInfiniteOrder, si_order
 from silc.weylgroup import AffineWeylElement, weyl_group
 
@@ -228,13 +228,16 @@ def test_covers_are_below(so_a2):
     so = so_a2
     wg = so.wg
     v = wg.element([1], (0, 0))
+    coroots = {rt.coords: rt.coroot for rt in so.datum.positive_roots()}
     for alpha, x in so.si_covers_below(v, 2):
         assert so.si_le(x, v)
         assert so.si_length(x) == so.si_length(v) + 1
-        # x = s_alpha v for the affine reflection s_alpha = s_gamma t_{n gamma^vee}
-        gamma = Root(alpha.root_coords, alpha.coroot)
-        refl = AffineWeylElement(wg.reflection_by_root(gamma),
-                                 tuple(alpha.delta_coeff * c for c in alpha.coroot))
+        # x = s_alpha v for the affine reflection s_alpha = s_gamma t_{n gamma^vee},
+        # gamma^vee the coroot of the positive root +-gamma, signed
+        coords = alpha.root_coords
+        coroot = coroots.get(coords) or vec_neg(coroots[vec_neg(coords)])
+        refl = AffineWeylElement(wg.reflection_by_root(Root(coords, coroot)),
+                                 tuple(alpha.delta_coeff * c for c in coroot))
         assert wg.compose(refl, v) == x
 
 

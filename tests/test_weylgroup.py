@@ -138,11 +138,17 @@ def _inverse(wg, u):
     return wg.finite_from_word(wg.reduced_word_finite(u)[::-1])
 
 
+def _weight_mat(u):
+    """The matrix of u's weight action: columns u(varpi_j)."""
+    return tuple(zip(*(u.act_weight(e) for e in mat_identity(len(u.root_mat)))))
+
+
 def test_inverse(wg):
     x = wg.compose(simple_affine(wg, 0), wg.element([1], tuple([1] * wg.datum.rank)))
-    # (u t_beta)^{-1} = u^{-1} t_{-u beta}
+    # (u t_beta)^{-1} = u^{-1} t_{-u beta}, u beta by matrixref's coweight matrix
+    coweight_mat = matrixref.Matrices(wg.datum).of_word(wg.reduced_word_finite(x.finite))[1]
     inv = AffineWeylElement(_inverse(wg, x.finite),
-                            vec_neg(x.finite.act_coweight(x.translation)))
+                            vec_neg(mat_vec(coweight_mat, x.translation)))
     assert wg.compose(x, inv) == wg.identity
     assert wg.compose(inv, x) == wg.identity
 
@@ -234,9 +240,16 @@ def test_w0_longest(wg):
 
 
 def test_w0_word_is_the_smallest_reduced_word(wg):
-    """The ascents that build w0 spell its lexicographically smallest
-    reduced word."""
-    assert list(wg.w0_word) == wg.reduced_word_finite(wg.w0)
+    """Multiplying by the smallest left ascent, found by lengths, until none
+    is left reaches w0, and the ascents taken spell its lexicographically
+    smallest reduced word."""
+    simple = [wg.finite_from_word([i]) for i in range(1, wg.datum.rank + 1)]
+    w, word = wg.id_finite, []
+    while ascents := [i for i, s in enumerate(simple) if (s * w).length() > w.length()]:
+        word.append(ascents[0] + 1)
+        w = simple[ascents[0]] * w
+    assert w is wg.w0
+    assert word == wg.reduced_word_finite(wg.w0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +283,7 @@ def test_e8_w0_reduced_word():
     wg = weyl_group(datum)
     word = wg.reduced_word_finite(wg.w0)
     assert len(word) == 120
-    assert list(wg.w0_word) == word
+    assert wg.finite_from_word(word) is wg.w0
     assert oracle.RootSystem("E", 8).act_word(word, datum.rho) == vec_neg(datum.rho)
 
 
@@ -309,15 +322,15 @@ def test_a_new_group_holds_only_the_identity_and_the_simple_reflections():
     wg = WeylGroup(root_datum("E", 8))
     assert set(wg._elements.values()) == {wg.id_finite, *wg._simple_finite}
     assert len(wg._elements) == 9
-    assert len(wg.w0_word) == 120
+    assert wg.w0.length() == 120
     assert len(wg._elements) > 9
 
 
 @pytest.mark.parametrize("kind,rank", BUILTIN_TYPES)
 def test_w0_of_every_builtin_type(kind, rank):
     """w0, built on first read, is an involution of length |Phi+| whose
-    root matrix is minus a permutation matrix, and its word is the smallest
-    reduced one; both are as they were when w0 was built with the group."""
+    root and weight matrices are minus one permutation matrix, and its
+    smallest reduced word is as it was when w0 was built with the group."""
     datum = root_datum(kind, rank)
     wg = WeylGroup(datum)
     word, pi = W0[(kind, rank)]
@@ -325,8 +338,8 @@ def test_w0_of_every_builtin_type(kind, rank):
     assert w0 * w0 is wg.id_finite
     assert w0.length() == len(datum.positive_roots())
     minus_pi = tuple(tuple(-int(pi[j] == i + 1) for j in range(rank)) for i in range(rank))
-    assert w0.root_mat == w0.coweight_mat == minus_pi
-    assert wg.w0_word == tuple(map(int, word)) == tuple(wg.reduced_word_finite(w0))
+    assert w0.root_mat == _weight_mat(w0) == minus_pi
+    assert wg.reduced_word_finite(w0) == list(map(int, word))
 
 
 def test_finite_elements_are_interned(wg_a2):
@@ -422,10 +435,10 @@ def _all_finite(wg):
 
 @pytest.mark.parametrize("kind,rank", ALL_TYPES + [("C", 3)])
 def test_products_by_reflections_match_matrix_products(kind, rank):
-    """u * s_beta is a rank-one update of u's root matrix, and the
-    coweight matrix derived from it is that of the product.  On a fresh
-    group built by every reflection, so that elements are first made that
-    way, both matrices equal the matrix products, and the element of the
+    """u * s_beta is a rank-one update of u's root matrix, and the weight
+    action derived from it is that of the product.  On a fresh group built
+    by every reflection, so that elements are first made that way, the root
+    and weight matrices equal the matrix products, and the element of the
     reversed reduced word inverts both."""
     wg = WeylGroup(root_datum(kind, rank))
     reflections = [wg.reflection_by_root(beta) for beta in wg.datum.positive_roots()]
@@ -438,14 +451,14 @@ def test_products_by_reflections_match_matrix_products(kind, rank):
             for s in reflections:
                 x = u * s
                 assert x.root_mat == mat_mul(u.root_mat, s.root_mat)
-                assert x.coweight_mat == mat_mul(u.coweight_mat, s.coweight_mat)
+                assert _weight_mat(x) == mat_mul(_weight_mat(u), _weight_mat(s))
                 if x not in seen:
                     seen.add(x)
                     nxt.append(x)
         frontier = nxt
     for x in seen:
         assert mat_mul(x.root_mat, _inverse(wg, x).root_mat) == ident
-        assert mat_mul(x.coweight_mat, _inverse(wg, x).coweight_mat) == ident
+        assert mat_mul(_weight_mat(x), _weight_mat(_inverse(wg, x))) == ident
 
 
 @pytest.mark.parametrize("kind,rank,sample", [
@@ -470,7 +483,7 @@ def test_reflections_on_either_side_match_the_matrix_formulas(kind, rank, sample
         for s, s_mats in reflections:
             for got, (left, right) in ((s * x, (s_mats, x_mats)), (x * s, (x_mats, s_mats))):
                 assert got.root_mat == mat_mul(left[0], right[0])
-                assert got.coweight_mat == mat_mul(left[1], right[1])
+                assert _weight_mat(got) == mat_mul(left[2], right[2])
             for lam in lams:
                 assert (s * x).act_weight(lam) == s.act_weight(x.act_weight(lam))
 
@@ -526,12 +539,12 @@ _SAMPLED = {("A", 7): 200, ("F", 4): 150, ("E", 6): 150}
                                        ("A", 7), ("B", 2), ("G", 2), ("C", 3),
                                        ("D", 4), ("F", 4), ("E", 6)])
 def test_elements_follow_the_matrix_formulas(kind, rank):
-    """Products, lengths, the three actions, key() and reduced words equal
-    those of the matrices made along a word, and a reduced word reversed
-    gives the inverse matrix: every element of A1-A4, B2, G2, C3 and D4,
-    and seeded elements of A7, F4 and E6.  In type A the element is its
-    permutation; elsewhere it is its root matrix, and its coweight matrix,
-    weight action and left descents are derived from that one matrix."""
+    """Products, lengths, both actions, key() and reduced words equal those
+    of the matrices made along a word, and a reduced word reversed gives
+    the inverse matrix: every element of A1-A4, B2, G2, C3 and D4, and
+    seeded elements of A7, F4 and E6.  In type A the element is its
+    permutation; elsewhere it is its root matrix, and its weight action and
+    left descents are derived from that one matrix."""
     wg = weyl_group(root_datum(kind, rank))
     sample = _SAMPLED.get((kind, rank))
     if sample is None:
@@ -546,9 +559,9 @@ def test_elements_follow_the_matrix_formulas(kind, rank):
     rng = random.Random(rank)
     items = list(elements.items())
     vectors = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)]
-    for u, (root_mat, coweight_mat, weight_mat) in items:
+    for u, (root_mat, _, weight_mat) in items:
         assert u.root_mat == root_mat
-        assert u.coweight_mat == coweight_mat
+        assert _weight_mat(u) == weight_mat
         assert AffineWeylElement(u, vectors[0]).key() == (root_mat, vectors[0])
         assert mat_mul(root_mat, _inverse(wg, u).root_mat) == ident
         assert _inverse(wg, _inverse(wg, u)) is u
@@ -556,10 +569,9 @@ def test_elements_follow_the_matrix_formulas(kind, rank):
         for vec in vectors:
             assert u.act_weight(vec) == mat_vec(weight_mat, vec)
             assert u.act_root(vec) == mat_vec(root_mat, vec)
-            assert u.act_coweight(vec) == mat_vec(coweight_mat, vec)
-        v, (v_root, v_coweight, _) = rng.choice(items)
+        v, (v_root, _, v_weight) = rng.choice(items)
         assert (u * v).root_mat == mat_mul(root_mat, v_root)
-        assert (u * v).coweight_mat == mat_mul(coweight_mat, v_coweight)
+        assert _weight_mat(u * v) == mat_mul(weight_mat, v_weight)
         word = wg.reduced_word_finite(u)
         assert ref.of_word(word)[0] == root_mat
         if rank <= 4:
