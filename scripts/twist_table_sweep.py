@@ -27,8 +27,8 @@ def run(kind, rank, lam, radius, q_hi):
     for w in box:
         table = compute_pieri(datum, w, lam, (0, q_hi))
         mass = sum(a.total() for _, a in table.coeffs)
-        base = table.coefficient(w)
-        print(f"{wg.format(w):>14} {len(table.support()):>8} {mass:>6}  "
+        base = dict(table.coeffs)[w]
+        print(f"{wg.format(w):>14} {len(table.coeffs):>8} {mass:>6}  "
               f"{sorted(base.terms)}")
 
 

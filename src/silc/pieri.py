@@ -122,15 +122,6 @@ class PieriTable(NamedTuple):
     coeffs: tuple  # tuple of (AffineWeylElement u, nonzero GradedCharacter a^u)
     anchor_degree: int  # absolute qbar-degree subtracted from all exponents
 
-    def coefficient(self, u: AffineWeylElement) -> GradedCharacter:
-        for x, a in self.coeffs:
-            if x == u:
-                return a
-        return GradedCharacter.zero(self.window)
-
-    def support(self):
-        return tuple(x for x, _ in self.coeffs)
-
     def to_json(self, wg) -> dict:
         return {
             "base": wg.to_json(self.base),

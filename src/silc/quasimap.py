@@ -36,11 +36,7 @@ from .weylgroup import AffineWeylElement, FiniteWeylElement, weyl_group
 
 
 class InvalidDPError(QuasimapError):
-    """The contraction identity fails; carries the offending coefficient."""
-
-    def __init__(self, message, coefficient=None):
-        super().__init__(message)
-        self.coefficient = coefficient
+    """The contraction identity fails."""
 
 
 class DegreeError(QuasimapError):
@@ -314,39 +310,11 @@ class DefectDivisor(NamedTuple):
         }
 
 
-def wedge(v1, v2):
-    """Pluecker coordinates (c12, c13, c23) of two polynomial 3-vectors.
-
-    Pairing the wedge against either argument vanishes identically, so this
-    is the standard way to manufacture valid rank-2 data.
-    """
-    a = [_trim(c) for c in v1]
-    b = [_trim(c) for c in v2]
-    return (
-        _sub(_mul(a[0], b[1]), _mul(a[1], b[0])),
-        _sub(_mul(a[0], b[2]), _mul(a[2], b[0])),
-        _sub(_mul(a[1], b[2]), _mul(a[2], b[1])),
-    )
-
-
-def scale_component(vec, factor):
-    """Multiply every coordinate polynomial by the given polynomial."""
-    f = _trim(factor)
-    return tuple(_mul(_trim(c), f) for c in vec)
-
-
 def _contraction_polynomial(data: DPData):
     """<u_{w2}(z), u_{w1}(z)> under the fixed contraction signs."""
     c12, c13, c23 = data.components[1]
     u1, u2, u3 = data.components[0]
     return _add(_sub(_mul(c12, u3), _mul(c13, u2)), _mul(c23, u1))
-
-
-def _beta_from_degrees(rank, degrees) -> tuple:
-    """beta with d_i = -<w0 beta, w_i>; w0 flips the type-A diagram."""
-    if rank == 1:
-        return (degrees[0],)
-    return (degrees[1], degrees[0])
 
 
 def validate_dp(data: DPData) -> tuple:
@@ -363,10 +331,9 @@ def validate_dp(data: DPData) -> tuple:
         residual = _contraction_polynomial(data)
         if residual:
             raise InvalidDPError(
-                f"contraction identity fails: residual {_expr_str(residual)}",
-                coefficient=residual[-1],
-            )
-    beta = _beta_from_degrees(data.rank, data.degrees)
+                f"contraction identity fails: residual {_expr_str(residual)}")
+    # beta with d_i = -<w0 beta, w_i>; w0 flips the type-A diagram
+    beta = data.degrees[::-1]
     if any(b < 0 for b in beta):
         raise DegreeError(f"degree vector {beta} has a negative entry")
     return beta

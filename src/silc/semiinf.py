@@ -124,12 +124,12 @@ class SemiInfiniteOrder:
         sorted by element.
 
         Every covering root has delta coefficient 0 or 1, so the list is
-        complete for any height_bound >= 1; the bound is only validated.
+        complete for any height_bound >= 1.  height_bound is accepted and
+        changes nothing: the benchmark (perfbench/worker.py) passes it, and
+        the CLI refuses a value below 1.
         A Bruhat edge u -> u*s_alpha has u(alpha) > 0 and reports the root
         u(alpha); a quantum edge has u(alpha) < 0 and reports u(alpha) + delta.
         """
-        if height_bound < 1:
-            raise ValueError("height_bound must be >= 1")
         u = v.finite
         out = [(AffineRoot(u.act_root(alpha.coords), int(any(shift))),
                 AffineWeylElement(y, vec_add(v.translation, shift)))

@@ -211,9 +211,6 @@ class WeylGroup:
     def element(self, word, beta) -> AffineWeylElement:
         return AffineWeylElement(self.finite_from_word(word), tuple(int(b) for b in beta))
 
-    def translation(self, beta) -> AffineWeylElement:
-        return AffineWeylElement(self.id_finite, tuple(int(b) for b in beta))
-
     def reflection_by_root(self, root) -> FiniteWeylElement:
         """s_gamma for a (positive or negative) finite root."""
         d = self.datum

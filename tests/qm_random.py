@@ -5,9 +5,30 @@ by construction; defects are forced by scaling components with explicit
 factors and by padding the target degrees for deficiency at infinity.
 """
 
-from silc.quasimap import DPData, scale_component, wedge
+from silc.quasimap import DPData, _mul, _sub, _trim
 
 DEFECT_FACTORS = [(0, 1), (1, 1), (-1, 1), (0, 0, 1), (2, 1)]
+
+
+def wedge(v1, v2):
+    """Pluecker coordinates (c12, c13, c23) of two polynomial 3-vectors.
+
+    Pairing the wedge against either argument vanishes identically, so this
+    is the standard way to manufacture valid rank-2 data.
+    """
+    a = [_trim(c) for c in v1]
+    b = [_trim(c) for c in v2]
+    return (
+        _sub(_mul(a[0], b[1]), _mul(a[1], b[0])),
+        _sub(_mul(a[0], b[2]), _mul(a[2], b[0])),
+        _sub(_mul(a[1], b[2]), _mul(a[2], b[1])),
+    )
+
+
+def scale_component(vec, factor):
+    """Multiply every coordinate polynomial by the given polynomial."""
+    f = _trim(factor)
+    return tuple(_mul(_trim(c), f) for c in vec)
 
 
 def random_poly(rng, max_deg):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import matrixref
-from qm_random import random_dp
+from qm_random import random_dp, wedge
 
 from silc.quasimap import (
     DegreeError,
@@ -21,7 +21,6 @@ from silc.quasimap import (
     evaluate,
     saturate,
     validate_dp,
-    wedge,
 )
 from silc.rootdata import RootDataError, mat_vec, root_datum, vec_dot
 from silc.semiinf import si_order
@@ -41,7 +40,7 @@ def test_transversality_failure_rejected():
     data = DPData.make(2, (((1,), (0,), (0,)), ((0,), (0,), (1,))), (0, 0))
     with pytest.raises(InvalidDPError) as err:
         validate_dp(data)
-    assert err.value.coefficient == 1
+    assert str(err.value) == "contraction identity fails: residual 1"
 
 
 def test_symbolic_wedge_line_is_valid():
@@ -181,7 +180,7 @@ def test_dim_richardson_a2_example(a2, wg_a2):
 
 def test_dim_richardson_empty_signal(a1, wg_a1):
     with pytest.raises(EmptyRichardsonError):
-        dim_richardson(a1, wg_a1.identity, wg_a1.translation((1,)))
+        dim_richardson(a1, wg_a1.identity, wg_a1.element((), (1,)))
 
 
 def test_dim_richardson_nonnegative_on_box(a2, so_a2):

@@ -24,7 +24,7 @@ def test_si_length_examples(so_a1):
     so = so_a1
     wg = so.wg
     assert so.si_length(wg.identity) == 0
-    assert so.si_length(wg.translation((1,))) == 2
+    assert so.si_length(wg.element((), (1,))) == 2
     assert so.si_length(wg.element([1], (-1,))) == -1  # s0
 
 
@@ -35,7 +35,7 @@ def test_si_le_examples(so_a1):
     assert so.si_le(s1, wg.identity)
     assert not so.si_le(wg.identity, s1)
     assert so.si_le(s1, s1)
-    assert so.si_le(wg.translation((1,)), wg.identity)
+    assert so.si_le(wg.element((), (1,)), wg.identity)
 
 
 def test_restriction_to_finite_weyl_group(so_a2):
@@ -175,7 +175,7 @@ def test_translation_equivariance(so_a1):
     for x, y in itertools.product(box, repeat=2):
         base = so.si_le(x, y)
         for g in gammas:
-            t = wg.translation(g)
+            t = wg.element((), g)
             assert so.si_le(wg.compose(x, t), wg.compose(y, t)) == base
 
 
@@ -218,7 +218,7 @@ def test_covers_below_a1_identity(so_a1):
 def test_covers_translation_equivariance_a1(so_a1):
     so = so_a1
     wg = so.wg
-    t = wg.translation((-1,))
+    t = wg.element((), (-1,))
     base = {x for _, x in so.si_covers_below(wg.identity, 2)}
     shifted = {x for _, x in so.si_covers_below(t, 2)}
     assert shifted == {wg.compose(x, t) for x in base}
@@ -259,7 +259,7 @@ def test_si_interval_examples(so_a1):
     assert so.si_interval(e, e, 2) == [e]
     assert [x.key() for x in so.si_interval(s1, e, 2)] == [e.key(), s1.key()]
     chain = so.si_interval(wg.element([1], (1,)), e, 2)
-    expected = {e.key(), s1.key(), wg.translation((1,)).key(),
+    expected = {e.key(), s1.key(), wg.element((), (1,)).key(),
                 wg.element([1], (1,)).key()}
     assert {x.key() for x in chain} == expected
     assert [so.si_length(x) for x in chain] == [0, 1, 2, 3]
@@ -268,7 +268,7 @@ def test_si_interval_examples(so_a1):
 def test_si_interval_incomparable_empty(so_a1):
     so = so_a1
     wg = so.wg
-    assert so.si_interval(wg.identity, wg.translation((1,)), 2) == []
+    assert so.si_interval(wg.identity, wg.element((), (1,)), 2) == []
 
 
 def test_s0_below_identity_is_false_a1(so_a1):
@@ -350,7 +350,7 @@ def test_covers_are_complete_on_box(kind):
     sub = Subword(kind, 2)
     finite = finite_elements(wg, sub)
     reach = max(max(rt.coroot) for rt in so.datum.positive_roots())
-    for v in so.box(wg.translation((1, -1)), 0):
+    for v in so.box(wg.element((), (1, -1)), 0):
         target = so.si_length(v) + 1
         below = set()
         for gamma in itertools.product(range(-reach, reach + 1), repeat=2):
@@ -433,6 +433,40 @@ def test_weight_is_read_off_the_coset_walk(kind, rank):
         for w in finite:
             assert so.si_le(AffineWeylElement(w, want[w]), top)
         assert so._least[v] == want
+
+
+def _weights_of_all_pairs(kind, rank):
+    """({(v, w): wt(v => w)} for every pair of finite parts, the order).
+    The weights are read by _weight, which
+    test_weight_is_read_off_the_coset_walk ties to the search through all
+    of W."""
+    so = SemiInfiniteOrder(weyl_group(root_datum(kind, rank)))
+    finite = [x.finite for x in so.box(so.wg.identity, 0)]
+    return {(v, w): so._weight(v, w) for v in finite for w in finite}, so
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_left_multiplication_by_w0_reverses_the_weight(kind, rank):
+    """wt(v => w) = wt(w0 w => w0 v) on every pair: left multiplication by
+    w0 reverses every quantum Bruhat edge and keeps its root, since
+    l(w0 u) = N - l(u)."""
+    weights, so = _weights_of_all_pairs(kind, rank)
+    w0 = so.wg.w0
+    for (v, w), wt in weights.items():
+        assert weights[w0 * w, w0 * v] == wt, (so.wg.reduced_word_finite(v),
+                                               so.wg.reduced_word_finite(w))
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_weight_coordinate_depends_only_on_the_cosets(kind, rank):
+    """Coordinate k of wt(v => w) depends only on v(varpi_k) and w(varpi_k),
+    on every pair: it is a function of two weights of the orbit W varpi_k."""
+    weights, so = _weights_of_all_pairs(kind, rank)
+    for k, unit in enumerate(so._units):
+        by_coset = {}
+        for (v, w), wt in weights.items():
+            coset = (v.act_weight(unit), w.act_weight(unit))
+            assert by_coset.setdefault(coset, wt[k]) == wt[k], (k, coset)
 
 
 # (pairs, longest word) of the seeded pairs: each end is a word of random

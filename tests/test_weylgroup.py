@@ -92,15 +92,15 @@ def test_translation_composition(wg):
     r = wg.datum.rank
     b1 = tuple(range(1, r + 1))
     b2 = tuple([-2] * r)
-    x = wg.compose(wg.translation(b1), wg.translation(b2))
-    assert x == wg.translation(tuple(a + b for a, b in zip(b1, b2)))
+    x = wg.compose(wg.element((), b1), wg.element((), b2))
+    assert x == wg.element((), tuple(a + b for a, b in zip(b1, b2)))
 
 
 def test_conjugated_translation_a1(wg_a1):
     wg = wg_a1
     s = wg.affine_from_finite(wg.finite_from_word([1]))
-    x = wg.compose(wg.compose(s, wg.translation((1,))), s)
-    assert x == wg.translation((-1,))
+    x = wg.compose(wg.compose(s, wg.element((), (1,))), s)
+    assert x == wg.element((), (-1,))
 
 
 def test_s0_identity(wg, sub):
@@ -109,7 +109,7 @@ def test_s0_identity(wg, sub):
     s0 = simple_affine(wg, 0)
     assert sub.of(s0) == sub.simple[0]
     s_theta = wg.affine_from_finite(wg.reflection_by_root(theta))
-    assert wg.compose(s_theta, s0) == wg.translation(vec_neg(theta.coroot))
+    assert wg.compose(s_theta, s0) == wg.element((), vec_neg(theta.coroot))
 
 
 def test_compose_matches_oracle(wg, sub):
@@ -160,7 +160,7 @@ def test_inverse(wg):
 def test_length_examples_a1(wg_a1):
     wg, sub = wg_a1, Subword("A", 1)
     assert length(sub, wg.identity) == 0
-    assert length(sub, wg.translation((1,))) == 2
+    assert length(sub, wg.element((), (1,))) == 2
     assert length(sub, simple_affine(wg, 0)) == 1
     assert length(sub, wg.element([1], (-1,))) == 1  # this is s0
 
@@ -170,12 +170,12 @@ def test_length_dominant_translation_a2(wg_a2):
     # l(t_beta) = sum over positive roots of |<beta, alpha>|; alpha_1^vee is
     # not a dominant coweight in A2 (<alpha_1^vee, alpha_2> = -1), so the
     # length is 2 + 1 + 1 = 4 (confirmed by the brute-force word oracle).
-    assert length(sub, wg_a2.translation((1, 0))) == 4
+    assert length(sub, wg_a2.element((), (1, 0))) == 4
     # a genuinely dominant coweight: sum of all positive coroots = 2 rho^vee
     beta = sub.rs.two_rho_coweight
     expected = sum(vec_dot(beta, wg_a2.datum.root_to_weight(rt.coords))
                    for rt in wg_a2.datum.positive_roots())
-    assert length(sub, wg_a2.translation(beta)) == expected
+    assert length(sub, wg_a2.element((), beta)) == expected
 
 
 def test_length_matches_brute_force(wg, sub):
@@ -184,7 +184,7 @@ def test_length_matches_brute_force(wg, sub):
     elements = [
         wg.identity,
         s0,
-        wg.translation(tuple([1] + [0] * (r - 1))),
+        wg.element((), tuple([1] + [0] * (r - 1))),
         wg.element([1], tuple([0] * r)),
         wg.compose(s0, wg.element([1], tuple([0] * r))),
         wg.element([1], tuple([-1] * r)),
@@ -210,7 +210,7 @@ def test_simple_multiplication_changes_length_by_one(wg, sub):
 def test_reduced_word_examples_a1(wg_a1):
     wg, sub = wg_a1, Subword("A", 1)
     assert sub.reduced_word(sub.of(wg.identity)) == []
-    assert sub.reduced_word(sub.of(wg.translation((1,)))) == [0, 1]
+    assert sub.reduced_word(sub.of(wg.element((), (1,)))) == [0, 1]
     assert sub.reduced_word(sub.of(wg.element([1], (1,)))) == [1, 0, 1]
 
 
@@ -219,9 +219,9 @@ def test_reduced_word_roundtrip(wg, sub):
     s0 = simple_affine(wg, 0)
     samples = [
         s0,
-        wg.translation(tuple([1] * r)),
+        wg.element((), tuple([1] * r)),
         wg.element([1], tuple([0] * r)),
-        wg.compose(wg.translation(tuple([1] * r)), s0),
+        wg.compose(wg.element((), tuple([1] * r)), s0),
         wg.element([1], tuple([-2] + [0] * (r - 1))),
     ]
     for w in samples:
@@ -378,7 +378,7 @@ def test_bruhat_matches_subword_oracle(kind, rank):
 
 def test_bruhat_examples_a1(wg_a1):
     wg, sub = wg_a1, Subword("A", 1)
-    assert sub.bruhat_le(sub.of(wg.identity), sub.of(wg.translation((1,))))
+    assert sub.bruhat_le(sub.of(wg.identity), sub.of(wg.element((), (1,))))
     assert not sub.bruhat_le(sub.simple[0], sub.of(wg.element([1], (0,))))
     x = sub.of(wg.element([1], (2,)))
     assert sub.bruhat_le(x, x)
@@ -498,7 +498,7 @@ def test_serialization_roundtrip(wg):
 
 def test_parse_grammar(wg_a1):
     wg = wg_a1
-    assert wg.parse("e@1") == wg.translation((1,))
+    assert wg.parse("e@1") == wg.element((), (1,))
     assert wg.parse("1@0") == wg.affine_from_finite(wg.finite_from_word([1]))
     assert wg.parse("1@-2") == wg.element([1], (-2,))
 
